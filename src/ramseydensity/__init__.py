@@ -4,6 +4,7 @@ scale by brute-force oracles and closed-form constants."""
 
 __version__ = "0.1.0"
 
+from .errors import VerificationError
 from .lipschitz import (PLFunction, GammaParam, FBounds, gamma_crossing,
                         ell_crossing, f_closed, f_from_h, h_upper_and_f,
                         sigma_g, sigma_window, sigma_f_value, sup_ratio,

@@ -21,6 +21,7 @@ from . import __version__
 from .colorings import (TwoColoring, a_good_shading, adversary,
                         clique_coloring, verify_adversary, verify_shading)
 from .embedder import HPrefixSpec, build_W, embed, verify_embedding
+from .errors import VerificationError
 from .families import (FiniteGraph, complete_bipartite, default_treecut_delta,
                        mu_bruteforce, parse_family, treecut)
 from .flows import CapacitatedBipartite, findflow, mfmc
@@ -107,6 +108,8 @@ def cmd_f_eval(args):
 
 
 def cmd_fig1(args):
+    if not (args.step > 0 and math.isfinite(args.step)):
+        raise ValueError(f"step must be positive and finite, got {args.step!r}")
     meta = _meta(args, "fig1")
     rows = []
     steps = int(round(3.0 / args.step))
@@ -328,6 +331,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except VerificationError as exc:
+        print(f"error: verification failed: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,8 +17,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
-from .lipschitz import GammaParam, gamma_crossing
+from .errors import VerificationError
+from .lipschitz import GammaParam, gamma_crossings
 
 RED, BLUE = "R", "B"
 COLORS = (RED, BLUE)
@@ -198,123 +200,161 @@ class AdversaryInstance:
                                                for i in range(self.n)))
 
 
-def _min_indices(positions, opposite_left_count, lam, count):
-    """alpha_i for i = 1..count: least a with opposite_left(a-th) <= lam*(a-i),
-    scanning incrementally (the valid set only shrinks as i grows)."""
+def _red_prefix_counts(g, n):
+    """floor((m + g(m))/2) for m = 1..n: the number of red vertices among
+    the leftmost m."""
+    ys = g.values_at([float(m) for m in range(1, n + 1)])
+    return [math.floor((m + y) / 2 + 1e-12) for m, y in zip(range(1, n + 1), ys)]
+
+
+def _positions(colors, color):
+    """Indices of the vertices of one color, in increasing order."""
+    return tuple(i for i, c in enumerate(colors) if c == color)
+
+
+def _left_counts(positions):
+    """left[a-1] = vertices of the other color left of the a-th vertex in
+    positions (which lists one color's vertices in increasing order)."""
+    return [p - k for k, p in enumerate(positions)]
+
+
+def _min_indices(left, s, r, count):
+    """alpha_i for i = 1..count: least a with left[a-1] <= (s/r)*(a-i),
+    tested as the integer inequality r*left[a-1] <= s*(a-i) and scanned
+    incrementally (the valid set only shrinks as i grows)."""
     out = []
     a = 1
+    m = len(left)
     for i in range(1, count + 1):
-        while a <= len(positions) and opposite_left_count(a) > lam * (a - i):
+        while a <= m and r * left[a - 1] > s * (a - i):
             a += 1
-        if a > len(positions):
+        if a > m:
             break
         out.append(a)
     return out
 
 
+def _joint_prefix(alpha, beta, n):
+    """Number of leading indices j with alpha_j + beta_j <= n: the phi
+    blocks that exist."""
+    joint = 0
+    for a_j, b_j in zip(alpha, beta):
+        if a_j + b_j > n:
+            break
+        joint += 1
+    return joint
+
+
 def adversary(s, r, g, n):
-    """Build the adversarial instance for lam = s/r on n vertices."""
+    """Build the adversarial instance for lam = s/r on n vertices, steered by
+    the 1-Lipschitz PLFunction g."""
     if n < 4:
         raise ValueError("n must be at least 4")
-    lam = Fraction(s, r)
+    for name, v in (("s", s), ("r", r)):
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise ValueError(f"{name} must be a positive integer, got {v!r}")
     reds_so_far = 0
     colors = []
-    for m in range(1, n + 1):
-        target = math.floor((m + g(float(m))) / 2 + 1e-12)
+    for target in _red_prefix_counts(g, n):
         step = target - reds_so_far
         if step not in (0, 1):
             raise ValueError("g is not 1-Lipschitz along integers")
         colors.append(RED if step == 1 else BLUE)
         reds_so_far = target
-    red_pos = tuple(i for i, c in enumerate(colors) if c == RED)
-    blue_pos = tuple(i for i, c in enumerate(colors) if c == BLUE)
+    red_pos, blue_pos = _positions(colors, RED), _positions(colors, BLUE)
 
-    def blues_left_of_red(a):
-        p = red_pos[a - 1]
-        return p - (a - 1)
+    alpha = tuple(_min_indices(_left_counts(red_pos), s, r, n))
+    beta = tuple(_min_indices(_left_counts(blue_pos), s, r, n))
 
-    def reds_left_of_blue(b):
-        p = blue_pos[b - 1]
-        return p - (b - 1)
-
-    alpha = tuple(_min_indices(red_pos, blues_left_of_red, lam, n))
-    beta = tuple(_min_indices(blue_pos, reds_left_of_blue, lam, n))
-
-    # phi blocks exist for the joint prefix with alpha_j + beta_j <= n
-    joint = min(len(alpha), len(beta))
-    while joint > 0 and alpha[joint - 1] + beta[joint - 1] > n:
-        joint -= 1
-
+    # alpha and beta are non-decreasing, so the blocks are nested and block
+    # j adds exactly the reds a_{j-1}..a_j - 1 and the blues b_{j-1}..b_j - 1
+    joint = _joint_prefix(alpha, beta, n)
     phi = []
-    placed = set()
+    a_prev = b_prev = 0
     for a_j, b_j in zip(alpha[:joint], beta[:joint]):
-        block = sorted(set(red_pos[:a_j]) | set(blue_pos[:b_j]))
-        fresh = [v for v in block if v not in placed]
-        phi.extend(fresh)
-        placed.update(fresh)
+        phi += sorted(red_pos[a_prev:a_j] + blue_pos[b_prev:b_j])
+        a_prev, b_prev = a_j, b_j
         if len(phi) != a_j + b_j:
-            raise AssertionError("phi block sizes are inconsistent")
-    phi.extend(v for v in range(n) if v not in placed)
+            raise VerificationError("phi block sizes are inconsistent")
+    phi += sorted(red_pos[a_prev:] + blue_pos[b_prev:])
 
     inst = AdversaryInstance(s=s, r=r, n=n, g=g, vertex_colors=tuple(colors),
                              red_positions=red_pos, blue_positions=blue_pos,
                              alpha=alpha, beta=beta, phi=tuple(phi))
     problems = verify_adversary(inst)
     if problems:
-        raise AssertionError("; ".join(problems))
+        raise VerificationError("adversary invariants fail: " + "; ".join(problems))
     return inst
+
+
+def _prefix_reach(where, positions):
+    """reach[k] = largest phi position among positions[:k] (-1 when k = 0)."""
+    return list(accumulate(map(where.__getitem__, positions), max, initial=-1))
 
 
 def verify_adversary(inst):
     """Re-check every structural invariant; returns a list of violations."""
     problems = []
-    lam = inst.lam
+    s, r, n = inst.s, inst.r, inst.n
     g = inst.g
     reds = 0
-    for m in range(1, inst.n + 1):
+    for m, target in enumerate(_red_prefix_counts(g, n), start=1):
         if inst.vertex_colors[m - 1] == RED:
             reds += 1
-        if reds != math.floor((m + g(float(m))) / 2 + 1e-12):
+        if reds != target:
             problems.append(f"red prefix count wrong at m={m}")
             break
-    if tuple(i for i, c in enumerate(inst.vertex_colors) if c == RED) != inst.red_positions:
+    red_pos, blue_pos = inst.red_positions, inst.blue_positions
+    if _positions(inst.vertex_colors, RED) != red_pos:
         problems.append("red positions inconsistent")
-    if tuple(i for i, c in enumerate(inst.vertex_colors) if c == BLUE) != inst.blue_positions:
+    if _positions(inst.vertex_colors, BLUE) != blue_pos:
         problems.append("blue positions inconsistent")
 
-    def check_min(indices, positions, left_count, name):
+    def check_min(indices, left, name):
         prev = 1
         for i, a_i in enumerate(indices, start=1):
-            if left_count(a_i) > lam * (a_i - i):
+            if not 1 <= a_i <= len(left):
+                problems.append(f"{name}_{i} = {a_i} is out of range")
+                continue
+            if r * left[a_i - 1] > s * (a_i - i):
                 problems.append(f"{name}_{i} does not satisfy its inequality")
             # minimality: everything in [prev, a_i) fails for i; anything below
             # prev already failed for i-1 and the valid set only shrinks
             for a in range(prev, a_i):
-                if left_count(a) <= lam * (a - i):
+                if r * left[a - 1] <= s * (a - i):
                     problems.append(f"{name}_{i} = {a_i} is not minimal (a={a} works)")
                     break
             prev = a_i
 
-    def blues_left_of_red(a):
-        return inst.red_positions[a - 1] - (a - 1)
-
-    def reds_left_of_blue(b):
-        return inst.blue_positions[b - 1] - (b - 1)
-
-    check_min(inst.alpha, inst.red_positions, blues_left_of_red, "alpha")
-    check_min(inst.beta, inst.blue_positions, reds_left_of_blue, "beta")
+    check_min(inst.alpha, _left_counts(red_pos), "alpha")
+    check_min(inst.beta, _left_counts(blue_pos), "beta")
 
     if any(b2 <= b1 for b1, b2 in zip(inst.beta, inst.beta[1:])):
         problems.append("beta is not strictly increasing")
 
-    for j, (a_j, b_j) in enumerate(zip(inst.alpha, inst.beta), start=1):
-        if a_j + b_j > inst.n:
-            break
-        block = set(inst.phi[:a_j + b_j])
-        want = set(inst.red_positions[:a_j]) | set(inst.blue_positions[:b_j])
-        if block != want:
-            problems.append(f"phi block {j} mismatch")
-    if sorted(inst.phi) != list(range(inst.n)):
+    # Block j asks set(phi[:k]) == reds[:a_j] | blues[:b_j] with k = a_j + b_j.
+    # When phi is a permutation and the positions partition the vertices,
+    # both sides have k elements, so the block matches exactly when every
+    # vertex it wants sits before position k in phi.
+    phi = inst.phi
+    everything = list(range(n))
+    is_perm = sorted(phi) == everything
+    reach = None
+    if is_perm and sorted([*red_pos, *blue_pos]) == everything:
+        where = [0] * n
+        for k, v in enumerate(phi):
+            where[v] = k
+        reach = (_prefix_reach(where, red_pos), _prefix_reach(where, blue_pos))
+    for j in range(_joint_prefix(inst.alpha, inst.beta, n)):
+        a_j, b_j = inst.alpha[j], inst.beta[j]
+        k = a_j + b_j
+        if reach and 0 <= a_j <= len(red_pos) and 0 <= b_j <= len(blue_pos):
+            ok = max(reach[0][a_j], reach[1][b_j]) < k
+        else:
+            ok = set(phi[:k]) == set(red_pos[:a_j]) | set(blue_pos[:b_j])
+        if not ok:
+            problems.append(f"phi block {j + 1} mismatch")
+    if not is_perm:
         problems.append("phi is not a permutation")
     return problems
 
@@ -322,18 +362,19 @@ def verify_adversary(inst):
 def adversary_bound_chain(inst, i_min=50, tol=1e-6):
     """Check alpha_i <= (1-gamma) z+ / 2 + w/2 and the symmetric +2 bound for
     beta_i at every index i >= i_min with alpha_i + beta_i <= n; returns
-    violations (an infinite crossing means g was built too small for n)."""
+    violations (an infinite crossing means g was built too small for n).
+
+    The levels w grow with i, so each sign's crossings come from one sweep
+    over the tilted breakpoints."""
     p = inst.gamma_param
     lam = float(inst.lam)
     gamma = p.gamma
     problems = []
-    joint = min(len(inst.alpha), len(inst.beta))
-    while joint > 0 and inst.alpha[joint - 1] + inst.beta[joint - 1] > inst.n:
-        joint -= 1
-    for i in range(i_min, joint + 1):
-        w = (2 / (1 + lam)) * (lam * i + 2 * lam + 2)
-        zp = gamma_crossing(inst.g, p, w, 1)
-        zm = gamma_crossing(inst.g, p, w, -1)
+    indices = range(i_min, _joint_prefix(inst.alpha, inst.beta, inst.n) + 1)
+    ws = [(2 / (1 + lam)) * (lam * i + 2 * lam + 2) for i in indices]
+    zps = gamma_crossings(inst.g, p, ws, 1)
+    zms = gamma_crossings(inst.g, p, ws, -1)
+    for i, w, zp, zm in zip(indices, ws, zps, zms):
         if not (math.isfinite(zp) and math.isfinite(zm)):
             problems.append(f"crossing infinite at i={i}")
             continue

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import VerificationError
+
 
 class PrefixTooSmallError(ValueError):
     """The requested computation cannot be certified inside the given prefix."""
@@ -424,7 +426,8 @@ def treecut(forest: FiniteGraph, I, lam, lam_prime, delta):
                     seen.add(w)
                     parent[w] = v
                     stack.append(w)
-    assert set(order) == set(verts)
+    if set(order) != set(verts):
+        raise VerificationError("treecut: rooting missed vertices of the I-N(I) forest")
 
     threshold = 1 / delta
 
@@ -492,14 +495,17 @@ def treecut(forest: FiniteGraph, I, lam, lam_prime, delta):
             scored.append((Fraction(len(cj), len(ci)), min(comp), ci, cj, comp))
     scored.sort(key=lambda rec: (rec[0], rec[1]))
     ratio, _, ci, cj, comp = scored[0]
-    assert ratio <= lam_dd, "no component meets the averaged ratio bound"
+    if ratio > lam_dd:
+        raise VerificationError("treecut: no component meets the averaged ratio bound")
     M = 2 / delta
 
     if len(ci) <= M:
         i_prime = sorted(ci)
     else:
         inside = comp & X & jset
-        assert len(inside) == 1, "big component must contain exactly one deleted J-vertex"
+        if len(inside) != 1:
+            raise VerificationError(
+                "treecut: big component must contain exactly one deleted J-vertex")
         v = next(iter(inside))
         pieces = []
         seen2 = set()
@@ -528,6 +534,8 @@ def treecut(forest: FiniteGraph, I, lam, lam_prime, delta):
         i_prime = sorted(i_prime)
 
     got = forest.neighborhood(i_prime)
-    assert len(i_prime) <= M, "output exceeds the size bound"
-    assert len(got) <= lam_prime * len(i_prime), "output exceeds the expansion bound"
+    if len(i_prime) > M:
+        raise VerificationError("treecut: output exceeds the size bound")
+    if len(got) > lam_prime * len(i_prime):
+        raise VerificationError("treecut: output exceeds the expansion bound")
     return tuple(i_prime)

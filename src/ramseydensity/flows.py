@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .colorings import RED, BLUE
+from .errors import VerificationError
 from .lipschitz import PLFunction
 
 
@@ -150,25 +151,25 @@ def _validate_certificate(G, cert):
     total = 0
     for (u, v), f in cert.h:
         if (u, v) not in G.edges or f <= 0:
-            raise AssertionError("flow on a non-edge or nonpositive flow")
+            raise VerificationError("flow on a non-edge or nonpositive flow")
         load[u] += f
         load[v] += f
         total += f
     if total != cert.D:
-        raise AssertionError("flow total differs from D")
+        raise VerificationError("flow total differs from D")
     for x in G.X:
         if load[x] > G.r:
-            raise AssertionError("X capacity exceeded")
+            raise VerificationError("X capacity exceeded")
     for y in G.Y:
         if load[y] > G.s:
-            raise AssertionError("Y capacity exceeded")
+            raise VerificationError("Y capacity exceeded")
     zs = set(cert.Z)
     for u, v in G.edges:
         if u not in zs and v not in zs:
-            raise AssertionError("Z is not a vertex cover")
+            raise VerificationError("Z is not a vertex cover")
     weight = G.r * sum(1 for x in G.X if x in zs) + G.s * sum(1 for y in G.Y if y in zs)
     if weight != cert.D:
-        raise AssertionError("cover weight differs from D")
+        raise VerificationError("cover weight differs from D")
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,12 @@ level-sequence recurrence, and the 45-degree rotation change of variables.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import VerificationError
 
 INF = math.inf
 
@@ -27,7 +31,7 @@ class UnboundedCandidateError(ValueError):
     """A crossing is infinite somewhere in the requested level window."""
 
 
-class ConsistencyError(AssertionError):
+class ConsistencyError(VerificationError):
     """An internal cross-check (closed formula vs direct computation) failed."""
 
 
@@ -98,6 +102,25 @@ class PLFunction:
         y0, y1 = vals[lo], vals[hi]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
+    def values_at(self, xs):
+        """[self(x) for x in xs], bit for bit, for a non-decreasing sequence
+        xs >= 0: each segment's points are found by bisection and evaluated
+        with the same formula, so the cost is O(len(xs) + breakpoints)."""
+        if any(map(operator.gt, xs, xs[1:])) or (xs and xs[0] < 0):
+            raise ValueError("points must be nonnegative and non-decreasing")
+        bp, vals = self.breakpoints, self.values
+        out = []
+        i = 0
+        for lo in range(len(bp) - 1):
+            j = bisect_left(xs, bp[lo + 1], i)
+            x0, y0 = bp[lo], vals[lo]
+            dx, dy = bp[lo + 1] - x0, vals[lo + 1] - y0
+            out += [y0 + dy * (x - x0) / dx for x in xs[i:j]]
+            i = j
+        x0, y0, tail = bp[-1], vals[-1], self.tail_slope
+        out += [y0 + tail * (x - x0) for x in xs[i:]]
+        return out
+
     @property
     def span(self):
         return self.breakpoints[-1]
@@ -158,6 +181,20 @@ class GammaParam:
         return cls((lam - 1) / (lam + 1), lam)
 
 
+def _crossing_at(xs, ys, tail_slope, t, k):
+    """Crossing of level t given k, the index of the first vertex that
+    reaches it (len(xs) when none does): the vertex itself, the exact linear
+    solve on the segment ending there, or the tail; inf when never reached."""
+    if k == 0:
+        return xs[0]
+    if k < len(xs):
+        slope = (ys[k] - ys[k - 1]) / (xs[k] - xs[k - 1])
+        return xs[k - 1] + (t - ys[k - 1]) / slope
+    if tail_slope > 0:
+        return xs[-1] + (t - ys[-1]) / tail_slope
+    return INF
+
+
 def _first_crossing(xs, ys, tail_slope, t, strict=False):
     """Least x with f(x) >= t (or > t when strict) for the piecewise function
     with vertices (xs, ys) and the given tail slope; inf when never reached.
@@ -165,20 +202,10 @@ def _first_crossing(xs, ys, tail_slope, t, strict=False):
     For strict crossings the returned point is the limit of the non-strict
     crossing from above, which is what the supremum enumeration needs.
     """
-    n = len(xs)
-    for i in range(n):
-        y0 = ys[i]
-        if (y0 > t) if strict else (y0 >= t):
-            return xs[i]
-        if i + 1 < n:
-            y1 = ys[i + 1]
-            if (y1 > t) if strict else (y1 >= t):
-                slope = (y1 - y0) / (xs[i + 1] - xs[i])
-                return xs[i] + (t - y0) / slope
-        else:
-            if tail_slope > 0:
-                return xs[i] + (t - y0) / tail_slope
-    return INF
+    for k, y in enumerate(ys):
+        if (y > t) if strict else (y >= t):
+            return _crossing_at(xs, ys, tail_slope, t, k)
+    return _crossing_at(xs, ys, tail_slope, t, len(xs))
 
 
 def _tilted(g, gamma, sign):
@@ -199,6 +226,26 @@ def gamma_crossing(g, p, t, sign, strict=False):
         raise ValueError("t must be nonnegative")
     xs, ys, tail = _tilted(g, p.gamma, sign)
     return _first_crossing(xs, ys, tail, t, strict=strict)
+
+
+def gamma_crossings(g, p, levels, sign):
+    """gamma_crossing(g, p, t, sign) for every t in the non-decreasing,
+    nonnegative ``levels``, in one sweep: the first tilted vertex that
+    reaches a level only moves right as the level grows, and each crossing
+    uses the same linear solve, so the results are bit-identical."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    xs, ys, tail = _tilted(g, p.gamma, sign)
+    out = []
+    k, last, prev = 0, len(xs), 0
+    for t in levels:
+        if t < prev:
+            raise ValueError("levels must be nonnegative and non-decreasing")
+        prev = t
+        while k < last and ys[k] < t:
+            k += 1
+        out.append(_crossing_at(xs, ys, tail, t, k))
+    return out
 
 
 def _check_profile(g):
@@ -243,6 +290,8 @@ class FBounds:
 
 def f_closed(lam):
     """Closed-form bounds on f(lam); exact on [0, 1] and at 0 and +inf."""
+    if math.isnan(lam):
+        raise ValueError("lam must be a number, not NaN")
     if lam == INF:
         return FBounds(0.5, 0.5, 0.5)
     if lam < 0:
@@ -390,13 +439,6 @@ def random_alternating_candidate(rng, p, max_pieces=40, span_cap=1e9):
             break
     g = PLFunction.from_points(pts, tail_slope=slope)
     return remove_extrema(canonicalize(g, span=x), p)
-
-
-def tilted_peak_levels(g, p, sign):
-    """Levels of the local maxima of gamma*x + sign*g(x), ascending."""
-    vals = [p.gamma * x + sign * y for x, y in zip(g.breakpoints, g.values)]
-    return sorted(vals[i] for i in range(1, len(vals) - 1)
-                  if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1])
 
 
 def candidate_window(g, p):

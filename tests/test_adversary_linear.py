@@ -1,0 +1,202 @@
+"""The linear-time adversary layer against the quadratic Fraction reference.
+
+Differential tests compare alpha, beta, phi, the verifier's messages and the
+bound chain with ``adversary_reference`` (the construction as it was before
+the rewrite) on seeded random candidates and sawtooths; mutation tests
+corrupt valid instances one way at a time and check that the verifier names
+the broken invariant and its index, exactly as the reference does.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+import adversary_reference as ref
+from ramseydensity.colorings import (BLUE, RED, adversary, adversary_bound_chain,
+                                     verify_adversary)
+from ramseydensity.lipschitz import (GammaParam, PLFunction, gamma_crossing,
+                                     gamma_crossings, random_alternating_candidate,
+                                     sigma_g)
+
+LAMBDAS = ((1, 1), (2, 1), (1, 2), (3, 2))
+
+
+def candidates(s, r, seed):
+    """The sawtooth and one seeded random alternating candidate at s/r."""
+    p = GammaParam.from_lambda(s / r)
+    rng = random.Random(seed)
+    return p, [sigma_g(p, 12),
+               random_alternating_candidate(rng, p, max_pieces=40, span_cap=1e8)]
+
+
+@pytest.mark.parametrize("n", [40, 500, 2000])
+@pytest.mark.parametrize("s,r", LAMBDAS)
+def test_instances_match_reference(s, r, n):
+    _, gs = candidates(s, r, seed=1000 * s + 10 * r + n)
+    for g in gs:
+        old = ref.adversary(s, r, g, n)
+        new = adversary(s, r, g, n)
+        assert (new.alpha, new.beta, new.phi) == (old.alpha, old.beta, old.phi)
+        assert new == old
+        assert verify_adversary(new) == ref.verify_adversary(old) == []
+        assert adversary_bound_chain(new, i_min=1) == ref.adversary_bound_chain(old, i_min=1)
+
+
+@pytest.mark.parametrize("s,r", LAMBDAS)
+def test_short_candidate_chain_matches_reference(s, r):
+    # a candidate too short for n makes the chain report infinite crossings
+    p = GammaParam.from_lambda(s / r)
+    g = random_alternating_candidate(random.Random(7 * s + r), p, max_pieces=6)
+    inst = adversary(s, r, g, 2000)
+    chain = adversary_bound_chain(inst, i_min=1)
+    assert chain == ref.adversary_bound_chain(inst, i_min=1)
+    assert any(msg.startswith("crossing infinite") for msg in chain)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_swept_crossings_equal_per_level_crossings(seed):
+    rng = random.Random(seed)
+    s, r = LAMBDAS[seed % 4]
+    p, gs = candidates(s, r, seed)
+    for g in gs + [PLFunction.zero(), PLFunction.linear(-1.0)]:
+        for sign in (1, -1):
+            tilted = [p.gamma * x + sign * y for x, y in zip(g.breakpoints, g.values)]
+            top = max(max(tilted), 1.0) * 1.3
+            levels = [rng.uniform(0, top) for _ in range(300)]
+            levels += [t for t in tilted if t >= 0] + [0.0, top, top]
+            levels.sort()
+            swept = gamma_crossings(g, p, levels, sign)
+            assert swept == [gamma_crossing(g, p, t, sign) for t in levels]
+
+
+def test_swept_crossings_reject_bad_levels():
+    p = GammaParam.from_lambda(1.0)
+    g = sigma_g(p, 8)
+    with pytest.raises(ValueError):
+        gamma_crossings(g, p, [2.0, 1.0], 1)
+    with pytest.raises(ValueError):
+        gamma_crossings(g, p, [-1.0, 1.0], 1)
+    with pytest.raises(ValueError):
+        gamma_crossings(g, p, [1.0], 0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_values_at_equals_pointwise_calls(seed):
+    s, r = LAMBDAS[seed]
+    rng = random.Random(seed)
+    _, gs = candidates(s, r, seed)
+    for g in gs + [PLFunction.zero(), PLFunction.linear(0.5)]:
+        xs = sorted([rng.uniform(0, 2 * g.span + 10) for _ in range(500)]
+                    + list(g.breakpoints) + [float(m) for m in range(200)])
+        assert g.values_at(xs) == [g(x) for x in xs]
+    with pytest.raises(ValueError):
+        PLFunction.zero().values_at([1.0, 0.5])
+
+
+# ------------------------------------------------------------- mutations
+
+@pytest.fixture(scope="module", params=LAMBDAS)
+def base(request):
+    s, r = request.param
+    p = GammaParam.from_lambda(s / r)
+    return adversary(s, r, sigma_g(p, 12), 400)
+
+
+def mutated(inst, **changes):
+    bad = dataclasses.replace(inst, **changes)
+    problems = verify_adversary(bad)
+    assert problems == ref.verify_adversary(bad)
+    return problems
+
+
+def test_flipped_vertex_color(base):
+    k = base.n // 3
+    colors = list(base.vertex_colors)
+    colors[k] = BLUE if colors[k] == RED else RED
+    problems = mutated(base, vertex_colors=tuple(colors))
+    assert problems[0] == f"red prefix count wrong at m={k + 1}"
+    assert "red positions inconsistent" in problems
+    assert "blue positions inconsistent" in problems
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta"])
+def test_index_moved_up_is_not_minimal(base, field):
+    seq = list(getattr(base, field))
+    i = len(seq) // 2
+    seq[i - 1] += 1
+    problems = mutated(base, **{field: tuple(seq)})
+    assert f"{field}_{i} = {seq[i - 1]} is not minimal (a={seq[i - 1] - 1} works)" in problems
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta"])
+def test_index_moved_down_fails_its_inequality(base, field):
+    seq = list(getattr(base, field))
+    i = next(i for i in range(len(seq) // 2, len(seq) + 1) if seq[i - 1] >= 2)
+    seq[i - 1] -= 1
+    problems = mutated(base, **{field: tuple(seq)})
+    assert f"{field}_{i} does not satisfy its inequality" in problems
+
+
+def test_beta_made_non_increasing(base):
+    beta = list(base.beta)
+    i = len(beta) // 2
+    beta[i] = beta[i - 1]
+    problems = mutated(base, beta=tuple(beta))
+    assert "beta is not strictly increasing" in problems
+
+
+def test_phi_swap_across_block_boundary(base):
+    j = len(base.alpha) // 4
+    k = base.alpha[j - 1] + base.beta[j - 1]
+    assert k < base.n
+    phi = list(base.phi)
+    phi[k - 1], phi[k] = phi[k], phi[k - 1]
+    problems = mutated(base, phi=tuple(phi))
+    assert f"phi block {j} mismatch" in problems
+    assert "phi is not a permutation" not in problems
+
+
+def test_phi_duplicate_entry(base):
+    phi = list(base.phi)
+    phi[base.n // 2] = phi[0]
+    problems = mutated(base, phi=tuple(phi))
+    assert problems[-1] == "phi is not a permutation"
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_corruptions_match_reference(seed):
+    rng = random.Random(seed)
+    s, r = LAMBDAS[seed % 4]
+    p = GammaParam.from_lambda(s / r)
+    inst = adversary(s, r, sigma_g(p, 10), rng.choice([60, 150, 300]))
+    changes = {}
+    for field in rng.sample(["alpha", "beta", "phi", "red_positions"], rng.randint(1, 2)):
+        seq = list(getattr(inst, field))
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(seq))
+            if field == "phi" or rng.random() < 0.3:
+                other = rng.randrange(len(seq))
+                seq[k], seq[other] = seq[other], seq[k]
+            else:
+                seq[k] += rng.choice([-1, 1])
+        changes[field] = tuple(seq)
+    bad = dataclasses.replace(inst, **changes)
+    out_of_range = [f"{name}_{i} = {a} is out of range"
+                    for name, pos in (("alpha", bad.red_positions), ("beta", bad.blue_positions))
+                    for i, a in enumerate(getattr(bad, name), start=1)
+                    if not 1 <= a <= len(pos)]
+    if out_of_range:
+        # the reference fails here: an IndexError, or a wrapped index at 0
+        assert set(out_of_range) <= set(verify_adversary(bad))
+    else:
+        mutated(inst, **changes)
+
+
+def test_index_out_of_range_is_reported(base):
+    alpha = list(base.alpha)
+    alpha[-1] = len(base.red_positions) + 1
+    alpha[0] = 0
+    problems = verify_adversary(dataclasses.replace(base, alpha=tuple(alpha)))
+    assert "alpha_1 = 0 is out of range" in problems
+    assert f"alpha_{len(alpha)} = {alpha[-1]} is out of range" in problems

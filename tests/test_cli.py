@@ -145,3 +145,80 @@ class TestSubcommands:
 
     def test_no_command_usage(self):
         assert run([]) == 1
+
+
+BAD_INPUTS = [
+    ["adversary", "--s", "1", "--r", "0", "--n", "40"],
+    ["adversary", "--s", "0", "--r", "1", "--n", "40"],
+    ["adversary", "--s", "-2", "--r", "1", "--n", "40"],
+    ["fig1", "--step", "0"],
+    ["fig1", "--step", "-1"],
+    ["fig1", "--step", "inf"],
+    ["f-eval", "--lambda", "nan"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
+def test_bad_input_exits_1_with_one_error_line(argv, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert captured.out == ""
+
+
+def test_verification_error_exits_2_naming_the_invariant(monkeypatch, capsys):
+    from ramseydensity import cli
+    from ramseydensity.errors import VerificationError
+
+    def broken(*args):
+        raise VerificationError("phi block 3 mismatch")
+
+    monkeypatch.setattr(cli, "adversary", broken)
+    assert run(["adversary", "--s", "1", "--r", "1", "--n", "40"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "phi block 3 mismatch" in lines[0]
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so no check may rely on one
+    import ast
+    import pathlib
+
+    import ramseydensity
+    for path in pathlib.Path(ramseydensity.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert asserts == [], f"{path.name} asserts at lines {asserts}"
+
+
+def test_optimized_interpreter_gives_same_exit_codes_and_artifacts(tmp_path):
+    import subprocess
+    import sys
+
+    import ramseydensity
+    src = os.path.dirname(os.path.dirname(ramseydensity.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env.pop("RDL_SEED", None)
+    forest = tmp_path / "forest.txt"
+    forest.write_text("7 6\n0 1\n0 2\n0 3\n4 5\n4 6\n3 4\n")
+    commands = {
+        "adversary": ["adversary", "--s", "2", "--r", "1", "--n", "300",
+                      "--g", "sigma:2:10"],
+        "treecut": ["treecut", "--forest", str(forest), "--independent", "1,2,3,5,6",
+                    "--lambda-prime", "3/2"],
+    }
+    for name, argv in commands.items():
+        results = []
+        for flags in ([], ["-O"]):
+            out = tmp_path / f"{name}{''.join(flags)}.json"
+            proc = subprocess.run([sys.executable, *flags, "-m", "ramseydensity.cli",
+                                   *argv, "--out", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            doc = json.loads(out.read_text())
+            doc.pop("meta")
+            results.append((proc.returncode, doc))
+        assert results[0] == results[1], name
+        assert results[0][0] == 0, name

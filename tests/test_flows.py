@@ -51,6 +51,20 @@ class TestMfmc:
         assert set(doc) == {"D", "h", "Z"}
         assert doc["h"] == [[0, 1, 1]]
 
+    @pytest.mark.parametrize("h,Z,message", [
+        ((((0, 2), 1),), (0,), "flow on a non-edge"),
+        ((((0, 1), 2),), (0,), "flow total differs from D"),
+        ((((0, 1), 1),), (), "Z is not a vertex cover"),
+    ])
+    def test_corrupt_certificate_raises_verification_error(self, h, Z, message):
+        from dataclasses import replace
+        from ramseydensity.errors import VerificationError
+        from ramseydensity.flows import _validate_certificate
+        G = CapacitatedBipartite((0,), (1, 2), frozenset({(0, 1)}), 1, 3)
+        cert = replace(mfmc(G), h=h, Z=Z)
+        with pytest.raises(VerificationError, match=message):
+            _validate_certificate(G, cert)
+
     def test_overlapping_sides_rejected(self):
         with pytest.raises(ValueError):
             CapacitatedBipartite((0, 1), (1, 2), frozenset(), 1, 1)

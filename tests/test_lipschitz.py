@@ -296,6 +296,11 @@ class TestRemoveExtrema:
 
 
 class TestTrace:
+    def test_consistency_error_survives_optimized_runs(self):
+        from ramseydensity.errors import VerificationError
+        assert issubclass(ConsistencyError, VerificationError)
+        assert not issubclass(ConsistencyError, AssertionError)
+
     def test_levels_one_to_four(self):
         # gamma = 0 turns the closed formula into x_i = t_i + 2 sum_{j<i} t_j
         g = PLFunction((0.0, 1.0, 4.0, 9.0, 16.0), (0.0, 1.0, -2.0, 3.0, -4.0),
