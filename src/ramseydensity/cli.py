@@ -164,7 +164,7 @@ def cmd_mfmc(args):
 def cmd_findflow(args):
     with open(args.coloring, encoding="utf-8") as fh:
         chi = TwoColoring.from_text(fh.read())
-    res = findflow(chi, args.r, args.s, args.epsilon)
+    res = findflow(chi, args.r, args.s)
     meta = _meta(args, "findflow")
     _write_json(args.out, meta, {
         "t": res.t, "color": res.color, "value": _fmt(res.value),
@@ -241,8 +241,16 @@ def cmd_treecut(args):
     return 0 if ok else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ValueError, so that main prints one
+    error line and exits 1; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="rdl", description=__doc__)
+    ap = _Parser(prog="rdl", description=__doc__)
     sub = ap.add_subparsers(dest="command")
 
     def common(p):
@@ -285,7 +293,6 @@ def build_parser():
     p.add_argument("--coloring", required=True, help="coloring file (leftmost rule)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--epsilon", type=float, default=0.05)
     common(p)
     p.set_defaults(func=cmd_findflow)
 
@@ -322,11 +329,11 @@ def build_parser():
 
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(argv)
-    if not getattr(args, "func", None):
-        ap.print_usage()
-        return 1
     try:
+        args = ap.parse_args(argv)
+        if not getattr(args, "func", None):
+            ap.print_usage()
+            return 1
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

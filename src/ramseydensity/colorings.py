@@ -84,12 +84,10 @@ class TwoColoring:
             raise ValueError("coloring has no vertex colors")
         return self.vertex_colors[v]
 
-    def color_neighbors(self, v, color):
-        return {w for w in range(self.n) if w != v and self.color(v, w) == color}
-
     def neighbor_sets(self, color):
         """Precomputed color-neighborhood sets, one per vertex."""
-        return [self.color_neighbors(v, color) for v in range(self.n)]
+        return [{w for w in range(self.n) if w != v and self.color(v, w) == color}
+                for v in range(self.n)]
 
     def to_text(self):
         if self.rule == "leftmost":

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .colorings import COLORS, other, density
-from .families import FiniteGraph, OmegaFactor
+from .families import FiniteGraph, OmegaFactor, components
 
 
 @dataclass(frozen=True)
@@ -149,28 +149,6 @@ def build_W(chi, sh, r, s, window=64, max_pieces=None):
     return best
 
 
-def components_of(graph: FiniteGraph):
-    """Connected components as sorted vertex lists, ordered by least vertex."""
-    adj = graph.adjacency()
-    seen = set()
-    comps = []
-    for v in range(graph.n):
-        if v in seen:
-            continue
-        comp = []
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
 @dataclass(frozen=True)
 class HPrefixSpec:
     """A prefix of an infinite pattern graph plus embedding metadata: a proper
@@ -196,12 +174,12 @@ class HPrefixSpec:
         for u, v in H.edges:
             if self.psi[u] == self.psi[v]:
                 raise ValueError("psi is not a proper coloring")
-        comps = components_of(H)
+        comps = components(H.adjacency(), range(H.n))
         for cid, template in self.templates.items():
             tset = set(template)
             if len(tset) != self.r:
                 raise ValueError("template size differs from r")
-            if not tset <= set(comps[cid]):
+            if not tset <= comps[cid]:
                 raise ValueError("template leaves its component")
             if not H.is_independent(tset):
                 raise ValueError("template is not independent")
@@ -294,7 +272,7 @@ def embed(chi, sh, W, spec: HPrefixSpec, budget):
 
     H = spec.graph()
     adj = H.adjacency()
-    comps = components_of(H)
+    comps = components(adj, range(H.n))
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     kappa = {i: j_prime[i % len(j_prime)] for i in range(len(comps))}
 

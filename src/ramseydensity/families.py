@@ -24,6 +24,30 @@ class PrefixTooSmallError(ValueError):
     """The requested computation cannot be certified inside the given prefix."""
 
 
+def components(adj, vertices):
+    """Connected components of the subgraph induced by ``vertices``, as sets in
+    the order of their first vertex; ``adj[v]`` lists the neighbours of v (adj
+    may be a list or a dict)."""
+    inside = set(vertices)
+    seen = set()
+    comps = []
+    for v in vertices:
+        if v in seen:
+            continue
+        seen.add(v)
+        stack = [v]
+        comp = set()
+        while stack:
+            u = stack.pop()
+            comp.add(u)
+            for w in adj[u]:
+                if w in inside and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(comp)
+    return comps
+
+
 @dataclass(frozen=True)
 class FiniteGraph:
     """Simple undirected graph on vertices 0..n-1 with an edge set of sorted pairs."""
@@ -64,20 +88,7 @@ class FiniteGraph:
         return out - vs
 
     def is_forest(self):
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.edges:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
+        return len(self.edges) == self.n - len(components(self.adjacency(), range(self.n)))
 
     def to_text(self):
         lines = [f"{self.n} {len(self.edges)}"]
@@ -265,14 +276,16 @@ def parse_family(spec_text):
 
 
 def mu_bruteforce(family, n, prefix_size):
-    """Exact mu(n): minimum |N(I)| over independent n-sets I, with N taken in
-    the infinite graph.
+    """Minimum |N(I)| over the boundary-interior independent n-sets I of the
+    prefix, with N taken in the infinite graph: an upper bound on mu(n), exact
+    once the prefix is large enough to hold an optimal set.
 
     Only boundary-interior candidates are enumerated: I may not contain a
     vertex with a neighbor in the prefix's outermost ring (vertices that have
     neighbors outside the prefix), so the returned optimum's neighborhood is
-    provably complete and ring-free.  Raises PrefixTooSmallError when no such
-    candidate exists.
+    provably complete and ring-free.  A prefix too small for every optimal
+    set gives a larger value (karytree:2 at n = 6: 13 at prefix 63, the exact
+    12 at prefix 127).  Raises PrefixTooSmallError when no candidate exists.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -311,7 +324,7 @@ def mu_bruteforce(family, n, prefix_size):
     return int(best)
 
 
-def _independent_sets(graph, nonempty=True):
+def _independent_sets(graph):
     adj = graph.adjacency()
     out = []
 
@@ -325,8 +338,6 @@ def _independent_sets(graph, nonempty=True):
                 current.pop()
 
     rec(0, [])
-    if not nonempty:
-        out.append(())
     return out
 
 
@@ -373,12 +384,12 @@ def treecut(forest: FiniteGraph, I, lam, lam_prime, delta):
     from an independent set with |N(I)| <= lam*|I| in a forest.
 
     Procedure: root each component of the I-to-N(I) subforest at its least
-    I-vertex; repeatedly delete the deepest vertex with at least 1/delta - 1
-    descendants until all components are small; close the deleted set under
-    parents of its N(I) part; pick the component of lowest |C cap J|/|C cap I|
-    ratio; if it is big, split at its unique deleted-J vertex and take the
-    shortest prefix of the pieces in increasing ratio order that collects at
-    least 1/delta I-vertices.
+    I-vertex; bottom-up, delete every vertex whose subtree, after the
+    deletions below it, has at least 1/delta vertices; close the deleted set
+    under parents of its N(I) part; pick the component of lowest
+    |C cap J|/|C cap I| ratio; if it is big, split at its unique deleted-J
+    vertex and take the shortest prefix of the pieces in increasing ratio
+    order that collects at least 1/delta I-vertices.
     """
     lam, lam_prime, delta = Fraction(lam), Fraction(lam_prime), Fraction(delta)
     I = sorted(set(I))
@@ -431,64 +442,24 @@ def treecut(forest: FiniteGraph, I, lam, lam_prime, delta):
 
     threshold = 1 / delta
 
-    def components(removed):
-        comp_of = {}
-        comps = []
-        for v in verts:
-            if v in removed or v in comp_of:
-                continue
-            comp = set()
-            stack = [v]
-            comp_of[v] = len(comps)
-            while stack:
-                u = stack.pop()
-                comp.add(u)
-                for w in adj[u]:
-                    if w not in removed and w not in comp_of:
-                        comp_of[w] = len(comps)
-                        stack.append(w)
-            comps.append(comp)
-        return comps
-
-    def descendant_counts(removed):
-        # removing a vertex detaches its whole subtree: survivors whose
-        # parent was removed become roots, nothing is spliced upwards
-        count = {v: 0 for v in verts if v not in removed}
-        for v in reversed(order):
-            if v in removed:
-                continue
-            p = parent[v]
-            if p is not None and p not in removed:
-                count[p] += count[v] + 1
-        return count
-
-    def is_live_ancestor(a, b, removed):
-        p = parent[b]
-        while p is not None and p not in removed:
-            if p == a:
-                return True
-            p = parent[p]
-        return False
-
+    # reversed preorder visits children before parents; a cut vertex's
+    # subtree is detached, so its size is not passed up
+    size = dict.fromkeys(verts, 1)
     S = set()
-    while True:
-        comps = components(S)
-        if all(len(c) < threshold for c in comps):
-            break
-        counts = descendant_counts(S)
-        cands = {v for v, c in counts.items() if c >= threshold - 1}
-        minimal = [v for v in cands
-                   if not any(is_live_ancestor(v, w, S) for w in cands if w != v)]
-        S.add(min(minimal))
+    for v in reversed(order):
+        if size[v] >= threshold:
+            S.add(v)
+        elif parent[v] is not None:
+            size[parent[v]] += size[v]
 
     X = set(S)
     for v in S & jset:
         if parent[v] is not None:
             X.add(parent[v])
 
-    comps = components(X & iset)
+    removed = X & iset
     scored = []
-    for comp in comps:
+    for comp in components(adj, [v for v in verts if v not in removed]):
         ci = comp & iset
         cj = comp & jset
         if ci:
@@ -508,20 +479,7 @@ def treecut(forest: FiniteGraph, I, lam, lam_prime, delta):
                 "treecut: big component must contain exactly one deleted J-vertex")
         v = next(iter(inside))
         pieces = []
-        seen2 = set()
-        for u in sorted(comp - {v}):
-            if u in seen2:
-                continue
-            piece = set()
-            stack = [u]
-            seen2.add(u)
-            while stack:
-                w = stack.pop()
-                piece.add(w)
-                for y in adj[w]:
-                    if y in comp and y != v and y not in seen2:
-                        seen2.add(y)
-                        stack.append(y)
+        for piece in components(adj, sorted(comp - {v})):
             pi, pj = piece & iset, piece & jset
             key = (0, Fraction(len(pj), len(pi))) if pi else (1, Fraction(0))
             pieces.append((key, min(piece), pi))

@@ -59,9 +59,6 @@ class FlowCertificate:
     h: tuple            # sorted ((u, v), flow) pairs, positive flow only
     Z: tuple
 
-    def flow_map(self):
-        return dict(self.h)
-
     def to_json_dict(self):
         return {"D": self.D,
                 "h": [[u, v, f] for (u, v), f in self.h],
@@ -200,11 +197,8 @@ class FindFlowResult:
     value: Fraction
     certificate: FlowCertificate | None
 
-    def flow_map(self):
-        return dict(self.h)
 
-
-def findflow(chi, r, s, epsilon, eta=None, min_n=0):
+def findflow(chi, r, s):
     """Sweep every prefix length t and both colors; return the flow maximizing
     |C cap [t]|/t + D/(s*t).
 
@@ -213,19 +207,11 @@ def findflow(chi, r, s, epsilon, eta=None, min_n=0):
     flow between B (capacity r) and the first t reds (capacity s); with C red,
     a red-edge flow between R (capacity r) and the first t blues (capacity s).
     Flow is positive only on C-colored edges with oppositely colored ends.
-    When eta is given, the minimum degree condition >= (1 - eta) n is checked
-    (complete hosts satisfy any eta >= 1/n); min_n is an optional size floor.
     Ties in value break toward blue, then toward smaller t.
     """
     if chi.vertex_colors is None:
         raise ValueError("findflow needs vertex colors")
     n = chi.n
-    if n < min_n:
-        raise ValueError(f"n = {n} below the size floor {min_n}")
-    if eta is not None and eta < 1 / n:
-        raise ValueError("complete host has min degree n - 1; need eta >= 1/n")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     reds = [v for v in range(n) if chi.vertex_color(v) == RED]
     blues = [v for v in range(n) if chi.vertex_color(v) == BLUE]
     if not reds or not blues:

@@ -347,8 +347,12 @@ def sigma_g(p, periods):
     lo = 1.0
     for i in range(periods):
         hi = lo * sigma
+        mid = (lo + hi) / 2
+        if not math.isfinite(mid):
+            raise ValueError(f"periods = {periods} overflows: the breakpoints of "
+                             f"period {i + 1} exceed the float range (sigma = {sigma:.9g})")
         sign = 1.0 if i % 2 == 1 else -1.0
-        pts.append(((lo + hi) / 2, sign * (hi - lo) / 2))
+        pts.append((mid, sign * (hi - lo) / 2))
         pts.append((hi, 0.0))
         lo = hi
     tail = 1.0 if periods % 2 == 1 else -1.0

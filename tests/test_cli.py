@@ -155,6 +155,11 @@ BAD_INPUTS = [
     ["fig1", "--step", "-1"],
     ["fig1", "--step", "inf"],
     ["f-eval", "--lambda", "nan"],
+    ["f-eval", "--lambda", "-inf"],
+    ["adversary", "--s", "1"],
+    ["fig1", "--step", "abc"],
+    ["no-such-command"],
+    ["adversary", "--s", "1", "--r", "1", "--n", "50", "--g", "sigma:1:900"],
 ]
 
 

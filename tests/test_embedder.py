@@ -6,7 +6,7 @@ import pytest
 from ramseydensity.colorings import BLUE, RED, Shading, TwoColoring
 from ramseydensity.embedder import (
     BipartitePiece, HPrefixSpec, IsolatedVertex, WStructure, build_W,
-    components_of, embed, verify_embedding)
+    embed, verify_embedding)
 from ramseydensity.families import complete_bipartite, path_graph
 
 
@@ -173,11 +173,3 @@ class TestEmbed:
         assert state.incomplete
         assert verify_embedding(state, chi, spec, W).passed  # partial but valid
 
-
-class TestComponents:
-    def test_components_ordering(self):
-        g = path_graph(2)
-        from ramseydensity.families import FiniteGraph
-        h = FiniteGraph(5, frozenset({(0, 1), (3, 4)}))
-        comps = components_of(h)
-        assert comps == [[0, 1], [2], [3, 4]]

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from ramseydensity.families import (
     Explicit, ExplicitForest, FiniteGraph, Grid, KAryTree, OmegaFactor,
     PathPower, PrefixTooSmallError, complete_bipartite, complete_graph,
-    default_treecut_delta, doubly_independent_sets, expansion_ratio,
+    components, default_treecut_delta, doubly_independent_sets, expansion_ratio,
     min_expansion, mu_bruteforce, parse_family, path_graph, treecut)
+from treecut_reference import is_forest_union_find
 
 STAR12 = complete_bipartite(1, 2)  # center 0, leaves 1 and 2
 
@@ -27,6 +28,36 @@ class TestFiniteGraph:
     def test_forest_detection(self):
         assert path_graph(5).is_forest()
         assert not complete_graph(3).is_forest()
+
+    def test_is_forest_matches_union_find(self):
+        # random small graphs with cycles, isolated vertices and n = 1
+        rng = random.Random(11)
+        outcomes = []
+        for _ in range(600):
+            n = rng.randint(1, 9)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edges = rng.sample(pairs, rng.randint(0, min(len(pairs), n + 1)))
+            g = FiniteGraph(n, frozenset(edges))
+            outcomes.append(g.is_forest())
+            assert outcomes[-1] == is_forest_union_find(g), sorted(edges)
+        assert 100 < sum(outcomes) < 500
+        assert FiniteGraph(1, frozenset()).is_forest()
+        cycle_and_isolated = FiniteGraph(6, frozenset({(0, 2), (2, 4), (0, 4), (1, 3)}))
+        assert not cycle_and_isolated.is_forest()
+        assert not is_forest_union_find(cycle_and_isolated)
+
+
+class TestComponents:
+    def test_components_ordering(self):
+        h = FiniteGraph(5, frozenset({(0, 1), (3, 4)}))
+        comps = components(h.adjacency(), range(h.n))
+        assert [sorted(c) for c in comps] == [[0, 1], [2], [3, 4]]
+
+    def test_induced_subgraph_of_dict_adjacency(self):
+        # the path 0-1-2-3 without vertex 1, in the order of first vertices
+        adj = {0: [1], 1: [0, 2], 2: [1, 3], 3: [2]}
+        assert components(adj, [3, 0, 2]) == [{2, 3}, {0}]
+        assert components(adj, []) == []
 
 
 class TestPrefixes:
@@ -88,6 +119,12 @@ class TestMuBruteforce:
     def test_grid_lower_bound(self):
         for n in range(1, 7):
             assert mu_bruteforce(Grid(2), n, 81) >= n
+
+    def test_small_prefix_gives_an_upper_bound(self):
+        # prefix 63 holds no optimal boundary-interior 6-set of the binary tree
+        small = mu_bruteforce(KAryTree(2), 6, 63)
+        exact = mu_bruteforce(KAryTree(2), 6, 127)
+        assert small >= exact == 2 * 6
 
     def test_prefix_too_small(self):
         with pytest.raises(PrefixTooSmallError):

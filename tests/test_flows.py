@@ -95,7 +95,7 @@ class TestFindFlow:
                           red_edges=frozenset((u, v) for u in range(n)
                                               for v in range(u + 1, n)),
                           vertex_colors=tuple([RED] * n))
-        res = findflow(chi, 1, 1, 0.05)
+        res = findflow(chi, 1, 1)
         assert res.t == n and res.color == RED and res.value == 1
 
     def test_bullets_hold(self):
@@ -109,7 +109,7 @@ class TestFindFlow:
             if len(set(vc)) == 1:
                 continue
             r, s = rng.randint(1, 2), rng.randint(1, 2)
-            res = findflow(chi, r, s, 0.05)
+            res = findflow(chi, r, s)
             load = {}
             for (u, v), f in res.h:
                 assert f > 0
@@ -131,7 +131,7 @@ class TestFindFlow:
         red = frozenset((u, v) for u in range(n) for v in range(u + 1, n)
                         if (u < 6) != (v < 6))
         chi = TwoColoring(n, "explicit", red_edges=red, vertex_colors=vc)
-        res = findflow(chi, 1, 1, 0.2)
+        res = findflow(chi, 1, 1)
         assert res.value >= 1 - Fraction(1, n)
         # this instance admits the closed-form target at lam = 1
         from ramseydensity.lipschitz import f_closed
@@ -150,7 +150,7 @@ class TestFindFlow:
                     red.add((u, v))
         chi = TwoColoring(n, "explicit", red_edges=frozenset(red), vertex_colors=vc)
         r, s = 2, 1
-        res = findflow(chi, r, s, 0.05)
+        res = findflow(chi, r, s)
 
         best = Fraction(0)
         for t in range(1, n + 1):
@@ -173,4 +173,4 @@ class TestFindFlow:
     def test_requires_vertex_colors(self):
         chi = TwoColoring(4, "modular", modulus=2)
         with pytest.raises(ValueError):
-            findflow(chi, 1, 1, 0.05)
+            findflow(chi, 1, 1)

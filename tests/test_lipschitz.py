@@ -179,6 +179,12 @@ class TestSigma:
         with pytest.raises(ValueError):
             sigma_g(GammaParam.from_gamma(0.5), 4)
 
+    def test_overflow_names_the_period_count(self):
+        # at gamma = 0 the breakpoints of period 805 leave the float range
+        sigma_g(G0, 800)
+        with pytest.raises(ValueError, match=r"periods = 900 overflows.*period 805"):
+            sigma_g(G0, 900)
+
 
 class TestSupRatio:
     def test_flat_candidate_constant_ratio(self):
