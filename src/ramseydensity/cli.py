@@ -150,9 +150,13 @@ def cmd_adversary(args):
 def cmd_mfmc(args):
     with open(args.graph, encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty graph file")
     nx, ny, m = map(int, lines[0].split())
-    edges = frozenset((int(a), nx + int(b))
-                      for a, b in (ln.split() for ln in lines[1:m + 1]))
+    rows = [ln.split() for ln in lines[1:m + 1]]
+    if len(rows) != m:
+        raise ValueError("edge count does not match header")
+    edges = frozenset((int(a), nx + int(b)) for a, b in rows)
     G = CapacitatedBipartite(tuple(range(nx)), tuple(range(nx, nx + ny)),
                              edges, args.r, args.s)
     cert = mfmc(G)
@@ -332,8 +336,7 @@ def main(argv=None):
     try:
         args = ap.parse_args(argv)
         if not getattr(args, "func", None):
-            ap.print_usage()
-            return 1
+            raise ValueError("no subcommand given")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -103,14 +103,21 @@ class TwoColoring:
     @classmethod
     def from_text(cls, text):
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("empty coloring text")
         n_str, rule = lines[0].split()
         n = int(n_str)
+        if rule in ("leftmost", "explicit") and len(lines) < 2:
+            raise ValueError(f"{rule} coloring has no color line")
         if rule == "leftmost":
             return cls(n, "leftmost", vertex_colors=tuple(lines[1].strip()))
         if rule.startswith("modular:"):
             return cls(n, "modular", modulus=int(rule.split(":")[1]))
         if rule == "explicit":
             chars = lines[1].strip()
+            if len(chars) != n * (n - 1) // 2:
+                raise ValueError(f"explicit coloring of {n} vertices needs "
+                                 f"{n * (n - 1) // 2} edge colors, got {len(chars)}")
             red = set()
             k = 0
             for u in range(n):

@@ -98,6 +98,8 @@ class FiniteGraph:
     @classmethod
     def from_text(cls, text):
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("empty graph text")
         n, m = map(int, lines[0].split())
         edges = [tuple(map(int, ln.split())) for ln in lines[1:m + 1]]
         if len(edges) != m:

@@ -8,16 +8,25 @@ duality.  On top of it, the flow finder sweeps a prefix parameter t over a
 totally colored host and extracts, for one of the two colors, a flow between
 the first t vertices of one color class and the whole other class whose
 normalized value certifies a dense structure.
+
+Both run on one integer-indexed residual network (``_Residual``) with one
+shortest-augmenting-path routine (Edmonds-Karp).  ``mfmc`` builds the
+network and augments to the end; the order arcs are added in fixes the flow
+it returns.  The sweep keeps one network per color and, as t grows, adds the
+new prefix vertex to it and augments the flow it already carries, so it
+reads each max flow value without recomputing it; one final ``mfmc`` on the
+winner's graph yields its flow and cover.  Blocking-flow methods (Dinic)
+would be faster still but pick a different flow, and so different
+certificates.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .colorings import RED, BLUE
+from .colorings import BLUE, RED, other
 from .errors import VerificationError
 from .lipschitz import PLFunction
 
@@ -65,80 +74,117 @@ class FlowCertificate:
                 "Z": list(self.Z)}
 
 
+class _Residual:
+    """Residual network on integer nodes, SRC = 0 and SNK = 1.
+
+    Arc a runs to head[a] with residual capacity cap[a]; arcs are added in
+    pairs, so a ^ 1 is its reverse.  out[u] lists u's arcs in the order they
+    were added, which fixes the order a search scans them in.  A node has at
+    most one arc into SNK, kept in sink_arc (-1 for none).
+    """
+
+    SRC, SNK = 0, 1
+
+    def __init__(self):
+        self.head = []
+        self.cap = []
+        self.out = [[], []]
+        self.sink_arc = [-1, -1]
+
+    def add_node(self):
+        self.out.append([])
+        self.sink_arc.append(-1)
+        return len(self.out) - 1
+
+    def add_arc(self, u, v, c):
+        a = len(self.head)
+        self.head += (v, u)
+        self.cap += (c, 0)
+        self.out[u].append(a)
+        self.out[v].append(a + 1)
+        if v == self.SNK:
+            self.sink_arc[u] = a
+        return a
+
+    def augment(self):
+        """Push flow along one shortest SRC -> SNK path of positive residual
+        capacity and return the amount pushed, 0 when there is no such path.
+
+        The path is the one a breadth-first search scanning arcs in
+        insertion order finds.  That search pops nodes in the order it
+        discovers them, so SNK's discoverer is the first node discovered
+        with a positive arc into SNK; stopping there already fixes the path.
+        """
+        head, cap, out, sink_arc = self.head, self.cap, self.out, self.sink_arc
+        src = self.SRC
+        via = [-1] * len(out)
+        via[src] = -2
+        queue = [src]
+        for u in queue:
+            for a in out[u]:
+                v = head[a]
+                if via[v] == -1 and cap[a] > 0:
+                    via[v] = a
+                    b = sink_arc[v]
+                    if b >= 0 and cap[b] > 0:
+                        path = [b]
+                        while v != src:
+                            a = via[v]
+                            path.append(a)
+                            v = head[a ^ 1]
+                        pushed = min(cap[a] for a in path)
+                        for a in path:
+                            cap[a] -= pushed
+                            cap[a ^ 1] += pushed
+                        return pushed
+                    queue.append(v)
+        return 0
+
+    def reachable(self):
+        """Per node, whether SRC reaches it along positive residual arcs."""
+        head, cap, out = self.head, self.cap, self.out
+        seen = [False] * len(out)
+        seen[self.SRC] = True
+        queue = [self.SRC]
+        for u in queue:
+            for a in out[u]:
+                v = head[a]
+                if not seen[v] and cap[a] > 0:
+                    seen[v] = True
+                    queue.append(v)
+        return seen
+
+
 def mfmc(G: CapacitatedBipartite):
     """Integral max flow and matching weighted min vertex cover.
 
     Augments along shortest paths in the residual network (source -> X at
     capacity r, X -> Y uncapacitated, Y -> sink at capacity s); the final
     residual reachability yields the cover as the unreachable X-vertices
-    plus the reachable Y-vertices.
+    plus the reachable Y-vertices.  Arcs are added source arcs first (in X
+    order), then sink arcs (in Y order), then the edges in sorted order,
+    which fixes the paths chosen and so the flow h.
     """
-    SRC, SNK = "src", "snk"
-    cap = {}
-    adj = {SRC: [], SNK: []}
-
-    def add(u, v, c):
-        cap[(u, v)] = c
-        cap.setdefault((v, u), 0)
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-
+    net = _Residual()
+    node = {v: net.add_node() for v in (*G.X, *G.Y)}
     for x in G.X:
-        add(SRC, x, G.r)
+        net.add_arc(net.SRC, node[x], G.r)
     for y in G.Y:
-        add(y, SNK, G.s)
-    for u, v in sorted(G.edges):
-        add(u, v, math.inf)
-
-    def bfs():
-        prev = {SRC: None}
-        queue = deque([SRC])
-        while queue:
-            u = queue.popleft()
-            if u == SNK:
-                break
-            for v in adj[u]:
-                if v not in prev and cap[(u, v)] > 0:
-                    prev[v] = u
-                    queue.append(v)
-        if SNK not in prev:
-            return None
-        path = []
-        v = SNK
-        while prev[v] is not None:
-            path.append((prev[v], v))
-            v = prev[v]
-        return list(reversed(path))
+        net.add_arc(node[y], net.SNK, G.s)
+    edges = sorted(G.edges)
+    arcs = [net.add_arc(node[u], node[v], math.inf) for u, v in edges]
 
     D = 0
-    while True:
-        path = bfs()
-        if path is None:
-            break
-        bottleneck = min(cap[e] for e in path)
-        for u, v in path:
-            cap[(u, v)] -= bottleneck
-            cap[(v, u)] += bottleneck
-        D += bottleneck
+    while pushed := net.augment():
+        D += pushed
 
-    reach = {SRC}
-    queue = deque([SRC])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in reach and cap[(u, v)] > 0:
-                reach.add(v)
-                queue.append(v)
-    Z = tuple(sorted([x for x in G.X if x not in reach] +
-                     [y for y in G.Y if y in reach]))
+    reach = net.reachable()
+    Z = tuple(sorted([x for x in G.X if not reach[node[x]]] +
+                     [y for y in G.Y if reach[node[y]]]))
+    # the residual capacity of a reverse arc is the flow on its edge
+    h = tuple((e, net.cap[a ^ 1]) for e, a in zip(edges, arcs) if net.cap[a ^ 1] > 0)
 
-    h = []
-    for u, v in sorted(G.edges):
-        f = cap[(v, u)]  # residual of the reverse arc equals the flow
-        if f > 0:
-            h.append(((u, v), int(f)))
-
-    cert = FlowCertificate(D=int(D), h=tuple(h), Z=Z)
+    cert = FlowCertificate(D=D, h=h, Z=Z)
     _validate_certificate(G, cert)
     return cert
 
@@ -198,6 +244,43 @@ class FindFlowResult:
     certificate: FlowCertificate | None
 
 
+class _PrefixFlow:
+    """Max flow of one color C as the prefix grows: X is every vertex of
+    color C at capacity r, Y the vertices of the other color added so far
+    at capacity s, and the edges are the C-colored pairs between them."""
+
+    def __init__(self, chi, color, r, s):
+        self.chi, self.color, self.s = chi, color, s
+        self.X = tuple(v for v in range(chi.n) if chi.vertex_colors[v] == color)
+        self.Y = []
+        self.edges = []
+        self.D = 0
+        self.net = _Residual()
+        self.node = {x: self.net.add_node() for x in self.X}
+        for x in self.X:
+            self.net.add_arc(self.net.SRC, self.node[x], r)
+
+    def add(self, y):
+        """Add y to Y with its C-colored edges and augment back to a max flow.
+
+        The previous flow stays feasible.  The flow on the old arcs is always
+        a flow of the old network, whose maximum the old sink arcs already
+        carry, and no augmenting path passes through the sink to lower one of
+        them; so every augmenting path ends with y's sink arc, and augmenting
+        stops once that arc is full.
+        """
+        net = self.net
+        self.Y.append(y)
+        node = net.add_node()
+        sink_arc = net.add_arc(node, net.SNK, self.s)
+        for x in self.X:
+            if self.chi.color(x, y) == self.color:
+                self.edges.append((x, y))
+                net.add_arc(self.node[x], node, math.inf)
+        while net.cap[sink_arc] > 0 and (pushed := net.augment()):
+            self.D += pushed
+
+
 def findflow(chi, r, s):
     """Sweep every prefix length t and both colors; return the flow maximizing
     |C cap [t]|/t + D/(s*t).
@@ -208,34 +291,47 @@ def findflow(chi, r, s):
     a red-edge flow between R (capacity r) and the first t blues (capacity s).
     Flow is positive only on C-colored edges with oppositely colored ends.
     Ties in value break toward blue, then toward smaller t.
+
+    The sweep is incremental: each color keeps one residual network, and
+    going from t - 1 to t adds vertex t - 1 to the prefix side of the other
+    color's network, asking the color of each of its pairs with that
+    network's X side once, and augments the flow the network already
+    carries; only the max flow value D(t) is read per (t, color).  The
+    winner's flow h and cover come from one from-scratch ``mfmc`` on its
+    graph, whose value must equal the swept D(t).
     """
     if chi.vertex_colors is None:
         raise ValueError("findflow needs vertex colors")
+    if r < 1 or s < 1:
+        raise ValueError("capacities must be at least 1")
     n = chi.n
-    reds = [v for v in range(n) if chi.vertex_color(v) == RED]
-    blues = [v for v in range(n) if chi.vertex_color(v) == BLUE]
-    if not reds or not blues:
-        color = RED if not blues else BLUE
+    colors = chi.vertex_colors
+    if RED not in colors or BLUE not in colors:
+        color = RED if BLUE not in colors else BLUE
         return FindFlowResult(t=n, color=color, h=(), value=Fraction(1), certificate=None)
 
+    sweeps = {color: _PrefixFlow(chi, color, r, s) for color in (BLUE, RED)}
+    in_prefix = {BLUE: 0, RED: 0}
     best = None
     for t in range(1, n + 1):
+        in_prefix[colors[t - 1]] += 1
+        sweeps[other(colors[t - 1])].add(t - 1)
         for color in (BLUE, RED):
-            if color == BLUE:
-                side_full, side_pref = blues, [v for v in reds if v < t]
-            else:
-                side_full, side_pref = reds, [v for v in blues if v < t]
-            edges = frozenset((u, v) for u in side_full for v in side_pref
-                              if chi.color(u, v) == color)
-            cert = mfmc(CapacitatedBipartite(tuple(side_full), tuple(side_pref),
-                                             edges, r, s))
-            in_prefix = sum(1 for v in range(t) if chi.vertex_color(v) == color)
-            value = Fraction(in_prefix, t) + Fraction(cert.D, s * t)
+            D = sweeps[color].D
+            value = Fraction(in_prefix[color], t) + Fraction(D, s * t)
             key = (value, 1 if color == BLUE else 0, -t)
             if best is None or key > best[0]:
-                best = (key, FindFlowResult(t=t, color=color, h=cert.h,
-                                            value=value, certificate=cert))
-    return best[1]
+                best = (key, t, color, D)
+
+    (value, _, _), t, color, D = best
+    sweep = sweeps[color]
+    G = CapacitatedBipartite(sweep.X, tuple(y for y in sweep.Y if y < t),
+                             frozenset((x, y) for x, y in sweep.edges if y < t), r, s)
+    cert = mfmc(G)
+    if cert.D != D:
+        raise VerificationError(f"findflow: the sweep found flow {D} at t = {t}, "
+                                f"color {color}, but mfmc finds {cert.D}")
+    return FindFlowResult(t=t, color=color, h=cert.h, value=value, certificate=cert)
 
 
 def bruteforce_max_flow(G: CapacitatedBipartite):

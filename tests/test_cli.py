@@ -147,6 +147,17 @@ class TestSubcommands:
         assert run([]) == 1
 
 
+class File:
+    """A BAD_INPUTS argument that the test replaces by the path of a file
+    holding ``text``."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __str__(self):
+        return "file:" + self.text.replace("\n", "/")
+
+
 BAD_INPUTS = [
     ["adversary", "--s", "1", "--r", "0", "--n", "40"],
     ["adversary", "--s", "0", "--r", "1", "--n", "40"],
@@ -160,11 +171,24 @@ BAD_INPUTS = [
     ["fig1", "--step", "abc"],
     ["no-such-command"],
     ["adversary", "--s", "1", "--r", "1", "--n", "50", "--g", "sigma:1:900"],
+    ["findflow", "--coloring", File("4 leftmost\nRRRR\n"), "--r", "0", "--s", "-3"],
+    ["findflow", "--coloring", File("6 leftmost\n"), "--r", "1", "--s", "1"],
+    ["shade", "--coloring", File("5 explicit\nRRB\n"), "--a", "3"],
+    ["mfmc", "--graph", File(""), "--r", "1", "--s", "1"],
+    ["mfmc", "--graph", File("2 2 3\n0 0\n1 1\n"), "--r", "1", "--s", "1"],
+    ["treecut", "--forest", File(""), "--independent", "0", "--lambda-prime", "1"],
+    [],
 ]
 
 
-@pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
-def test_bad_input_exits_1_with_one_error_line(argv, capsys):
+@pytest.mark.parametrize("argv", BAD_INPUTS,
+                         ids=lambda argv: " ".join(map(str, argv)) or "no-subcommand")
+def test_bad_input_exits_1_with_one_error_line(argv, tmp_path, capsys):
+    for k, arg in enumerate(argv):
+        if isinstance(arg, File):
+            path = tmp_path / f"input{k}.txt"
+            path.write_text(arg.text)
+            argv = argv[:k] + [str(path)] + argv[k + 1:]
     assert run(argv) == 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()

@@ -1,0 +1,148 @@
+"""The integer-indexed max flow and the incremental sweep against the
+reference copies in ``flows_reference``.
+
+``findflow`` must return the same t, colour, value, flow and certificate as
+the from-scratch sweep, and ``mfmc`` the same certificate (flow h included)
+as the dict-based Edmonds-Karp.  On leftmost hosts the winner is always
+t = 1 with an empty flow, so the explicit hosts, whose edge colours do not
+follow the vertex order, carry the cases with a flow and the ties.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+import flows_reference as ref
+from ramseydensity import flows
+from ramseydensity.colorings import BLUE, RED, TwoColoring
+from ramseydensity.errors import VerificationError
+from ramseydensity.flows import CapacitatedBipartite, findflow, mfmc
+
+
+def two_colors(rng, n):
+    while True:
+        vc = tuple(rng.choice((RED, BLUE)) for _ in range(n))
+        if RED in vc and BLUE in vc:
+            return vc
+
+
+def leftmost_host(rng, n):
+    return TwoColoring(n, "leftmost", vertex_colors=two_colors(rng, n))
+
+
+def explicit_host(rng, n):
+    p_red = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
+    red = frozenset((u, v) for u in range(n) for v in range(u + 1, n)
+                    if rng.random() < p_red)
+    return TwoColoring(n, "explicit", red_edges=red, vertex_colors=two_colors(rng, n))
+
+
+def max_keys(chi, r, s):
+    """Which colours and how many (t, colour) pairs reach the best value."""
+    values = [(value, color) for _, color, _, value in ref.sweep(chi, r, s)]
+    top = max(v for v, _ in values)
+    return {c for v, c in values if v == top}, sum(v == top for v, _ in values)
+
+
+@pytest.mark.parametrize("n,count", [(8, 20), (16, 10), (32, 6), (64, 3), (128, 1)])
+def test_findflow_matches_reference_on_leftmost_hosts(n, count):
+    rng = random.Random(1000 + n)
+    for _ in range(count):
+        chi = leftmost_host(rng, n)
+        r, s = rng.randint(1, 3), rng.randint(1, 3)
+        assert findflow(chi, r, s) == ref.findflow(chi, r, s)
+
+
+def test_findflow_matches_reference_on_explicit_hosts():
+    rng = random.Random(77)
+    with_flow = color_ties = t_ties = 0
+    for _ in range(250):
+        n = rng.randint(2, 20)
+        chi = explicit_host(rng, n)
+        r, s = rng.randint(1, 3), rng.randint(1, 3)
+        got = findflow(chi, r, s)
+        assert got == ref.findflow(chi, r, s)
+        colors, count = max_keys(chi, r, s)
+        with_flow += bool(got.h)
+        color_ties += len(colors) == 2
+        t_ties += count > len(colors)
+    # the suite must exercise nonempty flows and both tie-breaks
+    assert with_flow >= 20 and color_ties >= 20 and t_ties >= 20, (with_flow, color_ties, t_ties)
+
+
+def test_findflow_asks_each_colour_once_per_pair(monkeypatch):
+    rng = random.Random(5)
+    chi = explicit_host(rng, 30)
+    calls = []
+    original = TwoColoring.color
+    monkeypatch.setattr(TwoColoring, "color",
+                        lambda self, u, v: calls.append((u, v)) or original(self, u, v))
+    findflow(chi, 2, 1)
+    reds = chi.vertex_colors.count(RED)
+    # one query per (X, Y) pair of each colour's network
+    assert len(calls) == len(set(calls)) == 2 * reds * (chi.n - reds)
+
+
+def test_findflow_calls_mfmc_once_and_checks_its_value(monkeypatch):
+    rng = random.Random(8)
+    chi = explicit_host(rng, 14)
+    calls = []
+    original = flows.mfmc
+
+    def counted(G):
+        calls.append(G)
+        return original(G)
+
+    monkeypatch.setattr(flows, "mfmc", counted)
+    findflow(chi, 2, 2)
+    assert len(calls) == 1
+
+    monkeypatch.setattr(flows, "mfmc", lambda G: replace(original(G), D=original(G).D + 1))
+    with pytest.raises(VerificationError, match="the sweep found flow"):
+        findflow(chi, 2, 2)
+
+
+@pytest.mark.parametrize("r,s", [(0, 1), (1, 0), (0, -3)])
+def test_findflow_rejects_bad_capacities_on_one_colour_hosts(r, s):
+    chi = TwoColoring(4, "leftmost", vertex_colors=(RED,) * 4)
+    with pytest.raises(ValueError, match="capacities must be at least 1"):
+        findflow(chi, r, s)
+
+
+def cli_shaped(rng, nx):
+    """An ``rdl mfmc`` input: nx = ny, each X-vertex with 1-4 random edges."""
+    r, s = rng.randint(1, 3), rng.randint(1, 3)
+    edges = frozenset((i, nx + j) for i in range(nx)
+                      for j in rng.sample(range(nx), rng.randint(1, min(4, nx))))
+    return CapacitatedBipartite(tuple(range(nx)), tuple(range(nx, 2 * nx)), edges, r, s)
+
+
+def small_random(rng):
+    nx, ny = rng.randint(0, 8), rng.randint(0, 8)
+    p = rng.random()
+    edges = frozenset((i, nx + j) for i in range(nx) for j in range(ny) if rng.random() < p)
+    return CapacitatedBipartite(tuple(range(nx)), tuple(range(nx, nx + ny)), edges,
+                                rng.randint(1, 3), rng.randint(1, 3))
+
+
+def scattered_ids(rng):
+    """Unsorted, non-contiguous ids, X and Y interleaved."""
+    nx, ny = rng.randint(1, 12), rng.randint(1, 12)
+    ids = rng.sample(range(-50, 500), nx + ny)
+    X, Y = tuple(ids[:nx]), tuple(ids[nx:])
+    p = rng.random()
+    edges = frozenset((x, y) for x in X for y in Y if rng.random() < p)
+    return CapacitatedBipartite(X, Y, edges, rng.randint(1, 3), rng.randint(1, 3))
+
+
+@pytest.mark.parametrize("make,count", [
+    (lambda rng: cli_shaped(rng, rng.choice((10, 25, 50, 100, 200))), 30),
+    (small_random, 300),
+    (scattered_ids, 300),
+], ids=["cli-shaped", "small-random", "scattered-ids"])
+def test_mfmc_certificate_matches_reference(make, count):
+    rng = random.Random(count)
+    for _ in range(count):
+        G = make(rng)
+        assert mfmc(G) == ref.mfmc(G)
