@@ -1,21 +1,21 @@
 """Edge colorings of complete graphs, extremal constructions, and shadings.
 
-Three coloring rules: leftmost-endpoint (edges inherit the color of their
-lower-indexed endpoint, driven by a list of vertex colors), modular (an edge
-uv is red iff a-1 divides v-u, whose red graph is a-1 disjoint cliques), and
-explicit matrices.  On top of these: the adversarial left-to-right coloring
-steered by a 1-Lipschitz function, finite density reports, the shade
-assignment algorithm producing 2a+1 vertex classes with large monochromatic
-common neighborhoods, a sampling verifier for that property, and an
-exhaustive toy oracle for the best achievable monochromatic embedding
-density.
+A coloring holds one red-neighbor bitmask per vertex (bit w of v's mask is
+set iff vw is red; blue is the complement without v), built by one of three
+rules: leftmost-endpoint (edges take the color of their lower endpoint; only
+the red vertices' mask is kept), modular (uv red iff a-1 divides v-u) and
+explicit.  On top of these: the adversarial left-to-right coloring steered by
+a 1-Lipschitz function, finite density reports, the shade assignment
+algorithm producing 2a+1 vertex classes with large monochromatic common
+neighborhoods, a sampling verifier for that property, and an exhaustive toy
+oracle for the best achievable monochromatic embedding density.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
@@ -35,49 +35,69 @@ class TwoColoring:
     """Red/blue edge coloring of the complete graph on vertices 0..n-1.
 
     rule is one of "leftmost" (requires vertex_colors), "modular" (requires
-    modulus a >= 2) or "explicit" (requires red_edges).  vertex_colors may
-    also accompany modular/explicit colorings when a total coloring is needed.
+    modulus a >= 2) or "explicit" (requires red_edges, vertex pairs read only
+    at construction).  vertex_colors may also accompany modular/explicit
+    colorings when a total coloring is needed.  Explicit and modular colorings
+    store their n red-neighbor masks in red_masks, a leftmost one only the
+    mask of its red vertices in red_vertices.
     """
 
     n: int
     rule: str
     vertex_colors: tuple | None = None
     modulus: int | None = None
-    red_edges: frozenset | None = None
+    red_edges: InitVar[object] = None
+    red_masks: tuple | None = field(init=False, default=None, repr=False)
+    red_vertices: int = field(init=False, default=0, repr=False)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __post_init__(self, red_edges):
+        n = self.n
+        if n < 1:
             raise ValueError("n must be positive")
         if self.vertex_colors is not None:
             vc = tuple(self.vertex_colors)
             object.__setattr__(self, "vertex_colors", vc)
-            if len(vc) != self.n or any(c not in COLORS for c in vc):
+            if len(vc) != n or any(c not in COLORS for c in vc):
                 raise ValueError("vertex_colors must be n entries of R/B")
         if self.rule == "leftmost":
             if self.vertex_colors is None:
                 raise ValueError("leftmost rule requires vertex colors")
-        elif self.rule == "modular":
+            bits = "".join(self.vertex_colors)[::-1].replace(RED, "1").replace(BLUE, "0")
+            object.__setattr__(self, "red_vertices", int(bits, 2))
+            return
+        if self.rule == "modular":
             if self.modulus is None or self.modulus < 2:
                 raise ValueError("modular rule requires a >= 2")
+            step = self.modulus - 1
+            classes = [sum(1 << w for w in range(c, n, step)) for c in range(min(step, n))]
+            masks = [classes[v % step] ^ (1 << v) for v in range(n)]
         elif self.rule == "explicit":
-            if self.red_edges is None:
+            if red_edges is None:
                 raise ValueError("explicit rule requires red_edges")
-            red = frozenset((min(u, v), max(u, v)) for u, v in self.red_edges)
-            object.__setattr__(self, "red_edges", red)
-            for u, v in red:
-                if not (0 <= u < v < self.n):
+            masks = [0] * n
+            for u, v in red_edges:
+                if u == v or not (0 <= u < n and 0 <= v < n):
                     raise ValueError("red edge out of range")
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
         else:
             raise ValueError(f"unknown rule {self.rule!r}")
+        object.__setattr__(self, "red_masks", tuple(masks))
+
+    def neighbor_mask(self, v, color):
+        """Bitmask of the vertices w != v with color(v, w) == color."""
+        full = (1 << self.n) - 1
+        if self.red_masks is None:  # leftmost: the lower endpoint's color decides
+            above = full >> (v + 1) << (v + 1) if self.red_vertices >> v & 1 else 0
+            red = self.red_vertices & ((1 << v) - 1) | above
+        else:
+            red = self.red_masks[v]
+        return red if color == RED else full ^ red ^ (1 << v)
 
     def color(self, u, v):
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError("need two distinct vertices in range")
-        if self.rule == "leftmost":
-            return self.vertex_colors[min(u, v)]
-        if self.rule == "modular":
-            return RED if (v - u) % (self.modulus - 1) == 0 else BLUE
-        return RED if (min(u, v), max(u, v)) in self.red_edges else BLUE
+        return RED if self.neighbor_mask(u, RED) >> v & 1 else BLUE
 
     def vertex_color(self, v):
         if self.vertex_colors is None:
@@ -85,20 +105,17 @@ class TwoColoring:
         return self.vertex_colors[v]
 
     def neighbor_sets(self, color):
-        """Precomputed color-neighborhood sets, one per vertex."""
-        return [{w for w in range(self.n) if w != v and self.color(v, w) == color}
-                for v in range(self.n)]
+        """Color-neighborhood masks, one per vertex."""
+        return [self.neighbor_mask(v, color) for v in range(self.n)]
 
     def to_text(self):
         if self.rule == "leftmost":
             return f"{self.n} leftmost\n{''.join(self.vertex_colors)}\n"
         if self.rule == "modular":
             return f"{self.n} modular:{self.modulus}\n"
-        chars = []
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                chars.append(self.color(u, v))
-        return f"{self.n} explicit\n{''.join(chars)}\n"
+        rows = "".join(format(self.red_masks[u] >> (u + 1), f"0{self.n - u - 1}b")[::-1]
+                       for u in range(self.n - 1))
+        return f"{self.n} explicit\n{rows.replace('1', RED).replace('0', BLUE)}\n"
 
     @classmethod
     def from_text(cls, text):
@@ -118,14 +135,10 @@ class TwoColoring:
             if len(chars) != n * (n - 1) // 2:
                 raise ValueError(f"explicit coloring of {n} vertices needs "
                                  f"{n * (n - 1) // 2} edge colors, got {len(chars)}")
-            red = set()
-            k = 0
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if chars[k] == RED:
-                        red.add((u, v))
-                    k += 1
-            return cls(n, "explicit", red_edges=frozenset(red))
+            if set(chars) - set(COLORS):
+                raise ValueError("explicit coloring may only contain R and B")
+            pairs = ((u, v) for u in range(n) for v in range(u + 1, n))
+            return cls(n, "explicit", red_edges=[p for p, c in zip(pairs, chars) if c == RED])
         raise ValueError(f"unknown rule {rule!r}")
 
 
@@ -197,12 +210,11 @@ class AdversaryInstance:
 
     def permuted_coloring(self):
         """Coloring where the edge ij takes the color of phi(i)phi(j)."""
-        base = self.coloring
-        red = frozenset((i, j) for i in range(self.n) for j in range(i + 1, self.n)
-                        if base.color(self.phi[i], self.phi[j]) == RED)
-        return TwoColoring(self.n, "explicit", red_edges=red,
-                           vertex_colors=tuple(self.vertex_colors[self.phi[i]]
-                                               for i in range(self.n)))
+        red, phi = self.coloring.neighbor_sets(RED), self.phi
+        return TwoColoring(self.n, "explicit", red_edges=[
+            (i, j) for i in range(self.n) for j in range(i + 1, self.n)
+            if red[phi[i]] >> phi[j] & 1],
+            vertex_colors=tuple(self.vertex_colors[v] for v in phi))
 
 
 def _red_prefix_counts(g, n):
@@ -418,58 +430,47 @@ class Shading:
 
 
 def a_good_shading(chi, a, theta, min_count):
-    """Shade-assigning algorithm with a finite surrogate for "infinite":
-    a set counts as large when it has at least max(theta * |pool|, min_count)
-    members.
+    """Shade-assigning algorithm with a finite surrogate for "infinite".
 
     Each round colors the unshaded vertices greedily (every vertex takes the
-    color keeping the running common neighborhood large, preferring the
-    larger survivor, ties toward red), then freezes the dominant color as the
-    next shade of that color.  Reaching shade a-1 dumps the rest into the
-    opposite color's shade a; too-small pools and leftovers end in X.
+    color keeping the larger running common neighborhood, ties toward red;
+    a survivor of at least max(theta * |pool|, min_count) members, the
+    surrogate for "large", is always the larger one unless both are), then
+    freezes the dominant color as the next shade of that color.  Reaching
+    shade a-1 dumps the rest into the opposite color's shade a; pools of
+    fewer than min_count vertices and leftovers end in X.
     """
     if a < 2:
         raise ValueError("a must be at least 2")
     if not 0 < theta < 0.5:
         raise ValueError("theta must lie in (0, 1/2)")
-    n = chi.n
-    red_nb = chi.neighbor_sets(RED)
-    blue_nb = chi.neighbor_sets(BLUE)
-    shades = [None] * n
-    used = {RED: set(), BLUE: set()}
-    remaining = list(range(n))
+    red_nb, blue_nb = chi.neighbor_sets(RED), chi.neighbor_sets(BLUE)
+    shades = [None] * chi.n
+    used = {RED: 0, BLUE: 0}
+    remaining = list(range(chi.n))
     for _ in range(2 * a - 3):
         if len(remaining) < min_count:
             break
         pool = remaining
-        tau = max(math.ceil(theta * len(pool)), min_count)
-        K = set(pool)
-        col = {}
+        K = sum(1 << v for v in pool)
+        picked_red = 0
         for v in pool:
-            kr = (K & red_nb[v]) - {v}
-            kb = (K & blue_nb[v]) - {v}
-            r_ok, b_ok = len(kr) >= tau, len(kb) >= tau
-            if r_ok and not b_ok:
-                pick = RED
-            elif b_ok and not r_ok:
-                pick = BLUE
-            else:
-                pick = RED if len(kr) >= len(kb) else BLUE
-            col[v] = pick
-            K = kr if pick == RED else kb
-        counts = {c: sum(1 for u in K if col[u] == c) for c in COLORS}
-        dom = RED if counts[RED] >= counts[BLUE] else BLUE
-        idx = next(i for i in range(1, a + 1) if i not in used[dom])
-        used[dom].add(idx)
+            kr, kb = K & red_nb[v], K & blue_nb[v]
+            pick_red = kr.bit_count() >= kb.bit_count()
+            picked_red |= pick_red << v
+            K = kr if pick_red else kb
+        reds = (K & picked_red).bit_count()
+        dom = RED if reds >= K.bit_count() - reds else BLUE
+        in_dom = picked_red if dom == RED else ~picked_red
+        used[dom] += 1
+        idx = used[dom]
         for v in pool:
-            if col[v] == dom:
+            if in_dom >> v & 1:
                 shades[v] = (dom, idx)
-        remaining = [v for v in pool if col[v] != dom]
+        remaining = [v for v in pool if not in_dom >> v & 1]
         if idx == a - 1:
-            oth = other(dom)
-            used[oth].add(a)
             for v in remaining:
-                shades[v] = (oth, a)
+                shades[v] = (other(dom), a)
             remaining = []
             break
     for v in remaining:
@@ -496,17 +497,20 @@ def verify_shading(chi, sh, sample_size, subset_cap, seed):
     color's shade i (the common neighborhoods the embedding consumes).
     Passes iff the smallest count found is at least the construction floor.
     """
+    for name, value in (("sample_size", sample_size), ("subset_cap", subset_cap)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     rng = random.Random(seed)
     nb = {RED: chi.neighbor_sets(RED), BLUE: chi.neighbor_sets(BLUE)}
     min_found = None
     samples = 0
     failures = []
 
-    def common_count(S, color, target):
-        common = set(target) - set(S)
+    def common_count(S, color, common):
+        # S is nonempty and no vertex is its own neighbor, so S drops out
         for v in S:
             common &= nb[color][v]
-        return len(common)
+        return common.bit_count()
 
     for color in COLORS:
         for i in range(1, sh.a):
@@ -516,10 +520,10 @@ def verify_shading(chi, sh, sample_size, subset_cap, seed):
                 upper += sh.members(other(color), j)
             cases = []
             if same:
-                cases.append((same, same, "within-shade"))
+                cases.append((same, sum(1 << v for v in same), "within-shade"))
             opp_target = sh.members(other(color), i)
             if upper and opp_target:
-                cases.append((upper, opp_target, "upper-into-opposite"))
+                cases.append((upper, sum(1 << v for v in opp_target), "upper-into-opposite"))
             for pool, target, label in cases:
                 for _ in range(sample_size):
                     k = rng.randint(1, min(subset_cap, len(pool)))
@@ -551,8 +555,7 @@ def max_embedding_density_bruteforce(chi, family, h_size, colors=COLORS):
     best = Fraction(0)
     best_color = None
     for color in colors:
-        host_ok = [[chi.color(u, v) == color if u != v else False
-                    for v in range(chi.n)] for u in range(chi.n)]
+        nb = chi.neighbor_sets(color)
         image = [None] * h_size
         used = [False] * chi.n
 
@@ -566,7 +569,7 @@ def max_embedding_density_bruteforce(chi, family, h_size, colors=COLORS):
             for x in range(chi.n):
                 if used[x]:
                     continue
-                if all(image[u] is None or host_ok[x][image[u]] for u in adj[v]):
+                if all(image[u] is None or nb[x] >> image[u] & 1 for u in adj[v]):
                     image[v] = x
                     used[x] = True
                     rec(v + 1)

@@ -48,6 +48,16 @@ def components(adj, vertices):
     return comps
 
 
+def neighborhood(adj, vertices):
+    """N(S): vertices outside S with a neighbor in S; ``adj[v]`` lists the
+    neighbors of v."""
+    vs = set(vertices)
+    out = set()
+    for v in vs:
+        out.update(adj[v])
+    return out - vs
+
+
 @dataclass(frozen=True)
 class FiniteGraph:
     """Simple undirected graph on vertices 0..n-1 with an edge set of sorted pairs."""
@@ -80,12 +90,7 @@ class FiniteGraph:
 
     def neighborhood(self, vertices):
         """N(S): vertices outside S with a neighbor in S."""
-        vs = set(vertices)
-        adj = self.adjacency()
-        out = set()
-        for v in vs:
-            out |= adj[v]
-        return out - vs
+        return neighborhood(self.adjacency(), vertices)
 
     def is_forest(self):
         return len(self.edges) == self.n - len(components(self.adjacency(), range(self.n)))
@@ -397,11 +402,14 @@ def treecut(forest: FiniteGraph, I, lam, lam_prime, delta):
     I = sorted(set(I))
     if not I:
         raise ValueError("I must be nonempty")
-    if not forest.is_forest():
+    # built once per call for the forest test, N(I), the subforest and N(I');
+    # kept on the graph, it would live as long as every forest a caller holds
+    full_adj = forest.adjacency()
+    if len(forest.edges) != forest.n - len(components(full_adj, range(forest.n))):
         raise ValueError("input graph is not acyclic")
     if not forest.is_independent(I):
         raise ValueError("I is not independent")
-    J = forest.neighborhood(I)
+    J = neighborhood(full_adj, I)
     if len(J) > lam * len(I):
         raise ValueError(f"|N(I)| <= lam*|I| fails: {len(J)} > {lam} * {len(I)}")
     if 2 * delta * (1 + lam) >= 1:
@@ -415,7 +423,6 @@ def treecut(forest: FiniteGraph, I, lam, lam_prime, delta):
     jset = set(J)
     verts = sorted(iset | jset)
     adj = {v: set() for v in verts}
-    full_adj = forest.adjacency()
     for v in iset:
         for w in full_adj[v] & jset:
             adj[v].add(w)
@@ -493,7 +500,7 @@ def treecut(forest: FiniteGraph, I, lam, lam_prime, delta):
                 break
         i_prime = sorted(i_prime)
 
-    got = forest.neighborhood(i_prime)
+    got = neighborhood(full_adj, i_prime)
     if len(i_prime) > M:
         raise VerificationError("treecut: output exceeds the size bound")
     if len(got) > lam_prime * len(i_prime):

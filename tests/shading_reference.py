@@ -1,0 +1,122 @@
+"""Reference copy of the set-based shading code and the per-rule edge colour.
+
+``neighbor_sets``, ``a_good_shading`` and ``verify_shading`` are the
+``colorings`` functions as they were before the coloring became one
+red-neighbour bitmask per vertex: neighbourhoods are Python sets built from
+O(n^2) ``color()`` calls, and common neighbourhoods are set intersections
+with ``- {v}`` and ``- set(S)`` corrections.  ``rule_color`` is the rule
+dispatch ``TwoColoring.color`` used to do.  They are kept only as oracles
+for the differential tests.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+from ramseydensity.colorings import BLUE, COLORS, RED, Shading, ShadingReport, other
+
+
+def rule_color(chi, red_edges, u, v):
+    """Colour of uv by the rule of ``chi``; ``red_edges`` is the set of red
+    pairs an explicit coloring was built from (unused by the other rules)."""
+    if chi.rule == "leftmost":
+        return chi.vertex_colors[min(u, v)]
+    if chi.rule == "modular":
+        return RED if (v - u) % (chi.modulus - 1) == 0 else BLUE
+    return RED if (min(u, v), max(u, v)) in red_edges else BLUE
+
+
+def neighbor_sets(chi, color):
+    """Precomputed color-neighborhood sets, one per vertex."""
+    return [{w for w in range(chi.n) if w != v and chi.color(v, w) == color}
+            for v in range(chi.n)]
+
+
+def a_good_shading(chi, a, theta, min_count):
+    if a < 2:
+        raise ValueError("a must be at least 2")
+    if not 0 < theta < 0.5:
+        raise ValueError("theta must lie in (0, 1/2)")
+    n = chi.n
+    red_nb = neighbor_sets(chi, RED)
+    blue_nb = neighbor_sets(chi, BLUE)
+    shades = [None] * n
+    used = {RED: set(), BLUE: set()}
+    remaining = list(range(n))
+    for _ in range(2 * a - 3):
+        if len(remaining) < min_count:
+            break
+        pool = remaining
+        tau = max(math.ceil(theta * len(pool)), min_count)
+        K = set(pool)
+        col = {}
+        for v in pool:
+            kr = (K & red_nb[v]) - {v}
+            kb = (K & blue_nb[v]) - {v}
+            r_ok, b_ok = len(kr) >= tau, len(kb) >= tau
+            if r_ok and not b_ok:
+                pick = RED
+            elif b_ok and not r_ok:
+                pick = BLUE
+            else:
+                pick = RED if len(kr) >= len(kb) else BLUE
+            col[v] = pick
+            K = kr if pick == RED else kb
+        counts = {c: sum(1 for u in K if col[u] == c) for c in COLORS}
+        dom = RED if counts[RED] >= counts[BLUE] else BLUE
+        idx = next(i for i in range(1, a + 1) if i not in used[dom])
+        used[dom].add(idx)
+        for v in pool:
+            if col[v] == dom:
+                shades[v] = (dom, idx)
+        remaining = [v for v in pool if col[v] != dom]
+        if idx == a - 1:
+            oth = other(dom)
+            used[oth].add(a)
+            for v in remaining:
+                shades[v] = (oth, a)
+            remaining = []
+            break
+    for v in remaining:
+        shades[v] = ("X", 0)
+    return Shading(a=a, assignment=tuple(shades), min_count=min_count, theta=theta)
+
+
+def verify_shading(chi, sh, sample_size, subset_cap, seed):
+    rng = random.Random(seed)
+    nb = {RED: neighbor_sets(chi, RED), BLUE: neighbor_sets(chi, BLUE)}
+    min_found = None
+    samples = 0
+    failures = []
+
+    def common_count(S, color, target):
+        common = set(target) - set(S)
+        for v in S:
+            common &= nb[color][v]
+        return len(common)
+
+    for color in COLORS:
+        for i in range(1, sh.a):
+            same = sh.members(color, i)
+            upper = list(sh.members(color, sh.a))
+            for j in range(i + 1, sh.a):
+                upper += sh.members(other(color), j)
+            cases = []
+            if same:
+                cases.append((same, same, "within-shade"))
+            opp_target = sh.members(other(color), i)
+            if upper and opp_target:
+                cases.append((upper, opp_target, "upper-into-opposite"))
+            for pool, target, label in cases:
+                for _ in range(sample_size):
+                    k = rng.randint(1, min(subset_cap, len(pool)))
+                    S = rng.sample(pool, k)
+                    cnt = common_count(S, color, target)
+                    samples += 1
+                    if min_found is None or cnt < min_found:
+                        min_found = cnt
+                    if cnt < sh.min_count:
+                        failures.append((color, i, label, tuple(sorted(S)), cnt))
+    return ShadingReport(min_count_found=min_found, samples=samples,
+                         passed=not failures, failures=tuple(failures))

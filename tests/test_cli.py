@@ -178,6 +178,9 @@ BAD_INPUTS = [
     ["mfmc", "--graph", File("2 2 3\n0 0\n1 1\n"), "--r", "1", "--s", "1"],
     ["treecut", "--forest", File(""), "--independent", "0", "--lambda-prime", "1"],
     [],
+    ["shade", "--coloring", File("3 explicit\nRXZ\n"), "--a", "2"],
+    ["shade", "--coloring", "modular:3", "--n", "30", "--a", "3", "--sample-size", "0"],
+    ["shade", "--coloring", "modular:3", "--n", "30", "--a", "3", "--subset-cap", "0"],
 ]
 
 
@@ -233,11 +236,17 @@ def test_optimized_interpreter_gives_same_exit_codes_and_artifacts(tmp_path):
     env.pop("RDL_SEED", None)
     forest = tmp_path / "forest.txt"
     forest.write_text("7 6\n0 1\n0 2\n0 3\n4 5\n4 6\n3 4\n")
+    coloring = tmp_path / "coloring.txt"
+    n = 24
+    coloring.write_text(f"{n} explicit\n"
+                        + "".join("R" if (v - u) % 2 == 0 else "B"
+                                  for u in range(n) for v in range(u + 1, n)) + "\n")
     commands = {
         "adversary": ["adversary", "--s", "2", "--r", "1", "--n", "300",
                       "--g", "sigma:2:10"],
         "treecut": ["treecut", "--forest", str(forest), "--independent", "1,2,3,5,6",
                     "--lambda-prime", "3/2"],
+        "shade": ["shade", "--coloring", str(coloring), "--a", "3", "--min-count", "3"],
     }
     for name, argv in commands.items():
         results = []

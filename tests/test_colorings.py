@@ -136,9 +136,10 @@ class TestAdversary:
         inst = adversary(2, 1, sigma_g(p, 6), 40)
         chi = inst.permuted_coloring()
         base = inst.coloring
-        for i in range(10):
-            for j in range(i + 1, 10):
+        for i in range(inst.n):
+            for j in range(i + 1, inst.n):
                 assert chi.color(i, j) == base.color(inst.phi[i], inst.phi[j])
+        assert chi.vertex_colors == tuple(inst.vertex_colors[v] for v in inst.phi)
 
 
 class TestShading:

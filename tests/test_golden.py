@@ -1,11 +1,14 @@
-"""Golden artifacts of the flow layer.
+"""Golden artifacts of the ``rdl`` commands.
 
-Each ``golden/<name>.txt`` input has the artifact ``golden/<name>.json`` that
-``rdl findflow`` or ``rdl mfmc`` wrote for it; the artifact's ``meta``
-records the command and its --r, --s and --seed.  Rerunning the command must
-give the same bytes outside ``meta``.  After an intended change of output,
-rewrite the artifacts with ``PYTHONPATH=src python tests/test_golden.py``
-and say so in CHANGES.md.
+Each ``golden/<name>.json`` or ``golden/<name>.csv`` is an artifact that an
+``rdl`` command wrote when run from the ``golden`` directory; its ``meta``
+(the ``# config:`` header line of a CSV) records the command and every
+option, so an input file such as ``golden/<name>.txt`` is named relative to
+that directory.  Rerunning the command there must give the same bytes
+outside ``meta`` (outside the ``#`` header lines of a CSV).  To add a
+golden, run the command from ``tests/golden`` with ``--out <name>.json``.
+After an intended change of output, rewrite the artifacts with
+``PYTHONPATH=src python tests/test_golden.py`` and say so in CHANGES.md.
 """
 
 import json
@@ -18,42 +21,69 @@ import pytest
 from ramseydensity.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-INPUT_FLAG = {"findflow": "--coloring", "mfmc": "--graph"}
+ARTIFACTS = sorted([*GOLDEN.glob("*.json"), *GOLDEN.glob("*.csv")])
+FLAG = {"lam": "--lambda", "lam_prime": "--lambda-prime"}
+
+
+def config_of(artifact):
+    """The ``meta.config`` an artifact records (all values are strings)."""
+    text = artifact.read_text()
+    if artifact.suffix == ".csv":
+        line = next(ln for ln in text.splitlines() if ln.startswith("# config: "))
+        return json.loads(line[len("# config: "):])
+    return json.loads(text)["meta"]["config"]
 
 
 def rerun(artifact, out):
-    """Run the command recorded in ``artifact`` on its input, writing ``out``."""
-    config = json.loads(artifact.read_text())["meta"]["config"]
-    command = config["command"]
-    argv = [command, INPUT_FLAG[command], os.path.relpath(artifact.with_suffix(".txt")),
-            "--r", config["r"], "--s", config["s"], "--seed", config["seed"],
-            "--out", str(out)]
-    if main(argv) != 0:
-        raise RuntimeError(f"{' '.join(argv)} failed")
+    """Run the command recorded in ``artifact`` from the golden directory,
+    writing ``out`` (an absolute path)."""
+    config = config_of(artifact)
+    argv = [config["command"]]
+    for key, value in config.items():
+        if key != "command":
+            argv += [FLAG.get(key, "--" + key.replace("_", "-")), value]
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        code = main(argv + ["--out", str(out)])
+    finally:
+        os.chdir(cwd)
+    if code != 0:
+        raise RuntimeError(f"{' '.join(argv)} exited {code}")
 
 
-def without_meta(text):
-    doc = json.loads(text)
+def without_meta(artifact_text, suffix):
+    if suffix == ".csv":
+        return [ln for ln in artifact_text.splitlines() if not ln.startswith("#")]
+    doc = json.loads(artifact_text)
     doc["meta"] = "masked"
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("artifact", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+@pytest.mark.parametrize("artifact", ARTIFACTS, ids=lambda p: p.stem)
 def test_artifact_matches_golden(artifact, tmp_path, monkeypatch):
     monkeypatch.delenv("RDL_SEED", raising=False)
     out = tmp_path / artifact.name
     rerun(artifact, out)
-    assert without_meta(out.read_text()) == without_meta(artifact.read_text())
+    assert (without_meta(out.read_text(), artifact.suffix)
+            == without_meta(artifact.read_text(), artifact.suffix))
 
 
 def test_goldens_present():
-    names = {p.stem for p in GOLDEN.glob("*.json")}
-    assert sum(name.startswith("findflow_") for name in names) >= 6
-    assert sum(name.startswith("mfmc_") for name in names) >= 4
-    assert all((GOLDEN / f"{name}.txt").exists() for name in names)
+    commands = [config_of(p)["command"] for p in ARTIFACTS]
+    minimum = {"findflow": 6, "mfmc": 4, "fig1": 1, "adversary": 1, "shade": 3,
+               "mu": 1, "embed": 1}
+    assert {c: min(commands.count(c), k) for c, k in minimum.items()} == minimum
+    shaded = {config_of(p)["coloring"] for p in ARTIFACTS
+              if config_of(p)["command"] == "shade"}
+    assert "modular:3" in shaded
+    rules = {(GOLDEN / name).read_text().split()[1] for name in shaded - {"modular:3"}}
+    assert rules >= {"explicit", "leftmost"}
+    inputs = [v for p in ARTIFACTS for v in config_of(p).values() if v.endswith(".txt")]
+    assert all((GOLDEN / name).exists() for name in inputs)
 
 
 if __name__ == "__main__":
-    for path in sorted(GOLDEN.glob("*.json")):
-        rerun(path, path)
+    for path in ARTIFACTS:
+        rerun(path, path.resolve())
         print(f"rewrote {path}", file=sys.stderr)
