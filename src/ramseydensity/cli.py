@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from .colorings import (TwoColoring, a_good_shading, adversary,
 from .embedder import HPrefixSpec, build_W, embed, verify_embedding
 from .errors import VerificationError
 from .families import (FiniteGraph, complete_bipartite, default_treecut_delta,
-                       mu_bruteforce, parse_family, treecut)
+                       mu_bruteforce, neighborhood, parse_family, treecut)
 from .flows import CapacitatedBipartite, findflow, mfmc
 from .lipschitz import PLFunction, f_closed
 
@@ -182,7 +183,7 @@ def cmd_shade(args):
     else:
         with open(args.coloring, encoding="utf-8") as fh:
             chi = TwoColoring.from_text(fh.read())
-    sh = a_good_shading(chi, args.a, args.theta, args.min_count)
+    sh = a_good_shading(chi, args.a, args.min_count)
     report = verify_shading(chi, sh, args.sample_size, args.subset_cap, _seed_of(args))
     meta = _meta(args, "shade")
     _write_json(args.out, meta, {
@@ -228,11 +229,12 @@ def cmd_treecut(args):
     with open(args.forest, encoding="utf-8") as fh:
         forest = FiniteGraph.from_text(fh.read())
     I = tuple(int(x) for x in args.independent.split(","))
-    lam = Fraction(len(forest.neighborhood(I)), len(I))
+    adj = forest.adjacency()
+    lam = Fraction(len(neighborhood(adj, I)), len(I))
     lam_prime = Fraction(args.lam_prime)
     delta = Fraction(args.delta) if args.delta else default_treecut_delta(lam, lam_prime)
     result = treecut(forest, I, lam, lam_prime, delta)
-    nbhd = forest.neighborhood(result)
+    nbhd = neighborhood(adj, result)
     ok = len(result) <= 2 / delta and len(nbhd) <= lam_prime * len(result)
     meta = _meta(args, "treecut")
     _write_json(args.out, meta, {
@@ -253,7 +255,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser():
+    """The rdl parser, built on the first call; parse_args leaves it unchanged."""
     ap = _Parser(prog="rdl", description=__doc__)
     sub = ap.add_subparsers(dest="command")
 
@@ -304,7 +308,6 @@ def build_parser():
     p.add_argument("--coloring", required=True, help="'modular:a' or a coloring file")
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--theta", type=float, default=0.1)
     p.add_argument("--min-count", dest="min_count", type=int, default=5)
     p.add_argument("--sample-size", dest="sample_size", type=int, default=20)
     p.add_argument("--subset-cap", dest="subset_cap", type=int, default=3)
@@ -332,9 +335,8 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if not getattr(args, "func", None):
             raise ValueError("no subcommand given")
         return args.func(args)

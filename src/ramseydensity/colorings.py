@@ -124,14 +124,14 @@ class TwoColoring:
             raise ValueError("empty coloring text")
         n_str, rule = lines[0].split()
         n = int(n_str)
-        if rule in ("leftmost", "explicit") and len(lines) < 2:
-            raise ValueError(f"{rule} coloring has no color line")
+        if rule == "leftmost" and len(lines) < 2:
+            raise ValueError("leftmost coloring has no color line")
         if rule == "leftmost":
             return cls(n, "leftmost", vertex_colors=tuple(lines[1].strip()))
         if rule.startswith("modular:"):
             return cls(n, "modular", modulus=int(rule.split(":")[1]))
         if rule == "explicit":
-            chars = lines[1].strip()
+            chars = lines[1].strip() if len(lines) > 1 else ""  # n = 1 writes an empty line
             if len(chars) != n * (n - 1) // 2:
                 raise ValueError(f"explicit coloring of {n} vertices needs "
                                  f"{n * (n - 1) // 2} edge colors, got {len(chars)}")
@@ -414,7 +414,6 @@ class Shading:
     a: int
     assignment: tuple
     min_count: int
-    theta: float = 0.0
 
     def members(self, color, index):
         return [v for v, sh in enumerate(self.assignment) if sh == (color, index)]
@@ -429,21 +428,17 @@ class Shading:
         return self.assignment[v]
 
 
-def a_good_shading(chi, a, theta, min_count):
+def a_good_shading(chi, a, min_count):
     """Shade-assigning algorithm with a finite surrogate for "infinite".
 
     Each round colors the unshaded vertices greedily (every vertex takes the
-    color keeping the larger running common neighborhood, ties toward red;
-    a survivor of at least max(theta * |pool|, min_count) members, the
-    surrogate for "large", is always the larger one unless both are), then
-    freezes the dominant color as the next shade of that color.  Reaching
+    color keeping the larger running common neighborhood, ties toward red),
+    then freezes the dominant color as the next shade of that color.  Reaching
     shade a-1 dumps the rest into the opposite color's shade a; pools of
     fewer than min_count vertices and leftovers end in X.
     """
     if a < 2:
         raise ValueError("a must be at least 2")
-    if not 0 < theta < 0.5:
-        raise ValueError("theta must lie in (0, 1/2)")
     red_nb, blue_nb = chi.neighbor_sets(RED), chi.neighbor_sets(BLUE)
     shades = [None] * chi.n
     used = {RED: 0, BLUE: 0}
@@ -475,7 +470,7 @@ def a_good_shading(chi, a, theta, min_count):
             break
     for v in remaining:
         shades[v] = ("X", 0)
-    return Shading(a=a, assignment=tuple(shades), min_count=min_count, theta=theta)
+    return Shading(a=a, assignment=tuple(shades), min_count=min_count)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .colorings import COLORS, other, density
-from .families import FiniteGraph, OmegaFactor, components
+from .families import FiniteGraph, OmegaFactor, components, neighborhood
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,8 @@ class HPrefixSpec:
         for u, v in H.edges:
             if self.psi[u] == self.psi[v]:
                 raise ValueError("psi is not a proper coloring")
-        comps = components(H.adjacency(), range(H.n))
+        adj = H.adjacency()
+        comps = components(adj, range(H.n))
         for cid, template in self.templates.items():
             tset = set(template)
             if len(tset) != self.r:
@@ -183,7 +184,7 @@ class HPrefixSpec:
                 raise ValueError("template leaves its component")
             if not H.is_independent(tset):
                 raise ValueError("template is not independent")
-            nbhd = H.neighborhood(tset)
+            nbhd = neighborhood(adj, tset)
             if len(nbhd) > self.s:
                 raise ValueError("template neighborhood exceeds s")
             if not H.is_independent(nbhd):
@@ -199,9 +200,9 @@ class HPrefixSpec:
         remaining vertices a greedy proper coloring below it."""
         fam = OmegaFactor(factor)
         tset = sorted(set(base_template))
-        nbhd = sorted(factor.neighborhood(tset))
-        rest = [v for v in range(factor.n) if v not in nbhd]
         adj = factor.adjacency()
+        nbhd = sorted(neighborhood(adj, tset))
+        rest = [v for v in range(factor.n) if v not in nbhd]
         base_psi = {}
         for v in rest:
             taken = {base_psi[w] for w in adj[v] if w in base_psi}
@@ -359,7 +360,7 @@ def embed(chi, sh, W, spec: HPrefixSpec, budget):
             if kappa[cid] != ci:
                 continue
             tset = sorted(template)
-            nbhd = sorted(H.neighborhood(tset))
+            nbhd = sorted(neighborhood(adj, tset))
             if any(u in phi for u in tset) or any(u in phi for u in nbhd):
                 continue
             xs, ys = sorted(comp.X), sorted(comp.Y)

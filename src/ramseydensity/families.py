@@ -293,6 +293,10 @@ def mu_bruteforce(family, n, prefix_size):
     provably complete and ring-free.  A prefix too small for every optimal
     set gives a larger value (karytree:2 at n = 6: 13 at prefix 63, the exact
     12 at prefix 127).  Raises PrefixTooSmallError when no candidate exists.
+
+    The search carries N(I) as one bitmask, the union of the chosen vertices'
+    neighbor masks; a vertex extends I iff its bit is clear, so adding it only
+    adds to N(I), and a branch whose N(I) has best or more vertices is cut.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -305,46 +309,42 @@ def mu_bruteforce(family, n, prefix_size):
     if len(pool) < n:
         raise PrefixTooSmallError(
             f"only {len(pool)} boundary-interior candidates; increase prefix_size")
+    masks = [sum(1 << w for w in nbrs[v]) for v in pool]
 
     best = math.inf
-    chosen = []
 
-    def extend(start, depth, nbhd, blocked):
+    def extend(start, depth, nbhd):
         nonlocal best
         if depth == n:
-            if len(nbhd) < best:
-                best = len(nbhd)
+            best = nbhd.bit_count()  # the cut below passes only masks under best
             return
         for idx in range(start, len(pool) - (n - depth) + 1):
-            v = pool[idx]
-            if v in blocked:
-                continue
-            new_nbhd = (nbhd | nbrs[v]) - {v}
-            # adding a vertex can shrink the neighborhood by at most one
-            if len(new_nbhd) - (n - depth - 1) >= best:
-                continue
-            extend(idx + 1, depth + 1, new_nbhd, blocked | nbrs[v])
+            new = nbhd | masks[idx]
+            if not nbhd >> pool[idx] & 1 and new.bit_count() < best:
+                extend(idx + 1, depth + 1, new)
 
-    extend(0, 0, set(), set())
+    extend(0, 0, 0)
     if best == math.inf:
         raise PrefixTooSmallError("no independent boundary-interior set of the requested size")
-    return int(best)
+    return best
 
 
-def _independent_sets(graph):
-    adj = graph.adjacency()
+def _independent_sets(masks):
+    """(I, N(I) as a bitmask) for each nonempty independent I, in lexicographic
+    order, of the graph whose vertex v has neighbor mask masks[v]; N(I) is the
+    union of I's masks, and a larger v extends I iff bit v of N(I) is clear."""
     out = []
 
-    def rec(start, current):
+    def rec(start, current, nbhd):
         if current:
-            out.append(tuple(current))
-        for v in range(start, graph.n):
-            if all(v not in adj[u] for u in current):
+            out.append((tuple(current), nbhd))
+        for v in range(start, len(masks)):
+            if not nbhd >> v & 1:
                 current.append(v)
-                rec(v + 1, current)
+                rec(v + 1, current, nbhd | masks[v])
                 current.pop()
 
-    rec(0, [])
+    rec(0, [], 0)
     return out
 
 
@@ -352,18 +352,16 @@ def min_expansion(F: FiniteGraph):
     """Exact rational min over nonempty independent I of |N(I)| / |I|."""
     if F.n < 1:
         raise ValueError("graph must be nonempty")
-    best = None
-    for I in _independent_sets(F):
-        ratio = Fraction(len(F.neighborhood(I)), len(I))
-        if best is None or ratio < best:
-            best = ratio
-    return best
+    masks = [sum(1 << w for w in nb) for nb in F.adjacency()]
+    return min(Fraction(nbhd.bit_count(), len(I)) for I, nbhd in _independent_sets(masks))
 
 
 def doubly_independent_sets(F: FiniteGraph):
     """All nonempty independent I whose neighborhood is also independent,
     sorted by (size, lexicographic)."""
-    out = [I for I in _independent_sets(F) if F.is_independent(F.neighborhood(I))]
+    masks = [sum(1 << w for w in nb) for nb in F.adjacency()]
+    out = [I for I, nbhd in _independent_sets(masks)
+           if not any(masks[w] & nbhd for w in range(F.n) if nbhd >> w & 1)]
     return sorted(out, key=lambda s: (len(s), s))
 
 

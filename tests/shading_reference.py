@@ -80,7 +80,7 @@ def a_good_shading(chi, a, theta, min_count):
             break
     for v in remaining:
         shades[v] = ("X", 0)
-    return Shading(a=a, assignment=tuple(shades), min_count=min_count, theta=theta)
+    return Shading(a=a, assignment=tuple(shades), min_count=min_count)
 
 
 def verify_shading(chi, sh, sample_size, subset_cap, seed):

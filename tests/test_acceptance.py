@@ -129,8 +129,13 @@ def test_criterion_5_mu_formulas():
         prefix = (k ** 5 - 1) // (k - 1)
         for n in range(1, 6):
             assert mu_bruteforce(KAryTree(k), n, prefix) == k * n
+    # n = 6 needs a deeper prefix: karytree:2 at prefix 63 gives 13
+    assert mu_bruteforce(KAryTree(2), 6, 127) == 12
+    assert mu_bruteforce(KAryTree(3), 6, 364) == 18
     for n in range(1, 9):
         assert mu_bruteforce(PathPower(1), n, 24) == n
+    for n in range(9, 13):
+        assert mu_bruteforce(PathPower(1), n, 30) == n
     for r in (1, 2, 3):
         for s in (1, 2, 3):
             # join of an empty r-set with a complete s-set

@@ -174,6 +174,7 @@ BAD_INPUTS = [
     ["findflow", "--coloring", File("4 leftmost\nRRRR\n"), "--r", "0", "--s", "-3"],
     ["findflow", "--coloring", File("6 leftmost\n"), "--r", "1", "--s", "1"],
     ["shade", "--coloring", File("5 explicit\nRRB\n"), "--a", "3"],
+    ["shade", "--coloring", File("2 explicit\n"), "--a", "2"],
     ["mfmc", "--graph", File(""), "--r", "1", "--s", "1"],
     ["mfmc", "--graph", File("2 2 3\n0 0\n1 1\n"), "--r", "1", "--s", "1"],
     ["treecut", "--forest", File(""), "--independent", "0", "--lambda-prime", "1"],
@@ -197,6 +198,42 @@ def test_bad_input_exits_1_with_one_error_line(argv, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
     assert captured.out == ""
+
+
+def test_one_parser_serves_every_call_like_a_fresh_one(tmp_path, capsys):
+    from ramseydensity import cli
+    forest = tmp_path / "forest.txt"
+    forest.write_text("4 3\n0 1\n0 2\n0 3\n")
+    coloring = tmp_path / "coloring.txt"
+    coloring.write_text("6 leftmost\nRBBRBR\n")
+    sequence = [
+        ["mu", "--family", "karytree:2", "--n", "3", "--prefix-size", "127"],
+        ["fig1", "--step", "0.5"],
+        ["adversary", "--s", "1", "--r", "0", "--n", "40"],
+        ["treecut", "--forest", str(forest), "--independent", "1,2,3",
+         "--lambda-prime", "1/2"],
+        ["shade", "--coloring", "modular:3", "--n", "30", "--a", "3", "--seed", "4"],
+        ["findflow", "--coloring", str(coloring), "--r", "1", "--s", "2"],
+        ["f-eval", "--lambda", "2"],
+        ["mu", "--family", "pathpower:1", "--n", "2", "--prefix-size", "8"],
+    ]
+
+    def outcomes(fresh):
+        got = []
+        for k, argv in enumerate(sequence):
+            if fresh:
+                cli.build_parser.cache_clear()
+            out = tmp_path / f"{fresh}_{k}.out"
+            code = main(argv + ["--out", str(out)])
+            got.append((code, out.read_text() if out.exists() else None,
+                        capsys.readouterr()))
+        return got
+
+    cli.build_parser.cache_clear()
+    shared = outcomes(False)
+    assert cli.build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [0, 0, 1, 0, 0, 0, 0, 0]
+    assert shared == outcomes(True)
 
 
 def test_verification_error_exits_2_naming_the_invariant(monkeypatch, capsys):

@@ -62,7 +62,7 @@ def test_shading_and_report_equal_the_set_based_reference(label, chi, red):
     outcomes = set()
     for a in (2, 3, 4, 5):
         for theta, min_count in ((0.1, 2), (0.3, 4), (0.05, 6)):
-            sh = a_good_shading(chi, a, theta, min_count)
+            sh = a_good_shading(chi, a, min_count)
             assert sh == ref.a_good_shading(chi, a, theta, min_count), (a, theta, min_count)
             for sample_size, subset_cap in ((15, 3), (6, 1), (10, 5)):
                 seed = rng.randrange(10 ** 6)
@@ -102,10 +102,8 @@ def test_color_and_neighbor_masks_follow_the_rule(chi, red):
     assert chi.neighbor_sets(RED) == [chi.neighbor_mask(v, RED) for v in range(chi.n)]
 
 
-@pytest.mark.parametrize("chi,red", [h for h in property_hosts() if h[0].n > 1])
+@pytest.mark.parametrize("chi,red", property_hosts())
 def test_text_round_trip(chi, red):
-    # a one-vertex explicit coloring writes an empty colour line, which
-    # from_text reads as missing
     back = TwoColoring.from_text(chi.to_text())
     assert back.to_text() == chi.to_text()
     assert back == chi
@@ -131,7 +129,7 @@ def test_leftmost_coloring_keeps_one_mask():
 @pytest.mark.parametrize("name", ["sample_size", "subset_cap"])
 def test_verify_shading_needs_samples(name):
     chi = clique_coloring(3, 30)
-    sh = a_good_shading(chi, 3, 0.1, 4)
+    sh = a_good_shading(chi, 3, 4)
     args = {"sample_size": 20, "subset_cap": 3, name: 0}
     with pytest.raises(ValueError, match=name):
         verify_shading(chi, sh, args["sample_size"], args["subset_cap"], 0)

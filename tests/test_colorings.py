@@ -145,18 +145,18 @@ class TestAdversary:
 class TestShading:
     def test_all_red_single_shade(self):
         chi = all_red(20)
-        sh = a_good_shading(chi, 2, 0.1, 3)
+        sh = a_good_shading(chi, 2, 3)
         assert set(sh.assignment) == {(RED, 1)}
         assert sh.residual() == []
 
     def test_tiny_pool_all_residual(self):
         chi = all_red(10)
-        sh = a_good_shading(chi, 2, 0.1, 50)
+        sh = a_good_shading(chi, 2, 50)
         assert set(sh.assignment) == {("X", 0)}
 
     def test_modular_three_shape(self):
         chi = clique_coloring(3, 300)
-        sh = a_good_shading(chi, 3, 0.1, 12)
+        sh = a_good_shading(chi, 3, 12)
         assert len(sh.nonempty_shades(RED)) <= 2
         assert len(sh.nonempty_shades(BLUE)) <= 2
         assert len(sh.residual()) <= 12
@@ -169,7 +169,7 @@ class TestShading:
     def test_loop_count_bounds_shades(self):
         for a in (2, 3, 4):
             chi = clique_coloring(a, 240)
-            sh = a_good_shading(chi, a, 0.1, 10)
+            sh = a_good_shading(chi, a, 10)
             assert len(sh.nonempty_shades(RED)) <= a - 1 or \
                 sh.nonempty_shades(RED)[-1] == a
             assert len(sh.nonempty_shades(RED)) + len(sh.nonempty_shades(BLUE)) \
@@ -183,7 +183,7 @@ class TestShading:
 
     def test_verify_all_red(self):
         chi = all_red(30)
-        sh = a_good_shading(chi, 2, 0.1, 4)
+        sh = a_good_shading(chi, 2, 4)
         rep = verify_shading(chi, sh, 20, 3, 0)
         assert rep.passed
         assert rep.min_count_found >= 30 - 3 - 1 - 3  # pool minus sample slack
