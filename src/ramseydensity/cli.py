@@ -19,6 +19,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
+# adversary() runs verify_adversary and raises on any violation, so nothing
+# here calls it again; it stays importable from this module
 from .colorings import (TwoColoring, a_good_shading, adversary,
                         clique_coloring, verify_adversary, verify_shading)
 from .embedder import HPrefixSpec, build_W, embed, verify_embedding
@@ -75,6 +77,14 @@ def _write_json(path, meta, payload):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _fraction(text):
+    """Fraction(text), with a zero denominator reported as bad input."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _parse_pl(spec_text):
@@ -134,18 +144,17 @@ def cmd_mu(args):
 
 def cmd_adversary(args):
     g = _parse_pl(args.g)
-    inst = adversary(args.s, args.r, g, args.n)
-    problems = verify_adversary(inst)
+    inst = adversary(args.s, args.r, g, args.n)  # raises on any violated invariant
     meta = _meta(args, "adversary")
     _write_json(args.out, meta, {
         "s": args.s, "r": args.r, "n": args.n,
         "colors": "".join(inst.vertex_colors),
         "alpha": list(inst.alpha), "beta": list(inst.beta),
         "phi": list(inst.phi),
-        "invariants_ok": not problems,
-        "violations": problems,
+        "invariants_ok": True,
+        "violations": [],
     })
-    return 0 if not problems else 2
+    return 0
 
 
 def cmd_mfmc(args):
@@ -229,10 +238,12 @@ def cmd_treecut(args):
     with open(args.forest, encoding="utf-8") as fh:
         forest = FiniteGraph.from_text(fh.read())
     I = tuple(int(x) for x in args.independent.split(","))
+    if len(set(I)) != len(I):
+        raise ValueError("--independent lists a vertex twice")
     adj = forest.adjacency()
     lam = Fraction(len(neighborhood(adj, I)), len(I))
-    lam_prime = Fraction(args.lam_prime)
-    delta = Fraction(args.delta) if args.delta else default_treecut_delta(lam, lam_prime)
+    lam_prime = _fraction(args.lam_prime)
+    delta = _fraction(args.delta) if args.delta else default_treecut_delta(lam, lam_prime)
     result = treecut(forest, I, lam, lam_prime, delta)
     nbhd = neighborhood(adj, result)
     ok = len(result) <= 2 / delta and len(nbhd) <= lam_prime * len(result)

@@ -50,8 +50,11 @@ def components(adj, vertices):
 
 def neighborhood(adj, vertices):
     """N(S): vertices outside S with a neighbor in S; ``adj[v]`` lists the
-    neighbors of v."""
+    neighbors of v, for v in 0..len(adj)-1."""
     vs = set(vertices)
+    outside = sorted(v for v in vs if not 0 <= v < len(adj))
+    if outside:
+        raise ValueError(f"vertices {outside} lie outside 0..{len(adj) - 1}")
     out = set()
     for v in vs:
         out.update(adj[v])
@@ -397,6 +400,8 @@ def treecut(forest: FiniteGraph, I, lam, lam_prime, delta):
     order that collects at least 1/delta I-vertices.
     """
     lam, lam_prime, delta = Fraction(lam), Fraction(lam_prime), Fraction(delta)
+    if delta <= 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     I = sorted(set(I))
     if not I:
         raise ValueError("I must be nonempty")

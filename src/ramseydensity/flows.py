@@ -228,8 +228,8 @@ def colored_degree_profile(chi):
     """Blue-degree profile of the red vertices of a totally colored host:
     d_B(v) counts blue vertices w with vw blue."""
     reds = [v for v in range(chi.n) if chi.vertex_color(v) == RED]
-    blues = [v for v in range(chi.n) if chi.vertex_color(v) == BLUE]
-    degs = sorted(sum(1 for w in blues if chi.color(v, w) == BLUE) for v in reds)
+    blue_set = sum(1 << w for w in range(chi.n) if chi.vertex_color(w) == BLUE)
+    degs = sorted((chi.neighbor_mask(v, BLUE) & blue_set).bit_count() for v in reds)
     pts = [(0.0, 0.0)] + [(float(k), float(d)) for k, d in enumerate(degs, start=1)]
     g = PLFunction.from_points(pts, tail_slope=0.0, lipschitz=False)
     return ColoredDegreeProfile(degrees=tuple(degs), g=g)
@@ -245,9 +245,9 @@ class FindFlowResult:
 
 
 class _PrefixFlow:
-    """Max flow of one color C as the prefix grows: X is every vertex of
-    color C at capacity r, Y the vertices of the other color added so far
-    at capacity s, and the edges are the C-colored pairs between them."""
+    """Max flow of one color C as the prefix grows: X (capacity r) is every
+    vertex of color C, Y (capacity s) the other color's vertices added so
+    far, and an added y's edges go to the X-vertices in its C-neighbor mask."""
 
     def __init__(self, chi, color, r, s):
         self.chi, self.color, self.s = chi, color, s
@@ -273,8 +273,9 @@ class _PrefixFlow:
         self.Y.append(y)
         node = net.add_node()
         sink_arc = net.add_arc(node, net.SNK, self.s)
+        mask = self.chi.neighbor_mask(y, self.color)
         for x in self.X:
-            if self.chi.color(x, y) == self.color:
+            if mask >> x & 1:
                 self.edges.append((x, y))
                 net.add_arc(self.node[x], node, math.inf)
         while net.cap[sink_arc] > 0 and (pushed := net.augment()):
@@ -294,8 +295,8 @@ def findflow(chi, r, s):
 
     The sweep is incremental: each color keeps one residual network, and
     going from t - 1 to t adds vertex t - 1 to the prefix side of the other
-    color's network, asking the color of each of its pairs with that
-    network's X side once, and augments the flow the network already
+    color's network, reading its edges to that network's X side from its
+    one color-neighbor mask, and augments the flow the network already
     carries; only the max flow value D(t) is read per (t, color).  The
     winner's flow h and cover come from one from-scratch ``mfmc`` on its
     graph, whose value must equal the swept D(t).

@@ -71,6 +71,21 @@ class TestArtifacts:
                         "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_adversary_verifies_its_instance_once(self, tmp_path, monkeypatch):
+        from ramseydensity import cli, colorings
+        calls = []
+        original = colorings.verify_adversary
+        for module in (cli, colorings):
+            monkeypatch.setattr(module, "verify_adversary",
+                                lambda inst: calls.append(inst) or original(inst))
+        out = tmp_path / "adv.json"
+        assert run(["adversary", "--s", "1", "--r", "1", "--n", "60",
+                    "--g", "sigma:1:8", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        # adversary() raises on any violation, so its one check is the only one
+        assert len(calls) == 1
+        assert doc["invariants_ok"] is True and doc["violations"] == []
+
     def test_seed_env_override(self, tmp_path, monkeypatch):
         out = tmp_path / "o.json"
         monkeypatch.setenv("RDL_SEED", "99")
@@ -158,6 +173,8 @@ class File:
         return "file:" + self.text.replace("\n", "/")
 
 
+STAR = "4 3\n0 1\n0 2\n0 3\n"  # centre 0, leaves 1, 2 and 3
+
 BAD_INPUTS = [
     ["adversary", "--s", "1", "--r", "0", "--n", "40"],
     ["adversary", "--s", "0", "--r", "1", "--n", "40"],
@@ -182,6 +199,16 @@ BAD_INPUTS = [
     ["shade", "--coloring", File("3 explicit\nRXZ\n"), "--a", "2"],
     ["shade", "--coloring", "modular:3", "--n", "30", "--a", "3", "--sample-size", "0"],
     ["shade", "--coloring", "modular:3", "--n", "30", "--a", "3", "--subset-cap", "0"],
+    ["treecut", "--forest", File(STAR), "--independent", "-1", "--lambda-prime", "2"],
+    ["treecut", "--forest", File(STAR), "--independent", "9", "--lambda-prime", "2"],
+    ["treecut", "--forest", File(STAR), "--independent", "1,2,3", "--lambda-prime", "1/2",
+     "--delta", "0"],
+    ["treecut", "--forest", File(STAR), "--independent", "1,2,3", "--lambda-prime", "1/0"],
+    ["treecut", "--forest", File(STAR), "--independent", "1,2,3", "--lambda-prime", "1/2",
+     "--delta", "1/0"],
+    ["treecut", "--forest", File(STAR), "--independent", "1,2,3", "--lambda-prime", "1/2",
+     "--delta=-1/4"],
+    ["treecut", "--forest", File(STAR), "--independent", "1,1", "--lambda-prime", "2"],
 ]
 
 

@@ -1,0 +1,242 @@
+"""The mask-based embedder and degree profile against the reference copies
+in ``embedder_reference`` and ``flows_reference``.
+
+``build_W``, ``embed`` and ``verify_embedding`` must return equal backbones,
+states and reports (or raise the same error) on seeded noisy two-class
+hosts, as in the benchmark's embedding jobs, and on leftmost and modular
+hosts shaded by ``a_good_shading``; ``validate_w`` must reject a corrupted
+backbone with the reference's message.  Out-of-range backbone vertices and
+images, and a pattern edge whose two ends map to one host vertex, are the
+cases where the two differ on purpose: the reference wraps negative ids or
+lets ``color()`` raise, the library rejects or reports them.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+import embedder_reference as ref
+import flows_reference
+from ramseydensity.colorings import (BLUE, RED, Shading, TwoColoring, a_good_shading,
+                                     clique_coloring, other)
+from ramseydensity.embedder import (BipartitePiece, HPrefixSpec, IsolatedVertex, WStructure,
+                                    build_W, embed, validate_w, verify_embedding)
+from ramseydensity.families import complete_bipartite, path_graph
+from ramseydensity.flows import colored_degree_profile
+
+
+def outcome(fn, *args, **kwargs):
+    """The value ``fn`` returns, or the type and message of the ValueError
+    it raises."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except ValueError as exc:
+        return "error", type(exc), str(exc)
+
+
+def two_class_host(rng, nl, nu, noise):
+    """Red across the classes, blue inside the first, red inside the second,
+    each inner edge flipped with probability ``noise``."""
+    n = nl + nu
+    red = set()
+    for u in range(n):
+        for v in range(u + 1, n):
+            if u >= nl:
+                inner_red = rng.random() >= noise
+            elif v < nl:
+                inner_red = rng.random() < noise
+            else:
+                inner_red = True
+            if inner_red:
+                red.add((u, v))
+    return TwoColoring(n, "explicit", red_edges=frozenset(red))
+
+
+def two_class_cases():
+    """(label, chi, sh, spec, max_pieces) on noisy two-class hosts, with the
+    top shade index 1 or 2 and r, s in {1, 2}."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        r, s = rng.choice(((1, 1), (1, 2), (2, 1), (2, 2)))
+        copies = rng.randint(3, 8)
+        nl, nu = rng.randint(6, 16), rng.randint(10, 30)
+        chi = two_class_host(rng, nl, nu, rng.choice((0.0, 0.05, 0.2)))
+        top = rng.choice((1, 2))
+        sh = Shading(a=2, assignment=tuple(
+            (BLUE, 1) if v < nl else (RED, top) for v in range(nl + nu)), min_count=2)
+        spec = HPrefixSpec.omega_factor(complete_bipartite(r, s), copies, tuple(range(r)))
+        yield f"two-class-{seed}", chi, sh, spec, rng.choice((None, 1, copies // 2))
+
+
+def random_vertex_colors(rng, n):
+    return tuple(rng.choice((RED, BLUE)) for _ in range(n))
+
+
+def shaded_cases():
+    """(label, chi, sh, spec, max_pieces) on leftmost and modular hosts with
+    a_good_shading shadings: complete bipartite factors with r, s in {1, 2}
+    for a = 2, the path on four vertices (three psi colours) for a = 3."""
+    rng = random.Random(2024)
+    k = 0
+    for n in (12, 24, 40, 64):
+        for rule in ("leftmost", "modular"):
+            for a in (2, 3):
+                for _ in range(2):
+                    k += 1
+                    if rule == "leftmost":
+                        chi = TwoColoring(n, "leftmost", vertex_colors=random_vertex_colors(rng, n))
+                    else:
+                        chi = clique_coloring(rng.randint(2, 5), n)
+                    sh = a_good_shading(chi, a, rng.randint(1, 4))
+                    if a == 2:
+                        r, s = rng.choice(((1, 1), (1, 2), (2, 1), (2, 2)))
+                        factor, template = complete_bipartite(r, s), tuple(range(r))
+                    else:
+                        factor, template = path_graph(4), (0,)
+                    spec = HPrefixSpec.omega_factor(factor, rng.randint(2, 6), template)
+                    yield f"{rule}-{n}-a{a}-{k}", chi, sh, spec, rng.choice((None, 2))
+
+
+CASES = list(two_class_cases()) + list(shaded_cases())
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """Per case, both sides' build_W, embed and verify_embedding outcomes."""
+    out = []
+    for label, chi, sh, spec, max_pieces in CASES:
+        sides = []
+        for mod in (ref, None):
+            b = mod.build_W if mod else build_W
+            e = mod.embed if mod else embed
+            v = mod.verify_embedding if mod else verify_embedding
+            W = outcome(b, chi, sh, spec.r, spec.s, max_pieces=max_pieces)
+            state = outcome(e, chi, sh, W[1], spec, 300) if W[0] == "ok" else None
+            report = (outcome(v, state[1], chi, spec, W[1])
+                      if state and state[0] == "ok" else None)
+            sides.append((W, state, report))
+        out.append((label, chi, sh, spec, sides))
+    return out
+
+
+def test_backbone_state_and_report_equal_the_reference(runs):
+    pieces = consumed = embedded = 0
+    for label, chi, sh, spec, (want, got) in runs:
+        assert got == want, label
+        W, state, report = got
+        if W[0] == "ok":
+            pieces += bool(W[1].pieces())
+        if state and state[0] == "ok":
+            embedded += len(state[1].phi) > 0
+            consumed += any(isinstance(c, BipartitePiece) for c in state[1].consumed)
+            assert report[0] == "ok", label
+    # the cases must reach pieces, consumed pieces and nonempty embeddings
+    assert pieces >= 40 and consumed >= 30 and embedded >= 50, (pieces, consumed, embedded)
+
+
+def flip(chi, x, y):
+    """An explicit copy of chi with the colour of xy flipped."""
+    red = chi.neighbor_sets(RED)
+    pairs = {(u, v) for u in range(chi.n) for v in range(u + 1, chi.n) if red[u] >> v & 1}
+    return TwoColoring(chi.n, "explicit", red_edges=pairs ^ {(min(x, y), max(x, y))})
+
+
+def reshade(sh, v, shade):
+    assignment = list(sh.assignment)
+    assignment[v] = shade
+    return replace(sh, assignment=tuple(assignment))
+
+
+def corruptions(chi, sh, W, r, s):
+    """(label, chi, sh, W, r, s) with one backbone invariant broken."""
+    piece = W.pieces()[0]
+    ci, cj = piece.shade_pair
+    x, y = piece.X[-1], piece.Y[-1]
+    yield "wrong-colour edge", flip(chi, x, y), sh, W, r, s
+    yield "Y-side shade", chi, reshade(sh, y, (W.color, ci + 1)), W, r, s
+    yield "X-side shade", chi, reshade(sh, x, (W.color, cj)), W, r, s
+    yield "side sizes", chi, sh, W, r + 1, s
+    yield "not disjoint", chi, sh, replace(W, components=W.components + (piece,)), r, s
+    lone = next((c for c in W.components if isinstance(c, IsolatedVertex)), None)
+    if lone is not None:
+        yield "isolated shade", chi, reshade(sh, lone.v, (other(W.color), 1)), W, r, s
+
+
+def test_validate_w_rejects_corrupted_backbones_like_the_reference(runs):
+    checked = set()
+    for label, chi, sh, spec, (_, (W, _, _)) in runs:
+        if W[0] != "ok" or not W[1].pieces():
+            continue
+        for what, chi2, sh2, W2, r, s in corruptions(chi, sh, W[1], spec.r, spec.s):
+            want = outcome(ref.validate_w, chi2, sh2, W2, r, s)
+            assert want[0] == "error", (label, what)
+            assert outcome(validate_w, chi2, sh2, W2, r, s) == want, (label, what)
+            checked.add(what)
+    assert len(checked) == 6, checked
+
+
+@pytest.mark.parametrize("bad", [-1, -5, 40, 41])
+@pytest.mark.parametrize("where", ["isolated", "X", "Y"])
+def test_validate_w_rejects_backbone_vertices_outside_the_host(bad, where):
+    n = 40
+    chi = two_class_host(random.Random(1), 10, n - 10, 0.0)
+    sh = Shading(a=2, assignment=tuple((BLUE, 1) if v < 10 else (RED, 1)
+                                       for v in range(n)), min_count=2)
+    if where == "isolated":
+        comp = IsolatedVertex(bad, 1)
+    else:
+        X, Y = ((bad,), (20,)) if where == "X" else ((0,), (bad,))
+        comp = BipartitePiece(X, Y, (1, 1))
+    with pytest.raises(ValueError, match="backbone vertex outside the host"):
+        validate_w(chi, sh, WStructure(RED, (comp,)), 1, 1)
+
+
+def planted():
+    rng = random.Random(3)
+    chi = two_class_host(rng, 10, 20, 0.05)
+    sh = Shading(a=2, assignment=tuple((BLUE, 1) if v < 10 else (RED, 1)
+                                       for v in range(30)), min_count=2)
+    spec = HPrefixSpec.omega_factor(complete_bipartite(1, 2), 4, (0,))
+    W = build_W(chi, sh, spec.r, spec.s, max_pieces=2)
+    state = embed(chi, sh, W, spec, budget=300)
+    assert verify_embedding(state, chi, spec, W).passed
+    return chi, spec, W, state
+
+
+def test_verify_embedding_reports_an_edge_mapped_to_one_vertex():
+    chi, spec, W, state = planted()
+    u, v = min(spec.graph().edges)
+    assert u in state.phi and v in state.phi
+    state.phi[v] = state.phi[u]
+    with pytest.raises(ValueError, match="two distinct vertices"):
+        ref.verify_embedding(state, chi, spec, W)
+    report = verify_embedding(state, chi, spec, W)
+    assert not report.passed
+    assert "phi is not injective" in report.failures
+    assert f"edge {(u, v)} maps to a non-{state.color} edge" in report.failures
+
+
+@pytest.mark.parametrize("bad", [-1, 30, 99])
+def test_verify_embedding_reports_images_outside_the_host(bad):
+    chi, spec, W, state = planted()
+    state.phi[min(state.phi)] = bad
+    report = verify_embedding(state, chi, spec, W)
+    assert not report.passed
+    assert "phi maps outside the host 0..29" in report.failures
+    assert report.density is not None
+
+
+def test_colored_degree_profile_equals_the_set_formula():
+    rng = random.Random(11)
+    hosts = []
+    for n in (1, 2, 5, 17, 40):
+        vc = random_vertex_colors(rng, n)
+        hosts.append(TwoColoring(n, "leftmost", vertex_colors=vc))
+        hosts.append(TwoColoring(n, "modular", modulus=rng.randint(2, 6), vertex_colors=vc))
+        red = frozenset((u, v) for u in range(n) for v in range(u + 1, n)
+                        if rng.random() < rng.random())
+        hosts.append(TwoColoring(n, "explicit", red_edges=red, vertex_colors=vc))
+    for chi in hosts:
+        assert colored_degree_profile(chi) == flows_reference.colored_degree_profile(chi)
+    assert any(sum(colored_degree_profile(chi).degrees) for chi in hosts)

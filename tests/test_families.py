@@ -8,7 +8,7 @@ from ramseydensity.families import (
     Explicit, ExplicitForest, FiniteGraph, Grid, KAryTree, OmegaFactor,
     PathPower, PrefixTooSmallError, complete_bipartite, complete_graph,
     components, default_treecut_delta, doubly_independent_sets, expansion_ratio,
-    min_expansion, mu_bruteforce, parse_family, path_graph, treecut)
+    min_expansion, mu_bruteforce, neighborhood, parse_family, path_graph, treecut)
 from treecut_reference import is_forest_union_find
 
 STAR12 = complete_bipartite(1, 2)  # center 0, leaves 1 and 2
@@ -173,6 +173,18 @@ class TestExpansion:
         with pytest.raises(ValueError):
             expansion_ratio(complete_graph(3), (0, 1))
 
+    @pytest.mark.parametrize("I", [(-1,), (3,), (0, 7), (-3, 2)])
+    def test_expansion_ratio_rejects_vertices_outside_the_graph(self, I):
+        # -1 used to read vertex 2's neighbours: expansion_ratio(P3, [-1]) was 1
+        with pytest.raises(ValueError, match="outside 0..2"):
+            expansion_ratio(path_graph(3), I)
+
+    def test_neighborhood_rejects_vertices_outside_the_adjacency(self):
+        adj = path_graph(4).adjacency()
+        assert neighborhood(adj, (1, 3)) == {0, 2}
+        with pytest.raises(ValueError, match=r"vertices \[-2, 4\] lie outside 0..3"):
+            neighborhood(adj, (1, -2, 4))
+
     def test_grid_checkerboard_window(self):
         # checkerboard of a 4x4 block: the enclosing-window count bounds the
         # ratio by (2k+2)^2 / ((2k)^2 / 2) - 1 = 3.5 at k = 2
@@ -231,6 +243,18 @@ class TestTreecut:
         star = complete_bipartite(1, 3)
         with pytest.raises(ValueError):
             treecut(star, (1, 2, 3), Fraction(1, 3), Fraction(1, 2), Fraction(1, 4))
+
+    @pytest.mark.parametrize("delta", [0, Fraction(-1, 4), -1])
+    def test_nonpositive_delta_rejected(self, delta):
+        star = complete_bipartite(1, 3)
+        with pytest.raises(ValueError, match="delta must be positive"):
+            treecut(star, (1, 2, 3), Fraction(1, 3), Fraction(1, 2), delta)
+
+    @pytest.mark.parametrize("I", [(-1,), (4,), (1, 9)])
+    def test_independent_set_outside_the_forest_rejected(self, I):
+        star = complete_bipartite(1, 3)
+        with pytest.raises(ValueError, match="outside 0..3"):
+            treecut(star, I, Fraction(1), Fraction(2), Fraction(1, 100))
 
     def test_cycle_rejected(self):
         with pytest.raises(ValueError):

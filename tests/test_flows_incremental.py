@@ -15,7 +15,7 @@ import pytest
 
 import flows_reference as ref
 from ramseydensity import flows
-from ramseydensity.colorings import BLUE, RED, TwoColoring
+from ramseydensity.colorings import BLUE, RED, TwoColoring, other
 from ramseydensity.errors import VerificationError
 from ramseydensity.flows import CapacitatedBipartite, findflow, mfmc
 
@@ -71,17 +71,21 @@ def test_findflow_matches_reference_on_explicit_hosts():
     assert with_flow >= 20 and color_ties >= 20 and t_ties >= 20, (with_flow, color_ties, t_ties)
 
 
-def test_findflow_asks_each_colour_once_per_pair(monkeypatch):
+def test_findflow_reads_one_neighbor_mask_per_prefix_vertex(monkeypatch):
     rng = random.Random(5)
     chi = explicit_host(rng, 30)
-    calls = []
-    original = TwoColoring.color
+    want = ref.findflow(chi, 2, 1)
+    colors, masks = [], []
+    original_color, original_mask = TwoColoring.color, TwoColoring.neighbor_mask
     monkeypatch.setattr(TwoColoring, "color",
-                        lambda self, u, v: calls.append((u, v)) or original(self, u, v))
-    findflow(chi, 2, 1)
-    reds = chi.vertex_colors.count(RED)
-    # one query per (X, Y) pair of each colour's network
-    assert len(calls) == len(set(calls)) == 2 * reds * (chi.n - reds)
+                        lambda self, u, v: colors.append((u, v)) or original_color(self, u, v))
+    monkeypatch.setattr(TwoColoring, "neighbor_mask",
+                        lambda self, v, c: masks.append((v, c)) or original_mask(self, v, c))
+    assert findflow(chi, 2, 1) == want
+    # vertex y joins the prefix side of the other colour's network once and
+    # brings its edges to that network's X side in one mask of that colour
+    assert colors == []
+    assert masks == [(y, other(chi.vertex_colors[y])) for y in range(chi.n)]
 
 
 def test_findflow_calls_mfmc_once_and_checks_its_value(monkeypatch):
