@@ -208,6 +208,10 @@ def cmd_shade(args):
 
 def cmd_embed(args):
     from .colorings import Shading
+    for option, value, least in (("--host-size", args.host_size, 1), ("--copies", args.copies, 1),
+                                 ("--r", args.r, 1), ("--s", args.s, 1), ("--budget", args.budget, 0)):
+        if value < least:
+            raise ValueError(f"{option} must be at least {least}, got {value}")
     n = args.host_size
     left = set(range(n // 2))
     red = set()
@@ -244,18 +248,16 @@ def cmd_treecut(args):
     lam = Fraction(len(neighborhood(adj, I)), len(I))
     lam_prime = _fraction(args.lam_prime)
     delta = _fraction(args.delta) if args.delta else default_treecut_delta(lam, lam_prime)
-    result = treecut(forest, I, lam, lam_prime, delta)
-    nbhd = neighborhood(adj, result)
-    ok = len(result) <= 2 / delta and len(nbhd) <= lam_prime * len(result)
+    result = treecut(forest, I, lam, lam_prime, delta)  # raises on a failed postcondition
     meta = _meta(args, "treecut")
     _write_json(args.out, meta, {
         "I_prime": list(result),
-        "neighborhood_size": len(nbhd),
+        "neighborhood_size": len(neighborhood(adj, result)),
         "size_bound": _fmt(2 / delta),
         "delta": str(delta),
-        "postconditions_ok": ok,
+        "postconditions_ok": True,
     })
-    return 0 if ok else 2
+    return 0
 
 
 class _Parser(argparse.ArgumentParser):

@@ -439,6 +439,8 @@ def a_good_shading(chi, a, min_count):
     """
     if a < 2:
         raise ValueError("a must be at least 2")
+    if min_count < 1:
+        raise ValueError(f"min_count must be at least 1, got {min_count}")
     red_nb, blue_nb = chi.neighbor_sets(RED), chi.neighbor_sets(BLUE)
     shades = [None] * chi.n
     used = {RED: 0, BLUE: 0}

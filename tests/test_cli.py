@@ -209,6 +209,13 @@ BAD_INPUTS = [
     ["treecut", "--forest", File(STAR), "--independent", "1,2,3", "--lambda-prime", "1/2",
      "--delta=-1/4"],
     ["treecut", "--forest", File(STAR), "--independent", "1,1", "--lambda-prime", "2"],
+    ["embed", "--host-size", "0"],
+    ["embed", "--copies", "0"],
+    ["embed", "--r", "0"],
+    ["embed", "--s", "-1"],
+    ["embed", "--budget", "-1"],
+    ["shade", "--coloring", "modular:3", "--n", "30", "--a", "3", "--min-count", "0"],
+    ["shade", "--coloring", "modular:3", "--n", "30", "--a", "3", "--min-count", "-3"],
 ]
 
 
@@ -225,6 +232,20 @@ def test_bad_input_exits_1_with_one_error_line(argv, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["embed", "--host-size", "0"], "--host-size"),
+    (["embed", "--copies", "0"], "--copies"),
+    (["embed", "--r", "0"], "--r"),
+    (["embed", "--s", "-1"], "--s"),
+    (["embed", "--budget", "-1"], "--budget"),
+    (["shade", "--coloring", "modular:3", "--n", "30", "--a", "3", "--min-count", "0"],
+     "min_count"),
+])
+def test_size_error_names_the_option(argv, name, capsys):
+    assert run(argv) == 1
+    assert f"error: {name} must be at least" in capsys.readouterr().err
 
 
 def test_one_parser_serves_every_call_like_a_fresh_one(tmp_path, capsys):

@@ -81,10 +81,46 @@ class TestHPrefixSpec:
 
     def test_validation_rejects_bad_template(self):
         spec = HPrefixSpec.omega_factor(path_graph(2), 2, (0,))
-        bad = HPrefixSpec(family=spec.family, size=spec.size, psi=spec.psi,
-                          templates={0: (0, 1)}, r=2, s=1)
         with pytest.raises(ValueError):
-            bad.validate()
+            HPrefixSpec(family=spec.family, size=spec.size, psi=spec.psi,
+                        templates={0: (0, 1)}, r=2, s=1)
+
+    @pytest.mark.parametrize("templates", [{-1: (2,), 1: (2,)}, {5: (0,)}])
+    def test_template_keys_must_be_component_ids(self, templates):
+        spec = HPrefixSpec.omega_factor(path_graph(2), 2, (0,))
+        with pytest.raises(ValueError, match="template key"):
+            HPrefixSpec(family=spec.family, size=spec.size, psi=spec.psi,
+                        templates=templates, r=1, s=1)
+
+    def test_spec_is_frozen_after_its_check(self):
+        spec = HPrefixSpec.omega_factor(path_graph(2), 2, (0,))
+        with pytest.raises(TypeError):
+            spec.templates[0] = (1,)
+        listed = HPrefixSpec(family=spec.family, size=spec.size, psi=list(spec.psi),
+                             templates=dict(spec.templates), r=1, s=1)
+        assert isinstance(listed.psi, tuple) and listed == spec
+
+    def test_one_prefix_and_one_check_per_spec(self, monkeypatch):
+        from ramseydensity import embedder
+        from ramseydensity.families import GraphFamily
+        calls = {"prefix": 0, "validate": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(GraphFamily, "prefix", counted("prefix", GraphFamily.prefix))
+        monkeypatch.setattr(embedder.HPrefixSpec, "validate",
+                            counted("validate", embedder.HPrefixSpec.validate))
+        chi = two_class_host(10, 20)
+        sh = low_shading(10, 30)
+        spec = HPrefixSpec.omega_factor(complete_bipartite(1, 2), 4, (1, 2))
+        W = build_W(chi, sh, spec.r, spec.s, max_pieces=3)
+        state = embed(chi, sh, W, spec, budget=300)
+        assert verify_embedding(state, chi, spec, W).passed
+        assert calls == {"prefix": 1, "validate": 1}
 
 
 class TestEmbed:
