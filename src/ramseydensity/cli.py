@@ -163,7 +163,7 @@ def cmd_mfmc(args):
     if not lines:
         raise ValueError("empty graph file")
     nx, ny, m = map(int, lines[0].split())
-    rows = [ln.split() for ln in lines[1:m + 1]]
+    rows = [ln.split() for ln in lines[1:]]
     if len(rows) != m:
         raise ValueError("edge count does not match header")
     edges = frozenset((int(a), nx + int(b)) for a, b in rows)

@@ -49,8 +49,18 @@ class IsolatedVertex:
 
 @dataclass(frozen=True)
 class WStructure:
+    """Backbone for coloring chi, shading sh and piece sizes r, s, checked by
+    validate_w once, at construction; equality is (color, components)."""
+
     color: str
     components: tuple
+    chi: object = field(repr=False, compare=False)
+    sh: object = field(repr=False, compare=False)
+    r: int = field(compare=False)
+    s: int = field(compare=False)
+
+    def __post_init__(self):
+        validate_w(self.chi, self.sh, self, self.r, self.s)
 
     def vertices(self):
         out = set()
@@ -88,6 +98,8 @@ def validate_w(chi, sh, W, r, s):
             for x in comp.X:
                 if sh.shade_of(x) != (other(W.color), cj):
                     raise ValueError("piece X-side shade mismatch")
+            if len(vs) != r + s:  # X and Y lie in different shades
+                raise ValueError("piece side repeats a vertex")
             ys = sum(1 << y for y in comp.Y)
             for x in comp.X:
                 if ys & ~chi.neighbor_mask(x, W.color):
@@ -121,7 +133,7 @@ def build_W(chi, sh, r, s, window=64, max_pieces=None):
     candidate window, optionally capped), then add every unused vertex of the
     color as an isolated component; keep the color with the denser result
     (ties red)."""
-    best = None
+    best = None  # (vertex count, color, components)
     for color in COLORS:
         nb = chi.neighbor_sets(color)
         used = set()
@@ -146,11 +158,11 @@ def build_W(chi, sh, r, s, window=64, max_pieces=None):
                 if v not in used:
                     comps.append(IsolatedVertex(v, ci))
         comps.sort(key=lambda c: min(c.vertices()))
-        W = WStructure(color=color, components=tuple(comps))
-        if best is None or W.density_surrogate(chi.n) > best.density_surrogate(chi.n):
-            best = W
-    validate_w(chi, sh, best, r, s)
-    return best
+        size = sum(len(c.vertices()) for c in comps)
+        if best is None or size > best[0]:
+            best = size, color, tuple(comps)
+    _, color, comps = best
+    return WStructure(color, comps, chi, sh, r, s)
 
 
 @dataclass(frozen=True)
@@ -159,7 +171,8 @@ class HPrefixSpec:
     coloring psi into 1..a, one doubly independent template per component
     (|I| = r, |N(I)| <= s, psi constant a on N(I)), and the component floor b.
     Construction freezes psi and the templates, then builds the prefix graph,
-    its adjacency and its components and validates, once per spec."""
+    its adjacency and its components and validates, once per spec; validate
+    keeps (id, sorted I, sorted N(I)) per template, by id, in template_sets."""
 
     family: object
     size: int
@@ -170,6 +183,7 @@ class HPrefixSpec:
     b: int = 1
     adj: tuple = field(init=False, repr=False, compare=False)
     comps: tuple = field(init=False, repr=False, compare=False)
+    template_sets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         H = self.family.prefix(self.size)
@@ -192,23 +206,28 @@ class HPrefixSpec:
         for u, v in H.edges:
             if self.psi[u] == self.psi[v]:
                 raise ValueError("psi is not a proper coloring")
+        template_sets = []
         for cid, template in self.templates.items():
             if cid not in range(len(self.comps)):
                 raise ValueError(f"template key {cid!r} is not in 0..{len(self.comps) - 1}")
             tset = set(template)
+            if len(tset) != len(template):
+                raise ValueError("template repeats a vertex")
             if len(tset) != self.r:
                 raise ValueError("template size differs from r")
             if not tset <= self.comps[cid]:
                 raise ValueError("template leaves its component")
-            if not H.is_independent(tset):
+            if any(self.adj[v] & tset for v in tset):
                 raise ValueError("template is not independent")
             nbhd = neighborhood(self.adj, tset)
             if len(nbhd) > self.s:
                 raise ValueError("template neighborhood exceeds s")
-            if not H.is_independent(nbhd):
+            if any(self.adj[v] & nbhd for v in nbhd):
                 raise ValueError("template is not doubly independent")
             if any(self.psi[w] != a for w in nbhd):
                 raise ValueError("template neighborhood not colored a")
+            template_sets.append((cid, tuple(sorted(tset)), tuple(sorted(nbhd))))
+        object.__setattr__(self, "template_sets", tuple(sorted(template_sets)))
         return a
 
     @classmethod
@@ -218,7 +237,7 @@ class HPrefixSpec:
         remaining vertices a greedy proper coloring below it."""
         fam = OmegaFactor(factor)
         tset = sorted(set(base_template))
-        adj = factor.adjacency()
+        adj = fam._adj
         nbhd = sorted(neighborhood(adj, tset))
         rest = [v for v in range(factor.n) if v not in nbhd]
         base_psi = {}
@@ -251,9 +270,6 @@ class EmbeddingState:
     steps: int
     t_set_sizes: tuple
 
-    def image(self):
-        return sorted(self.phi.values())
-
     def to_json_dict(self):
         return {"pairs": sorted([int(v), int(x)] for v, x in self.phi.items()),
                 "color": self.color,
@@ -279,7 +295,8 @@ def embed(chi, sh, W, spec: HPrefixSpec, budget):
     if a != sh.a:
         raise ValueError(f"psi uses {a} colors but the shading has a = {sh.a}")
     C = W.color
-    validate_w(chi, sh, W, spec.r, spec.s)
+    if (W.chi, W.sh, W.r, W.s) != (chi, sh, spec.r, spec.s):
+        validate_w(chi, sh, W, spec.r, spec.s)
     j_prime = sh.nonempty_shades(C)
     a_prime = max((len(sh.nonempty_shades(c)) for c in COLORS), default=0)
     if not (sh.a >= a_prime >= spec.b):
@@ -287,7 +304,6 @@ def embed(chi, sh, W, spec: HPrefixSpec, budget):
     if not j_prime:
         raise ValueError("no nonempty shade of the backbone color")
 
-    H = spec.graph()
     adj, comps = spec.adj, spec.comps
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     kappa = {i: j_prime[i % len(j_prime)] for i in range(len(comps))}
@@ -303,7 +319,7 @@ def embed(chi, sh, W, spec: HPrefixSpec, budget):
     t_sizes = []
     incomplete = False
 
-    out_nbrs = {v: [w for w in adj[v] if spec.psi[w] > spec.psi[v]] for v in range(H.n)}
+    out_nbrs = {v: [w for w in adj[v] if spec.psi[w] > spec.psi[v]] for v in range(spec.size)}
     nb = chi.neighbor_sets(C)
 
     def place(v, pool_shade, require_adj_to):
@@ -321,7 +337,7 @@ def embed(chi, sh, W, spec: HPrefixSpec, budget):
 
     def vertex_op():
         nonlocal incomplete
-        v = next((u for u in range(H.n) if u not in phi), None)
+        v = next((u for u in range(spec.size) if u not in phi), None)
         if v is None:
             return False
         k = kappa[comp_of[v]]
@@ -354,7 +370,7 @@ def embed(chi, sh, W, spec: HPrefixSpec, budget):
         return True
 
     def fresh_top_vertex(shade_index):
-        for v in range(H.n):
+        for v in range(spec.size):
             if spec.psi[v] != a or v in phi:
                 continue
             if kappa[comp_of[v]] != shade_index:
@@ -375,11 +391,9 @@ def embed(chi, sh, W, spec: HPrefixSpec, budget):
             used.add(comp.v)
             return True
         ci, _ = comp.shade_pair
-        for cid, template in sorted(spec.templates.items()):
+        for cid, tset, nbhd in spec.template_sets:
             if kappa[cid] != ci:
                 continue
-            tset = sorted(template)
-            nbhd = sorted(neighborhood(adj, tset))
             if any(u in phi for u in tset) or any(u in phi for u in nbhd):
                 continue
             xs, ys = sorted(comp.X), sorted(comp.Y)

@@ -109,7 +109,7 @@ class FiniteGraph:
         if not lines:
             raise ValueError("empty graph text")
         n, m = map(int, lines[0].split())
-        edges = [tuple(map(int, ln.split())) for ln in lines[1:m + 1]]
+        edges = [tuple(map(int, ln.split())) for ln in lines[1:]]
         if len(edges) != m:
             raise ValueError("edge count does not match header")
         return cls(n, frozenset(edges))

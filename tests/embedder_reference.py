@@ -6,15 +6,30 @@ masks: every edge colour is asked one pair at a time through
 ``TwoColoring.color``, ``_find_piece`` carries the common neighbourhood as a
 set, and ``verify_embedding`` lets ``color()`` raise on an edge whose two
 ends map to one host vertex.  Kept only as the oracle for the differential
-tests.
+tests.  The one change since: ``build_W`` holds its candidates in the local
+``Backbone`` record and returns the chosen one as a library ``WStructure``,
+which needs the coloring, shading, r and s it was built for.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from typing import NamedTuple
 
 from ramseydensity.colorings import COLORS, density, other
 from ramseydensity.embedder import (BipartitePiece, EmbeddingState, EmbedReport,
                                     HPrefixSpec, IsolatedVertex, WStructure)
 from ramseydensity.families import components, neighborhood
+
+
+class Backbone(NamedTuple):
+    """A backbone candidate: the color and components of a WStructure."""
+
+    color: str
+    components: tuple
+
+    def density_surrogate(self, n):
+        return Fraction(len(set().union(*(c.vertices() for c in self.components))), n)
 
 
 def validate_w(chi, sh, W, r, s):
@@ -95,11 +110,11 @@ def build_W(chi, sh, r, s, window=64, max_pieces=None):
                 if v not in used:
                     comps.append(IsolatedVertex(v, ci))
         comps.sort(key=lambda c: min(c.vertices()))
-        W = WStructure(color=color, components=tuple(comps))
+        W = Backbone(color=color, components=tuple(comps))
         if best is None or W.density_surrogate(chi.n) > best.density_surrogate(chi.n):
             best = W
     validate_w(chi, sh, best, r, s)
-    return best
+    return WStructure(best.color, best.components, chi, sh, r, s)
 
 
 def embed(chi, sh, W, spec: HPrefixSpec, budget):

@@ -194,6 +194,7 @@ BAD_INPUTS = [
     ["shade", "--coloring", File("2 explicit\n"), "--a", "2"],
     ["mfmc", "--graph", File(""), "--r", "1", "--s", "1"],
     ["mfmc", "--graph", File("2 2 3\n0 0\n1 1\n"), "--r", "1", "--s", "1"],
+    ["mfmc", "--graph", File("2 2 1\n0 0\n1 1\n"), "--r", "1", "--s", "1"],
     ["treecut", "--forest", File(""), "--independent", "0", "--lambda-prime", "1"],
     [],
     ["shade", "--coloring", File("3 explicit\nRXZ\n"), "--a", "2"],
@@ -209,6 +210,8 @@ BAD_INPUTS = [
     ["treecut", "--forest", File(STAR), "--independent", "1,2,3", "--lambda-prime", "1/2",
      "--delta=-1/4"],
     ["treecut", "--forest", File(STAR), "--independent", "1,1", "--lambda-prime", "2"],
+    ["treecut", "--forest", File("4 2\n0 1\n1 2\n2 3\n"), "--independent", "0,2",
+     "--lambda-prime", "2"],
     ["embed", "--host-size", "0"],
     ["embed", "--copies", "0"],
     ["embed", "--r", "0"],
@@ -332,6 +335,7 @@ def test_optimized_interpreter_gives_same_exit_codes_and_artifacts(tmp_path):
         "treecut": ["treecut", "--forest", str(forest), "--independent", "1,2,3,5,6",
                     "--lambda-prime", "3/2"],
         "shade": ["shade", "--coloring", str(coloring), "--a", "3", "--min-count", "3"],
+        "embed": ["embed", "--host-size", "40", "--copies", "4", "--r", "1", "--s", "2"],
     }
     for name, argv in commands.items():
         results = []

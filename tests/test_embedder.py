@@ -7,7 +7,7 @@ from ramseydensity.colorings import BLUE, RED, Shading, TwoColoring
 from ramseydensity.embedder import (
     BipartitePiece, HPrefixSpec, IsolatedVertex, WStructure, build_W,
     embed, verify_embedding)
-from ramseydensity.families import complete_bipartite, path_graph
+from ramseydensity.families import OmegaFactor, complete_bipartite, complete_graph, path_graph
 
 
 def two_class_host(nl, nu, noise=0.0, seed=0):
@@ -81,9 +81,23 @@ class TestHPrefixSpec:
 
     def test_validation_rejects_bad_template(self):
         spec = HPrefixSpec.omega_factor(path_graph(2), 2, (0,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="template is not independent"):
             HPrefixSpec(family=spec.family, size=spec.size, psi=spec.psi,
                         templates={0: (0, 1)}, r=2, s=1)
+        with pytest.raises(ValueError, match="template is not doubly independent"):
+            HPrefixSpec(family=OmegaFactor(complete_graph(3)), size=3, psi=(1, 2, 3),
+                        templates={0: (0,)}, r=1, s=2)
+        spec = HPrefixSpec.omega_factor(complete_bipartite(2, 1), 2, (0, 1))
+        with pytest.raises(ValueError, match="template repeats a vertex"):
+            HPrefixSpec(family=spec.family, size=spec.size, psi=spec.psi,
+                        templates={0: (0, 0, 1)}, r=2, s=1)
+
+    def test_template_sets_hold_sorted_I_and_N_I_by_component(self):
+        spec = HPrefixSpec.omega_factor(complete_bipartite(2, 1), 2, (1, 0))
+        assert spec.template_sets == ((0, (0, 1), (2,)), (1, (3, 4), (5,)))
+        shuffled = HPrefixSpec(family=spec.family, size=spec.size, psi=spec.psi,
+                               templates={1: (4, 3), 0: (1, 0)}, r=2, s=1)
+        assert shuffled.template_sets == spec.template_sets
 
     @pytest.mark.parametrize("templates", [{-1: (2,), 1: (2,)}, {5: (0,)}])
     def test_template_keys_must_be_component_ids(self, templates):
@@ -124,6 +138,24 @@ class TestHPrefixSpec:
 
 
 class TestEmbed:
+    def test_one_backbone_check_per_embedding(self, monkeypatch):
+        from ramseydensity import embedder
+        calls = []
+        original = embedder.validate_w
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(embedder, "validate_w", counted)
+        chi = two_class_host(10, 20)
+        sh = low_shading(10, 30)
+        spec = HPrefixSpec.omega_factor(complete_bipartite(1, 2), 4, (1, 2))
+        W = build_W(chi, sh, spec.r, spec.s, max_pieces=3)
+        state = embed(chi, sh, W, spec, budget=300)
+        assert verify_embedding(state, chi, spec, W).passed
+        assert len(calls) == 1
+
     def test_trivial_all_red_single_copy_components(self):
         n = 12
         chi = TwoColoring(n, "explicit",

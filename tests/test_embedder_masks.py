@@ -4,11 +4,12 @@ in ``embedder_reference`` and ``flows_reference``.
 ``build_W``, ``embed`` and ``verify_embedding`` must return equal backbones,
 states and reports (or raise the same error) on seeded noisy two-class
 hosts, as in the benchmark's embedding jobs, and on leftmost and modular
-hosts shaded by ``a_good_shading``; ``validate_w`` must reject a corrupted
-backbone with the reference's message.  Out-of-range backbone vertices and
-images, and a pattern edge whose two ends map to one host vertex, are the
-cases where the two differ on purpose: the reference wraps negative ids or
-lets ``color()`` raise, the library rejects or reports them.
+hosts shaded by ``a_good_shading``; building a corrupted backbone must
+raise the reference ``validate_w``'s message.  Out-of-range backbone
+vertices and images, a piece side that repeats a vertex, and a pattern edge
+whose two ends map to one host vertex are the cases where the two differ on
+purpose: the reference wraps negative ids, accepts the repeat or lets
+``color()`` raise, the library rejects or reports them.
 """
 
 import random
@@ -149,18 +150,20 @@ def reshade(sh, v, shade):
 
 
 def corruptions(chi, sh, W, r, s):
-    """(label, chi, sh, W, r, s) with one backbone invariant broken."""
+    """(label, chi, sh, components, r, s): W's components with one backbone
+    invariant broken."""
     piece = W.pieces()[0]
     ci, cj = piece.shade_pair
     x, y = piece.X[-1], piece.Y[-1]
-    yield "wrong-colour edge", flip(chi, x, y), sh, W, r, s
-    yield "Y-side shade", chi, reshade(sh, y, (W.color, ci + 1)), W, r, s
-    yield "X-side shade", chi, reshade(sh, x, (W.color, cj)), W, r, s
-    yield "side sizes", chi, sh, W, r + 1, s
-    yield "not disjoint", chi, sh, replace(W, components=W.components + (piece,)), r, s
-    lone = next((c for c in W.components if isinstance(c, IsolatedVertex)), None)
+    comps = W.components
+    yield "wrong-colour edge", flip(chi, x, y), sh, comps, r, s
+    yield "Y-side shade", chi, reshade(sh, y, (W.color, ci + 1)), comps, r, s
+    yield "X-side shade", chi, reshade(sh, x, (W.color, cj)), comps, r, s
+    yield "side sizes", chi, sh, comps, r + 1, s
+    yield "not disjoint", chi, sh, comps + (piece,), r, s
+    lone = next((c for c in comps if isinstance(c, IsolatedVertex)), None)
     if lone is not None:
-        yield "isolated shade", chi, reshade(sh, lone.v, (other(W.color), 1)), W, r, s
+        yield "isolated shade", chi, reshade(sh, lone.v, (other(W.color), 1)), comps, r, s
 
 
 def test_validate_w_rejects_corrupted_backbones_like_the_reference(runs):
@@ -168,10 +171,11 @@ def test_validate_w_rejects_corrupted_backbones_like_the_reference(runs):
     for label, chi, sh, spec, (_, (W, _, _)) in runs:
         if W[0] != "ok" or not W[1].pieces():
             continue
-        for what, chi2, sh2, W2, r, s in corruptions(chi, sh, W[1], spec.r, spec.s):
-            want = outcome(ref.validate_w, chi2, sh2, W2, r, s)
+        color = W[1].color
+        for what, chi2, sh2, comps, r, s in corruptions(chi, sh, W[1], spec.r, spec.s):
+            want = outcome(ref.validate_w, chi2, sh2, ref.Backbone(color, comps), r, s)
             assert want[0] == "error", (label, what)
-            assert outcome(validate_w, chi2, sh2, W2, r, s) == want, (label, what)
+            assert outcome(WStructure, color, comps, chi2, sh2, r, s) == want, (label, what)
             checked.add(what)
     assert len(checked) == 6, checked
 
@@ -189,7 +193,27 @@ def test_validate_w_rejects_backbone_vertices_outside_the_host(bad, where):
         X, Y = ((bad,), (20,)) if where == "X" else ((0,), (bad,))
         comp = BipartitePiece(X, Y, (1, 1))
     with pytest.raises(ValueError, match="backbone vertex outside the host"):
-        validate_w(chi, sh, WStructure(RED, (comp,)), 1, 1)
+        WStructure(RED, (comp,), chi, sh, 1, 1)
+
+
+@pytest.mark.parametrize("X,Y,r,s", [((0, 0), (20,), 2, 1), ((0,), (20, 20), 1, 2)])
+def test_a_piece_side_that_repeats_a_vertex_is_rejected(X, Y, r, s):
+    chi, _, W, _ = planted()
+    piece = BipartitePiece(X, Y, (1, 1))
+    assert ref.validate_w(chi, W.sh, ref.Backbone(RED, (piece,)), r, s) is None
+    with pytest.raises(ValueError, match="piece side repeats a vertex"):
+        WStructure(RED, (piece,), chi, W.sh, r, s)
+
+
+def test_embed_checks_a_backbone_built_for_another_host():
+    chi, spec, W, _ = planted()
+    piece = W.pieces()[0]
+    others = [(flip(chi, piece.X[0], piece.Y[0]), W.sh),
+              (chi, reshade(W.sh, piece.Y[0], (RED, 2)))]
+    for chi2, sh2 in others:
+        want = outcome(validate_w, chi2, sh2, W, spec.r, spec.s)
+        assert want[0] == "error"
+        assert outcome(embed, chi2, sh2, W, spec, 300) == want
 
 
 def planted():

@@ -19,6 +19,11 @@ class TestFiniteGraph:
         g = FiniteGraph(4, frozenset({(0, 1), (2, 3), (1, 2)}))
         assert FiniteGraph.from_text(g.to_text()) == g
 
+    @pytest.mark.parametrize("text", ["4 2\n0 1\n1 2\n2 3\n", "4 3\n0 1\n1 2\n"])
+    def test_from_text_rejects_a_row_count_other_than_the_header(self, text):
+        with pytest.raises(ValueError, match="edge count does not match header"):
+            FiniteGraph.from_text(text)
+
     def test_rejects_bad_edges(self):
         with pytest.raises(ValueError):
             FiniteGraph(3, frozenset({(0, 3)}))
