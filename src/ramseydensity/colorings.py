@@ -39,7 +39,8 @@ class TwoColoring:
     at construction).  vertex_colors may also accompany modular/explicit
     colorings when a total coloring is needed.  Explicit and modular colorings
     store their n red-neighbor masks in red_masks, a leftmost one only the
-    mask of its red vertices in red_vertices.
+    mask of its red vertices in red_vertices.  from_text reads an explicit
+    colour line straight into red_masks, without a list of red pairs.
     """
 
     n: int
@@ -127,19 +128,41 @@ class TwoColoring:
         if rule == "leftmost" and len(lines) < 2:
             raise ValueError("leftmost coloring has no color line")
         if rule == "leftmost":
-            return cls(n, "leftmost", vertex_colors=tuple(lines[1].strip()))
-        if rule.startswith("modular:"):
-            return cls(n, "modular", modulus=int(rule.split(":")[1]))
-        if rule == "explicit":
+            chi = cls(n, "leftmost", vertex_colors=tuple(lines[1].strip()))
+        elif rule.startswith("modular:"):
+            chi = cls(n, "modular", modulus=int(rule.split(":")[1]))
+        elif rule == "explicit":
             chars = lines[1].strip() if len(lines) > 1 else ""  # n = 1 writes an empty line
             if len(chars) != n * (n - 1) // 2:
                 raise ValueError(f"explicit coloring of {n} vertices needs "
                                  f"{n * (n - 1) // 2} edge colors, got {len(chars)}")
-            if set(chars) - set(COLORS):
+            if chars.translate(_DROP_COLORS):
                 raise ValueError("explicit coloring may only contain R and B")
-            pairs = ((u, v) for u in range(n) for v in range(u + 1, n))
-            return cls(n, "explicit", red_edges=[p for p, c in zip(pairs, chars) if c == RED])
-        raise ValueError(f"unknown rule {rule!r}")
+            chi = cls(n, "explicit", red_edges=())  # checks n; the masks come next
+            object.__setattr__(chi, "red_masks", _masks_from_upper_triangle(n, chars))
+        else:
+            raise ValueError(f"unknown rule {rule!r}")
+        if len(lines) > (1 if chi.rule == "modular" else 2):
+            where = "header" if chi.rule == "modular" else "color line"
+            raise ValueError(f"{rule} coloring has extra lines after its {where}")
+        return chi
+
+
+_DROP_COLORS = str.maketrans("", "", RED + BLUE)
+_COLOR_BITS = str.maketrans(RED + BLUE, "10")
+
+
+def _masks_from_upper_triangle(n, chars):
+    """Red-neighbor masks from the colors of the pairs (u, v), u < v, listed
+    row by row: row u is padded on the left with u+1 blues into an n x n
+    string, so column v above the diagonal is the strided slice big[v:v*n:n]."""
+    rows, start = [], 0
+    for u in range(n):
+        rows.append(chars[start:start + n - u - 1])
+        start += n - u - 1
+    big = "".join(BLUE * (u + 1) + row for u, row in enumerate(rows))
+    return tuple(int((big[v:v * n:n] + BLUE + rows[v])[::-1].translate(_COLOR_BITS), 2)
+                 for v in range(n))
 
 
 def clique_coloring(a, n):
@@ -408,21 +431,30 @@ class Shading:
 
     assignment[v] is (color, index) with color "R"/"B" and 1 <= index <= a,
     or ("X", 0).  min_count records the surrogate floor used at construction
-    time (the verifier's pass threshold).
+    time (the verifier's pass threshold).  Construction indexes the vertices
+    of each shade once, in increasing order; equality and hashing ignore the
+    index.
     """
 
     a: int
     assignment: tuple
     min_count: int
+    _members: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        index = {}
+        for v, sh in enumerate(self.assignment):
+            index.setdefault(sh, []).append(v)
+        object.__setattr__(self, "_members", index)
 
     def members(self, color, index):
-        return [v for v, sh in enumerate(self.assignment) if sh == (color, index)]
+        return list(self._members.get((color, index), ()))
 
     def residual(self):
-        return [v for v, sh in enumerate(self.assignment) if sh[0] == "X"]
+        return sorted(v for (c, _), vs in self._members.items() if c == "X" for v in vs)
 
     def nonempty_shades(self, color):
-        return sorted({idx for c, idx in self.assignment if c == color})
+        return sorted(idx for c, idx in self._members if c == color)
 
     def shade_of(self, v):
         return self.assignment[v]

@@ -8,7 +8,9 @@ set, and ``verify_embedding`` lets ``color()`` raise on an edge whose two
 ends map to one host vertex.  Kept only as the oracle for the differential
 tests.  The one change since: ``build_W`` holds its candidates in the local
 ``Backbone`` record and returns the chosen one as a library ``WStructure``,
-which needs the coloring, shading, r and s it was built for.
+which needs the coloring, shading, r and s it was built for.  Shade
+members and nonempty shades are rescans of ``sh.assignment`` (``members``,
+``nonempty_shades``), so the oracle does not share ``Shading``'s index.
 """
 
 from __future__ import annotations
@@ -30,6 +32,16 @@ class Backbone(NamedTuple):
 
     def density_surrogate(self, n):
         return Fraction(len(set().union(*(c.vertices() for c in self.components))), n)
+
+
+def members(sh, color, index):
+    """Vertices of shade (color, index), rescanned from the assignment."""
+    return [v for v, shade in enumerate(sh.assignment) if shade == (color, index)]
+
+
+def nonempty_shades(sh, color):
+    """Indices of the nonempty shades of one color, rescanned."""
+    return sorted({idx for c, idx in sh.assignment if c == color})
 
 
 def validate_w(chi, sh, W, r, s):
@@ -91,11 +103,11 @@ def build_W(chi, sh, r, s, window=64, max_pieces=None):
         used = set()
         comps = []
         pieces = 0
-        for ci in sh.nonempty_shades(color):
-            for cj in sh.nonempty_shades(other(color)):
+        for ci in nonempty_shades(sh, color):
+            for cj in nonempty_shades(sh, other(color)):
                 while max_pieces is None or pieces < max_pieces:
-                    ys_pool = [v for v in sh.members(color, ci) if v not in used]
-                    xs_pool = [v for v in sh.members(other(color), cj) if v not in used]
+                    ys_pool = [v for v in members(sh, color, ci) if v not in used]
+                    xs_pool = [v for v in members(sh, other(color), cj) if v not in used]
                     if len(ys_pool) < s or len(xs_pool) < r:
                         break
                     got = _find_piece(chi, color, xs_pool, ys_pool, r, s, window)
@@ -105,8 +117,8 @@ def build_W(chi, sh, r, s, window=64, max_pieces=None):
                     comps.append(BipartitePiece(tuple(X), tuple(Y), (ci, cj)))
                     used |= set(X) | set(Y)
                     pieces += 1
-        for ci in sh.nonempty_shades(color):
-            for v in sh.members(color, ci):
+        for ci in nonempty_shades(sh, color):
+            for v in members(sh, color, ci):
                 if v not in used:
                     comps.append(IsolatedVertex(v, ci))
         comps.sort(key=lambda c: min(c.vertices()))
@@ -136,8 +148,8 @@ def embed(chi, sh, W, spec: HPrefixSpec, budget):
         raise ValueError(f"psi uses {a} colors but the shading has a = {sh.a}")
     C = W.color
     validate_w(chi, sh, W, spec.r, spec.s)
-    j_prime = sh.nonempty_shades(C)
-    a_prime = max((len(sh.nonempty_shades(c)) for c in COLORS), default=0)
+    j_prime = nonempty_shades(sh, C)
+    a_prime = max((len(nonempty_shades(sh, c)) for c in COLORS), default=0)
     if not (sh.a >= a_prime >= spec.b):
         raise ValueError("need a >= a' >= b")
     if not j_prime:
@@ -163,7 +175,7 @@ def embed(chi, sh, W, spec: HPrefixSpec, budget):
     out_nbrs = {v: [w for w in adj[v] if spec.psi[w] > spec.psi[v]] for v in range(H.n)}
 
     def place(v, pool_shade, require_adj_to):
-        for x in sh.members(*pool_shade):
+        for x in members(sh, *pool_shade):
             if x in used or x in reserved:
                 continue
             if all(chi.color(x, t) == C for t in require_adj_to):

@@ -5,8 +5,11 @@
 red-neighbour bitmask per vertex: neighbourhoods are Python sets built from
 O(n^2) ``color()`` calls, and common neighbourhoods are set intersections
 with ``- {v}`` and ``- set(S)`` corrections.  ``rule_color`` is the rule
-dispatch ``TwoColoring.color`` used to do.  They are kept only as oracles
-for the differential tests.
+dispatch ``TwoColoring.color`` used to do, and ``from_text`` the parse that
+read an explicit file into its list of red pairs before building the masks.
+Shade members are rescans of ``sh.assignment`` (``members``), so the oracle
+does not share ``Shading``'s index.  They are kept only as oracles for the
+differential tests.
 """
 
 from __future__ import annotations
@@ -14,7 +17,40 @@ from __future__ import annotations
 import math
 import random
 
-from ramseydensity.colorings import BLUE, COLORS, RED, Shading, ShadingReport, other
+from ramseydensity.colorings import (BLUE, COLORS, RED, Shading, ShadingReport, TwoColoring,
+                                     other)
+
+
+def members(sh, color, index):
+    """Vertices of shade (color, index), rescanned from the assignment."""
+    return [v for v, shade in enumerate(sh.assignment) if shade == (color, index)]
+
+
+def from_text(text):
+    """Coloring text to TwoColoring; an explicit colour line becomes its
+    list of red pairs (u, v), u < v, handed to ``red_edges``.  Lines past
+    the one the rule needs are ignored."""
+    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty coloring text")
+    n_str, rule = lines[0].split()
+    n = int(n_str)
+    if rule == "leftmost" and len(lines) < 2:
+        raise ValueError("leftmost coloring has no color line")
+    if rule == "leftmost":
+        return TwoColoring(n, "leftmost", vertex_colors=tuple(lines[1].strip()))
+    if rule.startswith("modular:"):
+        return TwoColoring(n, "modular", modulus=int(rule.split(":")[1]))
+    if rule == "explicit":
+        chars = lines[1].strip() if len(lines) > 1 else ""
+        if len(chars) != n * (n - 1) // 2:
+            raise ValueError(f"explicit coloring of {n} vertices needs "
+                             f"{n * (n - 1) // 2} edge colors, got {len(chars)}")
+        if set(chars) - set(COLORS):
+            raise ValueError("explicit coloring may only contain R and B")
+        pairs = ((u, v) for u in range(n) for v in range(u + 1, n))
+        return TwoColoring(n, "explicit", red_edges=[p for p, c in zip(pairs, chars) if c == RED])
+    raise ValueError(f"unknown rule {rule!r}")
 
 
 def rule_color(chi, red_edges, u, v):
@@ -98,14 +134,14 @@ def verify_shading(chi, sh, sample_size, subset_cap, seed):
 
     for color in COLORS:
         for i in range(1, sh.a):
-            same = sh.members(color, i)
-            upper = list(sh.members(color, sh.a))
+            same = members(sh, color, i)
+            upper = list(members(sh, color, sh.a))
             for j in range(i + 1, sh.a):
-                upper += sh.members(other(color), j)
+                upper += members(sh, other(color), j)
             cases = []
             if same:
                 cases.append((same, same, "within-shade"))
-            opp_target = sh.members(other(color), i)
+            opp_target = members(sh, other(color), i)
             if upper and opp_target:
                 cases.append((upper, opp_target, "upper-into-opposite"))
             for pool, target, label in cases:

@@ -219,6 +219,9 @@ BAD_INPUTS = [
     ["embed", "--budget", "-1"],
     ["shade", "--coloring", "modular:3", "--n", "30", "--a", "3", "--min-count", "0"],
     ["shade", "--coloring", "modular:3", "--n", "30", "--a", "3", "--min-count", "-3"],
+    ["findflow", "--coloring", File("4 leftmost\nRRRR\nBBBB\n"), "--r", "1", "--s", "1"],
+    ["shade", "--coloring", File("3 explicit\nRRB\nBBB\n"), "--a", "2"],
+    ["shade", "--coloring", File("3 modular:3\nRRR\n"), "--n", "30", "--a", "3"],
 ]
 
 
