@@ -21,8 +21,8 @@ from fractions import Fraction
 from . import __version__
 # adversary() runs verify_adversary and raises on any violation, so nothing
 # here calls it again; it stays importable from this module
-from .colorings import (TwoColoring, a_good_shading, adversary,
-                        clique_coloring, verify_adversary, verify_shading)
+from .colorings import (TwoColoring, a_good_shading, adversary, clique_coloring,
+                        color_masks, verify_adversary, verify_shading)
 from .embedder import HPrefixSpec, build_W, embed, verify_embedding
 from .errors import VerificationError
 from .families import (FiniteGraph, complete_bipartite, default_treecut_delta,
@@ -90,20 +90,27 @@ def _fraction(text):
 def _parse_pl(spec_text):
     """zero | linear:slope | sigma:lambda:periods | file:<path with 'x y' rows>"""
     kind, _, rest = spec_text.partition(":")
+
+    def finite(text):
+        x = float(text)
+        if not math.isfinite(x):
+            raise ValueError(f"--g {spec_text}: {text.strip()} is not a finite number")
+        return x
+
     if kind == "zero":
         return PLFunction.zero()
     if kind == "linear":
-        return PLFunction.linear(float(rest))
+        return PLFunction.linear(finite(rest))
     if kind == "sigma":
         from .lipschitz import GammaParam, sigma_g
         lam_s, _, periods_s = rest.partition(":")
-        return sigma_g(GammaParam.from_lambda(float(lam_s)), int(periods_s or 8))
+        return sigma_g(GammaParam.from_lambda(finite(lam_s)), int(periods_s or 8))
     if kind == "file":
         pts = []
         with open(rest, encoding="utf-8") as fh:
             for line in fh:
                 if line.strip():
-                    x, y = map(float, line.split())
+                    x, y = map(finite, line.split())
                     pts.append((x, y))
         return PLFunction.from_points(pts)
     raise ValueError(f"unknown function spec {spec_text!r}")
@@ -163,6 +170,8 @@ def cmd_mfmc(args):
     if not lines:
         raise ValueError("empty graph file")
     nx, ny, m = map(int, lines[0].split())
+    if min(nx, ny, m) < 0:
+        raise ValueError(f"header 'nx ny m' must be nonnegative, got {lines[0].strip()!r}")
     rows = [ln.split() for ln in lines[1:]]
     if len(rows) != m:
         raise ValueError("edge count does not match header")
@@ -192,8 +201,9 @@ def cmd_shade(args):
     else:
         with open(args.coloring, encoding="utf-8") as fh:
             chi = TwoColoring.from_text(fh.read())
-    sh = a_good_shading(chi, args.a, args.min_count)
-    report = verify_shading(chi, sh, args.sample_size, args.subset_cap, _seed_of(args))
+    nb = color_masks(chi)  # both steps read the same masks; they go with the job
+    sh = a_good_shading(chi, args.a, args.min_count, nb=nb)
+    report = verify_shading(chi, sh, args.sample_size, args.subset_cap, _seed_of(args), nb=nb)
     meta = _meta(args, "shade")
     _write_json(args.out, meta, {
         "a": args.a,
@@ -249,11 +259,16 @@ def cmd_treecut(args):
     lam_prime = _fraction(args.lam_prime)
     delta = _fraction(args.delta) if args.delta else default_treecut_delta(lam, lam_prime)
     result = treecut(forest, I, lam, lam_prime, delta)  # raises on a failed postcondition
+    try:
+        size_bound = _fmt(2 / delta)
+    except OverflowError:
+        raise ValueError("delta is too small: the size bound 2/delta does not fit "
+                         "in a float") from None
     meta = _meta(args, "treecut")
     _write_json(args.out, meta, {
         "I_prime": list(result),
         "neighborhood_size": len(neighborhood(adj, result)),
-        "size_bound": _fmt(2 / delta),
+        "size_bound": size_bound,
         "delta": str(delta),
         "postconditions_ok": True,
     })

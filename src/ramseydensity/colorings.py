@@ -460,20 +460,29 @@ class Shading:
         return self.assignment[v]
 
 
-def a_good_shading(chi, a, min_count):
+def color_masks(chi):
+    """Both colors' neighbor masks, ``{color: chi.neighbor_sets(color)}``."""
+    return {color: chi.neighbor_sets(color) for color in COLORS}
+
+
+def a_good_shading(chi, a, min_count, *, nb=None):
     """Shade-assigning algorithm with a finite surrogate for "infinite".
 
     Each round colors the unshaded vertices greedily (every vertex takes the
     color keeping the larger running common neighborhood, ties toward red),
     then freezes the dominant color as the next shade of that color.  Reaching
     shade a-1 dumps the rest into the opposite color's shade a; pools of
-    fewer than min_count vertices and leftovers end in X.
+    fewer than min_count vertices and leftovers end in X.  ``nb`` maps each
+    color to ``chi.neighbor_sets(color)``; a caller that has built them
+    passes them in, and they are built here otherwise.
     """
     if a < 2:
         raise ValueError("a must be at least 2")
     if min_count < 1:
         raise ValueError(f"min_count must be at least 1, got {min_count}")
-    red_nb, blue_nb = chi.neighbor_sets(RED), chi.neighbor_sets(BLUE)
+    if nb is None:
+        nb = color_masks(chi)
+    red_nb, blue_nb = nb[RED], nb[BLUE]
     shades = [None] * chi.n
     used = {RED: 0, BLUE: 0}
     remaining = list(range(chi.n))
@@ -517,7 +526,7 @@ class ShadingReport:
     failures: tuple
 
 
-def verify_shading(chi, sh, sample_size, subset_cap, seed):
+def verify_shading(chi, sh, sample_size, subset_cap, seed, *, nb=None):
     """Sample finite subsets S per property and count common color-C
     neighbors in the target shade.
 
@@ -525,12 +534,14 @@ def verify_shading(chi, sh, sample_size, subset_cap, seed):
     C_a together with the higher opposite shades, targets the opposite
     color's shade i (the common neighborhoods the embedding consumes).
     Passes iff the smallest count found is at least the construction floor.
+    ``nb`` is as in ``a_good_shading``.
     """
     for name, value in (("sample_size", sample_size), ("subset_cap", subset_cap)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     rng = random.Random(seed)
-    nb = {RED: chi.neighbor_sets(RED), BLUE: chi.neighbor_sets(BLUE)}
+    if nb is None:
+        nb = color_masks(chi)
     min_found = None
     samples = 0
     failures = []

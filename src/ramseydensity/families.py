@@ -48,6 +48,25 @@ def components(adj, vertices):
     return comps
 
 
+def _count_components(adj):
+    """Number of connected components of the graph on 0..len(adj)-1 whose
+    vertex v has neighbours adj[v]."""
+    seen = [False] * len(adj)
+    count = 0
+    for v in range(len(adj)):
+        if seen[v]:
+            continue
+        count += 1
+        seen[v] = True
+        stack = [v]
+        while stack:
+            for w in adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+    return count
+
+
 def neighborhood(adj, vertices):
     """N(S): vertices outside S with a neighbor in S; ``adj[v]`` lists the
     neighbors of v, for v in 0..len(adj)-1."""
@@ -96,7 +115,7 @@ class FiniteGraph:
         return neighborhood(self.adjacency(), vertices)
 
     def is_forest(self):
-        return len(self.edges) == self.n - len(components(self.adjacency(), range(self.n)))
+        return len(self.edges) == self.n - _count_components(self.adjacency())
 
     def to_text(self):
         lines = [f"{self.n} {len(self.edges)}"]
@@ -387,6 +406,36 @@ def default_treecut_delta(lam, lam_prime):
     return min(Fraction(1, 4), gap / 4, gap / (2 * (2 * lam + gap) * (1 + lam)))
 
 
+def _preorder_components(order, parent, removed, in_i):
+    """Components of a rooted forest after deleting the vertices flagged in
+    ``removed``, read off ``order``, a preorder of the part to split: a
+    vertex joins its parent's component unless the parent is deleted or it
+    has none (``parent[v] < 0``).  Returns the per-vertex component labels
+    (-1 where none) and, per component, its number of vertices with and
+    without an ``in_i`` flag and its least vertex."""
+    label = [-1] * len(parent)
+    count_i, count_j, least = [], [], []
+    for v in order:
+        if removed[v]:
+            continue
+        p = parent[v]
+        if p < 0 or removed[p]:
+            k = len(least)
+            count_i.append(0)
+            count_j.append(0)
+            least.append(v)
+        else:
+            k = label[p]
+            if v < least[k]:
+                least[k] = v
+        label[v] = k
+        if in_i[v]:
+            count_i[k] += 1
+        else:
+            count_j[k] += 1
+    return label, count_i, count_j, least
+
+
 def treecut(forest: FiniteGraph, I, lam, lam_prime, delta):
     """Extract I' subseteq I with |I'| <= 2/delta and |N(I')| <= lam_prime*|I'|
     from an independent set with |N(I)| <= lam*|I| in a forest.
@@ -395,9 +444,10 @@ def treecut(forest: FiniteGraph, I, lam, lam_prime, delta):
     I-vertex; bottom-up, delete every vertex whose subtree, after the
     deletions below it, has at least 1/delta vertices; close the deleted set
     under parents of its N(I) part; pick the component of lowest
-    |C cap J|/|C cap I| ratio; if it is big, split at its unique deleted-J
-    vertex and take the shortest prefix of the pieces in increasing ratio
-    order that collects at least 1/delta I-vertices.
+    |C cap J|/|C cap I| ratio (ties to the least vertex) in one linear scan;
+    if it is big, split at its unique deleted-J vertex and take the shortest
+    prefix of the pieces in increasing ratio order that collects at least
+    1/delta I-vertices.
     """
     lam, lam_prime, delta = Fraction(lam), Fraction(lam_prime), Fraction(delta)
     if delta <= 0:
@@ -408,7 +458,7 @@ def treecut(forest: FiniteGraph, I, lam, lam_prime, delta):
     # built once per call for the forest test, N(I), the subforest and N(I');
     # kept on the graph, it would live as long as every forest a caller holds
     full_adj = forest.adjacency()
-    if len(forest.edges) != forest.n - len(components(full_adj, range(forest.n))):
+    if len(forest.edges) != forest.n - _count_components(full_adj):
         raise ValueError("input graph is not acyclic")
     if not forest.is_independent(I):
         raise ValueError("I is not independent")
@@ -421,91 +471,100 @@ def treecut(forest: FiniteGraph, I, lam, lam_prime, delta):
     if delta + lam_dd >= lam_prime:
         raise ValueError(
             f"delta too large: delta + lam/(1-2*delta*(1+lam)) = {delta + lam_dd} >= {lam_prime}")
+    # sizes and counts are integers: size >= 1/delta iff size >= cut, and
+    # count <= 2/delta iff count <= bound
+    cut = math.ceil(1 / delta)
+    bound = math.floor(2 / delta)
 
-    iset = set(I)
-    jset = set(J)
-    verts = sorted(iset | jset)
-    adj = {v: set() for v in verts}
-    for v in iset:
-        for w in full_adj[v] & jset:
-            adj[v].add(w)
-            adj[w].add(v)
-
-    # rooted structure: least I-vertex per component
-    parent = {}
+    # rooted structure: least I-vertex per component.  The subforest's edges
+    # join I to J (I is independent), so w is a child of v iff exactly one
+    # of them lies in I; in a forest the parents do not depend on the order
+    # the children are pushed in
+    n = forest.n
+    in_i = [False] * n
+    for v in I:
+        in_i[v] = True
+    parent = [-1] * n
+    seen = [False] * n
     order = []
-    seen = set()
     for root in I:
-        if root in seen:
+        if seen[root]:
             continue
+        seen[root] = True
         stack = [root]
-        parent[root] = None
-        seen.add(root)
         while stack:
             v = stack.pop()
             order.append(v)
-            for w in sorted(adj[v]):
-                if w not in seen:
-                    seen.add(w)
+            side = in_i[v]
+            for w in full_adj[v]:
+                if in_i[w] != side and not seen[w]:
+                    seen[w] = True
                     parent[w] = v
                     stack.append(w)
-    if set(order) != set(verts):
+    if len(order) != len(I) + len(J):
         raise VerificationError("treecut: rooting missed vertices of the I-N(I) forest")
 
-    threshold = 1 / delta
-
     # reversed preorder visits children before parents; a cut vertex's
-    # subtree is detached, so its size is not passed up
-    size = dict.fromkeys(verts, 1)
-    S = set()
+    # subtree is detached, so its size is not passed up.  X is the cut set
+    # closed under parents of its J part (a J-vertex is never a root, and its
+    # parent is an I-vertex); `removed` is X cap I
+    size = [1] * n
+    deleted_j = [False] * n
+    removed = [False] * n
     for v in reversed(order):
-        if size[v] >= threshold:
-            S.add(v)
-        elif parent[v] is not None:
+        if size[v] >= cut:
+            if in_i[v]:
+                removed[v] = True
+            else:
+                deleted_j[v] = True
+                removed[parent[v]] = True
+        elif parent[v] >= 0:
             size[parent[v]] += size[v]
 
-    X = set(S)
-    for v in S & jset:
-        if parent[v] is not None:
-            X.add(parent[v])
-
-    removed = X & iset
-    scored = []
-    for comp in components(adj, [v for v in verts if v not in removed]):
-        ci = comp & iset
-        cj = comp & jset
-        if ci:
-            scored.append((Fraction(len(cj), len(ci)), min(comp), ci, cj, comp))
-    scored.sort(key=lambda rec: (rec[0], rec[1]))
-    ratio, _, ci, cj, comp = scored[0]
-    if ratio > lam_dd:
+    label, count_i, count_j, least = _preorder_components(order, parent, removed, in_i)
+    # lowest |C cap J|/|C cap I|, ties to the least vertex, by cross products
+    best = -1
+    for k, ci in enumerate(count_i):
+        if not ci:
+            continue
+        if best < 0:
+            best = k
+            continue
+        lhs, rhs = count_j[k] * count_i[best], count_j[best] * ci
+        if lhs < rhs or (lhs == rhs and least[k] < least[best]):
+            best = k
+    if best < 0 or count_j[best] > lam_dd * count_i[best]:
         raise VerificationError("treecut: no component meets the averaged ratio bound")
-    M = 2 / delta
+    comp = [v for v in order if label[v] == best]
 
-    if len(ci) <= M:
-        i_prime = sorted(ci)
+    if count_i[best] <= bound:
+        i_prime = sorted(v for v in comp if in_i[v])
     else:
-        inside = comp & X & jset
+        inside = [v for v in comp if deleted_j[v]]
         if len(inside) != 1:
             raise VerificationError(
                 "treecut: big component must contain exactly one deleted J-vertex")
-        v = next(iter(inside))
-        pieces = []
-        for piece in components(adj, sorted(comp - {v})):
-            pi, pj = piece & iset, piece & jset
-            key = (0, Fraction(len(pj), len(pi))) if pi else (1, Fraction(0))
-            pieces.append((key, min(piece), pi))
-        pieces.sort(key=lambda rec: (rec[0], rec[1]))
+        # the pieces of comp minus that vertex: remove it as well and label
+        # comp, a preorder whose top has a removed parent or none
+        removed[inside[0]] = True
+        label, count_i, count_j, least = _preorder_components(comp, parent, removed, in_i)
+        members = [[] for _ in least]
+        for v in comp:
+            if in_i[v]:
+                members[label[v]].append(v)
+        pieces = sorted(range(len(least)), key=lambda k: (
+            (0, Fraction(count_j[k], count_i[k])) if count_i[k] else (1, 0), least[k]))
         i_prime = []
-        for _, _, pi in pieces:
-            i_prime.extend(sorted(pi))
-            if len(i_prime) >= threshold:
+        for k in pieces:
+            i_prime.extend(members[k])
+            if len(i_prime) >= cut:
                 break
         i_prime = sorted(i_prime)
 
     got = neighborhood(full_adj, i_prime)
-    if len(i_prime) > M:
+    if len(i_prime) > bound:
         raise VerificationError("treecut: output exceeds the size bound")
     if len(got) > lam_prime * len(i_prime):
         raise VerificationError("treecut: output exceeds the expansion bound")
     return tuple(i_prime)
+

@@ -222,6 +222,13 @@ BAD_INPUTS = [
     ["findflow", "--coloring", File("4 leftmost\nRRRR\nBBBB\n"), "--r", "1", "--s", "1"],
     ["shade", "--coloring", File("3 explicit\nRRB\nBBB\n"), "--a", "2"],
     ["shade", "--coloring", File("3 modular:3\nRRR\n"), "--n", "30", "--a", "3"],
+    ["treecut", "--forest", File("3 2\n0 1\n1 2\n"), "--independent", "0,2",
+     "--lambda-prime", "3", "--delta", "1e-400"],
+    ["mfmc", "--graph", File("-1 2 0\n"), "--r", "1", "--s", "1"],
+    ["mfmc", "--graph", File("1 1 -1\n"), "--r", "1", "--s", "1"],
+    ["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", "linear:nan"],
+    ["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", "linear:inf"],
+    ["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", "sigma:nan"],
 ]
 
 
@@ -252,6 +259,21 @@ def test_bad_input_exits_1_with_one_error_line(argv, tmp_path, capsys):
 def test_size_error_names_the_option(argv, name, capsys):
     assert run(argv) == 1
     assert f"error: {name} must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["linear:nan", "linear:inf", "sigma:nan"])
+def test_non_finite_g_names_the_spec(spec, capsys):
+    assert run(["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", spec]) == 1
+    assert f"error: --g {spec}: " in capsys.readouterr().err
+
+
+def test_treecut_size_bound_keeps_a_tiny_delta_that_fits_a_float(tmp_path):
+    forest = tmp_path / "path.txt"
+    forest.write_text("3 2\n0 1\n1 2\n")
+    out = tmp_path / "cut.json"
+    assert run(["treecut", "--forest", str(forest), "--independent", "0,2",
+                "--lambda-prime", "3", "--delta", "1e-300", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["size_bound"] == "2e+300"
 
 
 def test_one_parser_serves_every_call_like_a_fresh_one(tmp_path, capsys):

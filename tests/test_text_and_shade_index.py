@@ -131,3 +131,29 @@ def test_equal_fields_give_equal_shadings():
     assert one == two and hash(one) == hash(two)
     assert one != Shading(a=2, assignment=assignment, min_count=4)
     assert "_members" not in repr(one)
+
+
+def test_shade_job_builds_each_color_mask_list_once(tmp_path, monkeypatch):
+    from ramseydensity.cli import main
+    calls = []
+    built = TwoColoring.neighbor_sets
+
+    def counted(self, color):
+        calls.append(color)
+        return built(self, color)
+
+    monkeypatch.setattr(TwoColoring, "neighbor_sets", counted)
+    assert main(["shade", "--coloring", "modular:3", "--n", "60", "--a", "3",
+                 "--min-count", "5", "--out", str(tmp_path / "shade.json")]) == 0
+    assert sorted(calls) == sorted([RED, BLUE])
+
+
+@pytest.mark.parametrize("n", [30, 120])
+def test_shading_with_given_masks_equals_the_built_ones(n):
+    from ramseydensity.colorings import (a_good_shading, clique_coloring, color_masks,
+                                         verify_shading)
+    chi = clique_coloring(3, n)
+    nb = color_masks(chi)
+    sh = a_good_shading(chi, 3, 5)
+    assert a_good_shading(chi, 3, 5, nb=nb) == sh
+    assert verify_shading(chi, sh, 20, 3, 7, nb=nb) == verify_shading(chi, sh, 20, 3, 7)

@@ -6,7 +6,9 @@ cut.  Outputs and raised errors must be equal for the default delta, smaller
 deltas and too-large deltas, at several lam' - lam gaps, on seeded random
 recursive forests and on spiders, brooms and unions of spiders.  Only the
 spider-like forests reach the big-component branch (the random recursive
-ones never did), so the test asserts that branch ran on them.
+ones never did), so the test asserts that branch ran on them.  The
+benchmark's forests (n from 500 to 2000) and forests whose components tie
+on |C cap J|/|C cap I| are checked against the reference as well.
 """
 
 import random
@@ -127,3 +129,49 @@ def test_inadmissible_delta_raises_the_same_error():
     want = outcome(ref.treecut, *args)
     assert want[0] is ValueError
     assert outcome(treecut, *args) == want
+
+
+def benchmark_forest(rng, n):
+    """A forest like the benchmark's: each vertex joins a uniform earlier
+    vertex with probability 0.85, and I is a maximal independent set built
+    greedily in random order."""
+    edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.85]
+    g = FiniteGraph(n, frozenset(edges))
+    adj = g.adjacency()
+    picked, taken = [], set()
+    for v in rng.sample(range(n), n):
+        if v not in taken:
+            picked.append(v)
+            taken |= adj[v] | {v}
+    return g, sorted(picked)
+
+
+def reference_agrees(g, I):
+    """Both treecuts at the benchmark's gap of 1/2 and the default delta."""
+    lam = Fraction(len(g.neighborhood(I)), len(I))
+    lam_prime = lam + Fraction(1, 2)
+    delta = default_treecut_delta(lam, lam_prime)
+    want, _ = ref.treecut(g, I, lam, lam_prime, delta)
+    got = treecut(g, I, lam, lam_prime, delta)
+    assert got == want, (g.n, I, lam_prime, delta)
+    return got
+
+
+@pytest.mark.parametrize("n", [500, 1000, 2000])
+def test_benchmark_size_forests_match_reference(n):
+    rng = random.Random(9300 + n)
+    for _ in range(3):
+        reference_agrees(*benchmark_forest(rng, n))
+
+
+@pytest.mark.parametrize("edges,I,want", [
+    # stars centred in J: {5; 1, 2} and {0; 3, 4}, both at ratio 1/2; the
+    # second is rooted later (at 3) but holds the least vertex, 0
+    ({(5, 1), (5, 2), (0, 3), (0, 4)}, (1, 2, 3, 4), (3, 4)),
+    # ratio 1/2 against 2/4: {9; 1, 2} and {0; 3, 4, 5} joined at 5 to {6; 5, 7}
+    ({(9, 1), (9, 2), (0, 3), (0, 4), (0, 5), (6, 5), (6, 7)}, (1, 2, 3, 4, 5, 7),
+     (3, 4, 5, 7)),
+])
+def test_tied_components_go_to_the_least_vertex(edges, I, want):
+    g = FiniteGraph(max(max(e) for e in edges) + 1, frozenset(edges))
+    assert reference_agrees(g, I) == want
