@@ -31,6 +31,7 @@ from .flows import CapacitatedBipartite, findflow, mfmc
 from .lipschitz import PLFunction, f_closed
 
 NINE = "{:.9g}"
+FIG1_MAX_STEPS = 10 ** 6  # rdl fig1 writes one row per step, plus x = 0
 
 
 def _fmt(x):
@@ -87,32 +88,50 @@ def _fraction(text):
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def _number(text, kind=float):
+    """kind(text), rejecting text that is no number and numbers that are not finite."""
+    try:
+        x = kind(text)
+    except ValueError:
+        raise ValueError(f"{text.strip()!r} is not {'an integer' if kind is int else 'a number'}") \
+            from None
+    if not math.isfinite(x):
+        raise ValueError(f"{text.strip()} is not a finite number")
+    return x
+
+
 def _parse_pl(spec_text):
-    """zero | linear:slope | sigma:lambda:periods | file:<path with 'x y' rows>"""
+    """zero | linear:slope | sigma:lambda:periods | file:<path with 'x y' rows>;
+    every ValueError it raises names the spec, and a file's names the row."""
     kind, _, rest = spec_text.partition(":")
-
-    def finite(text):
-        x = float(text)
-        if not math.isfinite(x):
-            raise ValueError(f"--g {spec_text}: {text.strip()} is not a finite number")
-        return x
-
-    if kind == "zero":
-        return PLFunction.zero()
-    if kind == "linear":
-        return PLFunction.linear(finite(rest))
-    if kind == "sigma":
-        from .lipschitz import GammaParam, sigma_g
-        lam_s, _, periods_s = rest.partition(":")
-        return sigma_g(GammaParam.from_lambda(finite(lam_s)), int(periods_s or 8))
-    if kind == "file":
-        pts = []
-        with open(rest, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    x, y = map(finite, line.split())
-                    pts.append((x, y))
-        return PLFunction.from_points(pts)
+    try:
+        if kind == "zero":
+            return PLFunction.zero()
+        if kind == "linear":
+            return PLFunction.linear(_number(rest))
+        if kind == "sigma":
+            from .lipschitz import GammaParam, sigma_g
+            lam_s, _, periods_s = rest.partition(":")
+            return sigma_g(GammaParam.from_lambda(_number(lam_s)),
+                           _number(periods_s, int) if periods_s else 8)
+        if kind == "file":
+            pts = []
+            with open(rest, encoding="utf-8") as fh:
+                for k, line in enumerate(fh, start=1):
+                    row = line.split()
+                    if not row:
+                        continue
+                    try:
+                        if len(row) != 2:
+                            raise ValueError(f"expected 'x y', got {len(row)} fields")
+                        pts.append((_number(row[0]), _number(row[1])))
+                    except ValueError as exc:
+                        raise ValueError(f"row {k} {line.strip()!r}: {exc}") from None
+            if not pts:
+                raise ValueError("the file has no 'x y' rows")
+            return PLFunction.from_points(pts)
+    except ValueError as exc:
+        raise ValueError(f"--g {spec_text}: {exc}") from None
     raise ValueError(f"unknown function spec {spec_text!r}")
 
 
@@ -128,6 +147,9 @@ def cmd_f_eval(args):
 def cmd_fig1(args):
     if not (args.step > 0 and math.isfinite(args.step)):
         raise ValueError(f"step must be positive and finite, got {args.step!r}")
+    if 3.0 / args.step > FIG1_MAX_STEPS + 0.5:  # round(3/step) > FIG1_MAX_STEPS, inf included
+        raise ValueError(f"--step {args.step!r} is too small: [0, 3] would take more than "
+                         f"{FIG1_MAX_STEPS} steps; use a step of at least {3 / FIG1_MAX_STEPS:g}")
     meta = _meta(args, "fig1")
     rows = []
     steps = int(round(3.0 / args.step))
@@ -197,7 +219,11 @@ def cmd_findflow(args):
 
 def cmd_shade(args):
     if args.coloring.startswith("modular:"):
-        chi = clique_coloring(int(args.coloring.split(":")[1]), args.n)
+        modulus = args.coloring.partition(":")[2]
+        if not (modulus.strip().isdecimal() and int(modulus) >= 2):
+            raise ValueError(f"--coloring {args.coloring}: the modulus must be an integer "
+                             "at least 2")
+        chi = clique_coloring(int(modulus), args.n)
     else:
         with open(args.coloring, encoding="utf-8") as fh:
             chi = TwoColoring.from_text(fh.read())

@@ -57,6 +57,8 @@ class PLFunction:
         object.__setattr__(self, "values", vals)
         if len(bp) != len(vals) or not bp:
             raise ValueError("breakpoints and values must be nonempty and equal length")
+        if any(map(math.isnan, bp + vals + (self.tail_slope,))):
+            raise ValueError("breakpoints, values and tail slope must not be NaN")
         if bp[0] != 0:
             raise ValueError("first breakpoint must be 0")
         if vals[0] != 0:
@@ -195,17 +197,26 @@ def _crossing_at(xs, ys, tail_slope, t, k):
     return INF
 
 
-def _first_crossing(xs, ys, tail_slope, t, strict=False):
-    """Least x with f(x) >= t (or > t when strict) for the piecewise function
-    with vertices (xs, ys) and the given tail slope; inf when never reached.
+def _crossings(xs, ys, tail_slope, levels, strict=False):
+    """First crossings of the piecewise function with vertices (xs, ys) and
+    the given tail slope, for every level in the non-decreasing, nonnegative
+    ``levels``: the least x with f(x) >= t (or > t when strict); inf when
+    never reached.  The first vertex that reaches a level only moves right
+    as the level grows, so one sweep serves them all.
 
     For strict crossings the returned point is the limit of the non-strict
     crossing from above, which is what the supremum enumeration needs.
     """
-    for k, y in enumerate(ys):
-        if (y > t) if strict else (y >= t):
-            return _crossing_at(xs, ys, tail_slope, t, k)
-    return _crossing_at(xs, ys, tail_slope, t, len(xs))
+    out = []
+    k, last, prev = 0, len(xs), 0
+    for t in levels:
+        if not prev <= t:
+            raise ValueError("levels must be nonnegative and non-decreasing")
+        prev = t
+        while k < last and ((ys[k] <= t) if strict else (ys[k] < t)):
+            k += 1
+        out.append(_crossing_at(xs, ys, tail_slope, t, k))
+    return out
 
 
 def _tilted(g, gamma, sign):
@@ -224,28 +235,15 @@ def gamma_crossing(g, p, t, sign, strict=False):
         raise ValueError("sign must be +1 or -1")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    xs, ys, tail = _tilted(g, p.gamma, sign)
-    return _first_crossing(xs, ys, tail, t, strict=strict)
+    return gamma_crossings(g, p, [t], sign, strict=strict)[0]
 
 
-def gamma_crossings(g, p, levels, sign):
-    """gamma_crossing(g, p, t, sign) for every t in the non-decreasing,
-    nonnegative ``levels``, in one sweep: the first tilted vertex that
-    reaches a level only moves right as the level grows, and each crossing
-    uses the same linear solve, so the results are bit-identical."""
+def gamma_crossings(g, p, levels, sign, strict=False):
+    """gamma_crossing(g, p, t, sign, strict) for every t in the
+    non-decreasing, nonnegative ``levels``, in one sweep."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    xs, ys, tail = _tilted(g, p.gamma, sign)
-    out = []
-    k, last, prev = 0, len(xs), 0
-    for t in levels:
-        if t < prev:
-            raise ValueError("levels must be nonnegative and non-decreasing")
-        prev = t
-        while k < last and ys[k] < t:
-            k += 1
-        out.append(_crossing_at(xs, ys, tail, t, k))
-    return out
+    return _crossings(*_tilted(g, p.gamma, sign), levels, strict=strict)
 
 
 def _check_profile(g):
@@ -276,7 +274,7 @@ def ell_crossing(g, lam, t, sign):
         xs = g.breakpoints
         ys = tuple(b - v / lam for b, v in zip(g.breakpoints, g.values))
         tail = 1 - g.tail_slope / lam
-    return _first_crossing(xs, ys, tail, t)
+    return _crossings(xs, ys, tail, [t])[0]
 
 
 @dataclass(frozen=True)
@@ -387,31 +385,25 @@ def sup_ratio(g, p, t_lo, t_hi):
     Both crossings are piecewise linear in t between critical levels (the
     tilted images of g's breakpoints), and the ratio is monotone on each
     piece, so the supremum is attained at a critical level or as a right
-    limit there; right limits are evaluated with strict crossings.
+    limit there; right limits are evaluated with strict crossings.  The
+    levels are sorted once, and each sign's crossings, strict or not, are
+    one sweep over them.
     """
     if not 0 < t_lo < t_hi:
         raise ValueError("need 0 < t_lo < t_hi")
-    for sign in (1, -1):
-        if gamma_crossing(g, p, t_hi, sign) == INF:
+    tilted = [_tilted(g, p.gamma, sign) for sign in (1, -1)]
+    levels = sorted({t_lo, t_hi}.union(*(
+        [v for v in ys if t_lo <= v <= t_hi] for _, ys, _ in tilted)))
+    at = [_crossings(*f, levels) for f in tilted]
+    for sign, crossings in zip((1, -1), at):
+        if crossings[-1] == INF:
             raise UnboundedCandidateError(
                 f"crossing with sign {sign:+d} is infinite at t = {t_hi}")
-    levels = {t_lo, t_hi}
-    for sign in (1, -1):
-        for x, y in zip(g.breakpoints, g.values):
-            v = p.gamma * x + sign * y
-            if t_lo <= v <= t_hi:
-                levels.add(v)
-    best = -INF
-    for t in sorted(levels):
-        r = (gamma_crossing(g, p, t, 1) + gamma_crossing(g, p, t, -1)) / t
-        if r > best:
-            best = r
-        if t < t_hi:
-            r = (gamma_crossing(g, p, t, 1, strict=True)
-                 + gamma_crossing(g, p, t, -1, strict=True)) / t
-            if r > best:
-                best = r
-    return best
+    # finite at t_hi bounds every crossing below it, so no ratio is NaN
+    below = levels[:-1]
+    right = [_crossings(*f, below, strict=True) for f in tilted]
+    return max(max((a + b) / t for a, b, t in zip(*at, levels)),
+               max((a + b) / t for a, b, t in zip(*right, below)))
 
 
 def sigma_f_value(lam, periods=10):
@@ -478,7 +470,7 @@ def canonicalize(g, span):
         xs = [x0] + [b for b in g.breakpoints if b > x0]
         ys = [slope * (y0 + slope * (x - x0) - g(x)) for x in xs]
         tail = 1 - slope * g.tail_slope
-        nxt = _first_crossing(xs, ys, tail, 1.0)
+        nxt = _crossings(xs, ys, tail, [1.0])[0]
         if nxt >= span or nxt == INF:
             pts.append((span, y0 + slope * (span - x0)))
             break
@@ -541,33 +533,36 @@ def trace(g, p):
     gamma = Fraction(p.gamma)
     xs = [Fraction(b) for b in g.breakpoints]
     ell = [b - a for a, b in zip(xs, xs[1:])]
-    ends, gvals, ts = [], [], []
+    ends, ts = [], []
     x = Fraction(0)
     y = Fraction(0)
     for i, l in enumerate(ell, start=1):
         x += l
         y += l if i % 2 == 1 else -l
         ends.append(x)
-        gvals.append(y)
         ts.append(gamma * x + (y if i % 2 == 1 else -y))
-    # closed formula x_i = t_i/(1+gamma) + sum_{j<i} 2/(1-gamma^2) q^(i-j) t_j
+    # closed formula x_i = t_i/(1+gamma) + c*S_i with c = 2/(1-gamma^2) and
+    # S_i = sum_{j<i} q^(i-j) t_j, kept as S_i = q*(S_{i-1} + t_{i-1})
     q = (1 - gamma) / (1 + gamma)
     c = 2 / (1 - gamma * gamma)
-    for i, xi in enumerate(ends, start=1):
-        acc = ts[i - 1] / (1 + gamma)
-        for j in range(1, i):
-            acc += c * q ** (i - j) * ts[j - 1]
+    S = Fraction(0)
+    for i, (xi, t) in enumerate(zip(ends, ts), start=1):
+        acc = t / (1 + gamma) + c * S
         if xi == 0:
             ok = acc == 0
         else:
             ok = abs(acc - xi) <= Fraction(1, 10 ** 9) * abs(xi)
         if not ok:
             raise ConsistencyError(f"piece end {i}: closed formula {acc} != {xi}")
-    # identity t_i = sum_j (gamma + (-1)^(j-i)) ell_j
-    for i in range(1, len(ell) + 1):
-        acc = sum((gamma + (1 if (j - i) % 2 == 0 else -1)) * ell[j - 1]
-                  for j in range(1, i + 1))
-        if acc != ts[i - 1]:
+        S = q * (S + t)
+    # identity t_i = sum_{j<=i} (gamma + (-1)^(j-i)) ell_j
+    #              = gamma*(total length) + (same-parity lengths) - (other-parity lengths)
+    total = Fraction(0)
+    by_parity = [Fraction(0), Fraction(0)]
+    for i, l in enumerate(ell, start=1):
+        total += l
+        by_parity[i % 2] += l
+        if gamma * total + by_parity[i % 2] - by_parity[1 - i % 2] != ts[i - 1]:
             raise ConsistencyError(f"level identity failed at {i}")
     return BreakpointTrace(tuple(float(l) for l in ell),
                            tuple(float(x) for x in ends),

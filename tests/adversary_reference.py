@@ -4,7 +4,8 @@ This is the construction, verifier and bound chain as they were before the
 linear-time rewrite in ``ramseydensity.colorings``.  It is kept only as the
 oracle for the differential tests: every phi block is rebuilt as a set, every
 inequality is evaluated in rational arithmetic, and the bound chain solves
-each crossing from scratch.
+each crossing from scratch with the per-level scan of ``lipschitz_reference``,
+so it shares no code with the crossing sweep under test.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from fractions import Fraction
 
 from ramseydensity.colorings import BLUE, RED, AdversaryInstance
-from ramseydensity.lipschitz import gamma_crossing
+from lipschitz_reference import gamma_crossing
 
 
 def _min_indices(positions, opposite_left_count, lam, count):

@@ -13,6 +13,7 @@ import random
 import pytest
 
 import adversary_reference as ref
+import lipschitz_reference as lref
 from ramseydensity.colorings import (BLUE, RED, adversary, adversary_bound_chain,
                                      verify_adversary)
 from ramseydensity.lipschitz import (GammaParam, PLFunction, gamma_crossing,
@@ -54,8 +55,13 @@ def test_short_candidate_chain_matches_reference(s, r):
     assert any(msg.startswith("crossing infinite") for msg in chain)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_swept_crossings_equal_per_level_crossings(seed):
+# non-strict cases are named by their bare seed, so their test ids stay stable
+SWEEP_CASES = ([pytest.param(seed, False, id=str(seed)) for seed in range(6)]
+               + [pytest.param(seed, True, id=f"strict-{seed}") for seed in range(6)])
+
+
+@pytest.mark.parametrize("seed,strict", SWEEP_CASES)
+def test_swept_crossings_equal_per_level_crossings(seed, strict):
     rng = random.Random(seed)
     s, r = LAMBDAS[seed % 4]
     p, gs = candidates(s, r, seed)
@@ -66,8 +72,9 @@ def test_swept_crossings_equal_per_level_crossings(seed):
             levels = [rng.uniform(0, top) for _ in range(300)]
             levels += [t for t in tilted if t >= 0] + [0.0, top, top]
             levels.sort()
-            swept = gamma_crossings(g, p, levels, sign)
-            assert swept == [gamma_crossing(g, p, t, sign) for t in levels]
+            scanned = [lref.gamma_crossing(g, p, t, sign, strict=strict) for t in levels]
+            assert gamma_crossings(g, p, levels, sign, strict=strict) == scanned
+            assert [gamma_crossing(g, p, t, sign, strict=strict) for t in levels] == scanned
 
 
 def test_swept_crossings_reject_bad_levels():

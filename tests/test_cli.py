@@ -229,6 +229,13 @@ BAD_INPUTS = [
     ["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", "linear:nan"],
     ["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", "linear:inf"],
     ["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", "sigma:nan"],
+    ["shade", "--coloring", "modular:1", "--n", "10", "--a", "2"],
+    ["shade", "--coloring", "modular:", "--n", "10", "--a", "2"],
+    ["shade", "--coloring", "modular:x", "--n", "10", "--a", "2"],
+    ["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", "sigma:1:abc"],
+    ["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", "linear:"],
+    ["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", File("0 0\n1 1 5\n")],
+    ["fig1", "--step", "1e-12"],
 ]
 
 
@@ -261,10 +268,33 @@ def test_size_error_names_the_option(argv, name, capsys):
     assert f"error: {name} must be at least" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("spec", ["linear:nan", "linear:inf", "sigma:nan"])
-def test_non_finite_g_names_the_spec(spec, capsys):
+@pytest.mark.parametrize("spec", ["modular:1", "modular:", "modular:x"])
+def test_modulus_error_names_the_coloring(spec, capsys):
+    assert run(["shade", "--coloring", spec, "--n", "10", "--a", "2"]) == 1
+    assert f"error: --coloring {spec}: the modulus must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["linear:nan", "linear:inf", "sigma:nan", "sigma:1:abc",
+                                  "linear:", File("0 0\n1 1 5\n")], ids=str)
+def test_non_finite_g_names_the_spec(spec, tmp_path, capsys):
+    row = ""
+    if isinstance(spec, File):
+        path = tmp_path / "g.txt"
+        path.write_text(spec.text)
+        spec, row = f"file:{path}", "row 2 '1 1 5': "
     assert run(["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", spec]) == 1
-    assert f"error: --g {spec}: " in capsys.readouterr().err
+    assert f"error: --g {spec}: {row}" in capsys.readouterr().err
+
+
+def test_fig1_step_bound_is_checked_before_any_row(monkeypatch, capsys):
+    from ramseydensity import cli
+
+    def no_rows(x):
+        raise AssertionError("fig1 started its row loop")
+
+    monkeypatch.setattr(cli, "f_closed", no_rows)
+    assert run(["fig1", "--step", "1e-12"]) == 1
+    assert "error: --step 1e-12 is too small" in capsys.readouterr().err
 
 
 def test_treecut_size_bound_keeps_a_tiny_delta_that_fits_a_float(tmp_path):
