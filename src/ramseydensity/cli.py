@@ -108,7 +108,10 @@ def _parse_pl(spec_text):
         if kind == "zero":
             return PLFunction.zero()
         if kind == "linear":
-            return PLFunction.linear(_number(rest))
+            g = PLFunction.linear(_number(rest))
+            if not g.lipschitz:
+                raise ValueError("the slope must lie in [-1, 1]")
+            return g
         if kind == "sigma":
             from .lipschitz import GammaParam, sigma_g
             lam_s, _, periods_s = rest.partition(":")
@@ -186,18 +189,54 @@ def cmd_adversary(args):
     return 0
 
 
+def _int_fields(k, line, shape):
+    """The integers on line k of a file, which must hold the fields of
+    ``shape`` (such as 'i j'); the error names the line and the shape."""
+    fields = line.split()
+    try:
+        if len(fields) != len(shape.split()):
+            raise ValueError(f"got {len(fields)} fields")
+        return list(map(int, fields))
+    except ValueError as exc:
+        raise ValueError(f"line {k} {line.strip()!r}: expected '{shape}', {exc}") from None
+
+
+def _mfmc_edges(rows, nx, ny):
+    """The edges (i, nx + j) of an ``rdl mfmc`` file's 'i j' rows, given as
+    (line number, text) pairs; a row that is not two integers with
+    0 <= i < nx and 0 <= j < ny, or that repeats an edge, is rejected with a
+    message naming its line."""
+    try:
+        pairs = [(int(a), int(b)) for a, b in (line.split() for _, line in rows)]
+    except ValueError:
+        pairs = []
+    edges = frozenset((i, nx + j) for i, j in pairs if 0 <= i < nx and 0 <= j < ny)
+    if len(edges) == len(rows):
+        return edges
+    # some row breaks a rule: look for the first one row by row
+    first = {}
+    for k, line in rows:
+        i, j = _int_fields(k, line, "i j")
+        if not (0 <= i < nx and 0 <= j < ny):
+            raise ValueError(f"line {k} {line.strip()!r}: expected 'i j' with "
+                             f"0 <= i < {nx} and 0 <= j < {ny}")
+        if first.setdefault((i, j), k) != k:
+            raise ValueError(f"line {k} {line.strip()!r}: repeats the edge "
+                             f"on line {first[i, j]}")
+    return frozenset((i, nx + j) for i, j in first)
+
+
 def cmd_mfmc(args):
     with open(args.graph, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        lines = [(k, ln) for k, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError("empty graph file")
-    nx, ny, m = map(int, lines[0].split())
+    nx, ny, m = _int_fields(*lines[0], "nx ny m")
     if min(nx, ny, m) < 0:
-        raise ValueError(f"header 'nx ny m' must be nonnegative, got {lines[0].strip()!r}")
-    rows = [ln.split() for ln in lines[1:]]
-    if len(rows) != m:
+        raise ValueError(f"header 'nx ny m' must be nonnegative, got {lines[0][1].strip()!r}")
+    if len(lines) - 1 != m:
         raise ValueError("edge count does not match header")
-    edges = frozenset((int(a), nx + int(b)) for a, b in rows)
+    edges = _mfmc_edges(lines[1:], nx, ny)
     G = CapacitatedBipartite(tuple(range(nx)), tuple(range(nx, nx + ny)),
                              edges, args.r, args.s)
     cert = mfmc(G)

@@ -9,15 +9,20 @@ totally colored host and extracts, for one of the two colors, a flow between
 the first t vertices of one color class and the whole other class whose
 normalized value certifies a dense structure.
 
-Both run on one integer-indexed residual network (``_Residual``) with one
-shortest-augmenting-path routine (Edmonds-Karp).  ``mfmc`` builds the
-network and augments to the end; the order arcs are added in fixes the flow
-it returns.  The sweep keeps one network per color and, as t grows, adds the
-new prefix vertex to it and augments the flow it already carries, so it
-reads each max flow value without recomputing it; one final ``mfmc`` on the
-winner's graph yields its flow and cover.  Blocking-flow methods (Dinic)
-would be faster still but pick a different flow, and so different
-certificates.
+Both run on one integer-indexed residual network (``_Residual``): a greedy
+pass over the length-3 paths SRC -> x -> y -> SNK, then one
+shortest-augmenting-path routine (Edmonds-Karp) for the longer paths.  The
+greedy pass pushes on exactly the paths, in the order and by the amounts,
+that Edmonds-Karp's breadth-first search would pick while a length-3 path
+exists, and no length-3 path comes back after it; so the flow is the
+Edmonds-Karp flow, and the search runs only for the longer paths and for
+the last one that finds no path.  ``mfmc`` builds the network and augments
+to the end; the order arcs are added in fixes the flow it returns.  The
+sweep keeps one network per color and, as t grows, adds the new prefix
+vertex to it and augments the flow it already carries, so it reads each
+max flow value without recomputing it; one final ``mfmc`` on the winner's
+graph yields its flow and cover.  Blocking-flow methods (Dinic) would be
+faster still but pick a different flow, and so different certificates.
 """
 
 from __future__ import annotations
@@ -106,6 +111,29 @@ class _Residual:
             self.sink_arc[u] = a
         return a
 
+    def push_direct(self, pairs):
+        """Push flow along each path SRC -> x -> y -> SNK, given as the pair
+        (SRC -> x arc, x -> y arc), in order and as much as the path's
+        residual capacity allows; return the total pushed.
+
+        While a length-3 path exists, ``augment`` takes the first one in
+        (source arc, x's arc) insertion order, since its search pops every
+        x with spare source capacity before any y.  Source and sink
+        residuals only fall here, so pairs listed in that order, covering
+        every length-3 path, get exactly the pushes ``augment`` would make
+        and leave no length-3 path behind.
+        """
+        head, cap, sink_arc = self.head, self.cap, self.sink_arc
+        total = 0
+        for a, b in pairs:
+            c = sink_arc[head[b]]
+            if c >= 0 and (pushed := min(cap[a], cap[b], cap[c])) > 0:
+                for arc in (a, b, c):
+                    cap[arc] -= pushed
+                    cap[arc ^ 1] += pushed
+                total += pushed
+        return total
+
     def augment(self):
         """Push flow along one shortest SRC -> SNK path of positive residual
         capacity and return the amount pushed, 0 when there is no such path.
@@ -159,7 +187,9 @@ def mfmc(G: CapacitatedBipartite):
     """Integral max flow and matching weighted min vertex cover.
 
     Augments along shortest paths in the residual network (source -> X at
-    capacity r, X -> Y uncapacitated, Y -> sink at capacity s); the final
+    capacity r, X -> Y uncapacitated, Y -> sink at capacity s): one greedy
+    pass over every (x, y) arc, in X order and then arc order, takes the
+    length-3 paths, then Edmonds-Karp takes the longer ones; the final
     residual reachability yields the cover as the unreachable X-vertices
     plus the reachable Y-vertices.  Arcs are added source arcs first (in X
     order), then sink arcs (in Y order), then the edges in sorted order,
@@ -167,14 +197,13 @@ def mfmc(G: CapacitatedBipartite):
     """
     net = _Residual()
     node = {v: net.add_node() for v in (*G.X, *G.Y)}
-    for x in G.X:
-        net.add_arc(net.SRC, node[x], G.r)
+    sources = [net.add_arc(net.SRC, node[x], G.r) for x in G.X]
     for y in G.Y:
         net.add_arc(node[y], net.SNK, G.s)
     edges = sorted(G.edges)
     arcs = [net.add_arc(node[u], node[v], math.inf) for u, v in edges]
 
-    D = 0
+    D = net.push_direct((a, b) for a in sources for b in net.out[net.head[a]])
     while pushed := net.augment():
         D += pushed
 
@@ -256,9 +285,8 @@ class _PrefixFlow:
         self.edges = []
         self.D = 0
         self.net = _Residual()
-        self.node = {x: self.net.add_node() for x in self.X}
-        for x in self.X:
-            self.net.add_arc(self.net.SRC, self.node[x], r)
+        # x's source arc, whose head is x's node
+        self.source = {x: self.net.add_arc(self.net.SRC, self.net.add_node(), r) for x in self.X}
 
     def add(self, y):
         """Add y to Y with its C-colored edges and augment back to a max flow.
@@ -267,17 +295,23 @@ class _PrefixFlow:
         a flow of the old network, whose maximum the old sink arcs already
         carry, and no augmenting path passes through the sink to lower one of
         them; so every augmenting path ends with y's sink arc, and augmenting
-        stops once that arc is full.
+        stops once that arc is full.  Since the old network had no augmenting
+        path, every length-3 path runs through one of y's new arcs: a greedy
+        pass over them in X order takes those, then Edmonds-Karp the longer
+        paths.
         """
         net = self.net
         self.Y.append(y)
         node = net.add_node()
         sink_arc = net.add_arc(node, net.SNK, self.s)
         mask = self.chi.neighbor_mask(y, self.color)
+        pairs = []
         for x in self.X:
             if mask >> x & 1:
                 self.edges.append((x, y))
-                net.add_arc(self.node[x], node, math.inf)
+                a = self.source[x]
+                pairs.append((a, net.add_arc(net.head[a], node, math.inf)))
+        self.D += net.push_direct(pairs)
         while net.cap[sink_arc] > 0 and (pushed := net.augment()):
             self.D += pushed
 

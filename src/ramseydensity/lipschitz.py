@@ -524,6 +524,20 @@ class BreakpointTrace:
     first_slope: int = 1
 
 
+def _piece_levels(ell, gamma):
+    """Piece ends x_i and levels t_i = gamma*x_i +- g(x_i) (sign + on the
+    rising pieces) of the alternating +-1 function with piece lengths ell."""
+    ends, ts = [], []
+    x = Fraction(0)
+    y = Fraction(0)
+    for i, l in enumerate(ell, start=1):
+        x += l
+        y += l if i % 2 == 1 else -l
+        ends.append(x)
+        ts.append(gamma * x + (y if i % 2 == 1 else -y))
+    return ends, ts
+
+
 def trace(g, p):
     """Exact breakpoint trace of an alternating +-1 function, cross-checked
     in rational arithmetic against the closed formula expressing each piece
@@ -533,14 +547,7 @@ def trace(g, p):
     gamma = Fraction(p.gamma)
     xs = [Fraction(b) for b in g.breakpoints]
     ell = [b - a for a, b in zip(xs, xs[1:])]
-    ends, ts = [], []
-    x = Fraction(0)
-    y = Fraction(0)
-    for i, l in enumerate(ell, start=1):
-        x += l
-        y += l if i % 2 == 1 else -l
-        ends.append(x)
-        ts.append(gamma * x + (y if i % 2 == 1 else -y))
+    ends, ts = _piece_levels(ell, gamma)
     # closed formula x_i = t_i/(1+gamma) + c*S_i with c = 2/(1-gamma^2) and
     # S_i = sum_{j<i} q^(i-j) t_j, kept as S_i = q*(S_{i-1} + t_{i-1})
     q = (1 - gamma) / (1 + gamma)

@@ -236,6 +236,12 @@ BAD_INPUTS = [
     ["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", "linear:"],
     ["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", File("0 0\n1 1 5\n")],
     ["fig1", "--step", "1e-12"],
+    ["mfmc", "--graph", File("2 2 2\n0 0\n0 0\n"), "--r", "1", "--s", "1"],
+    ["mfmc", "--graph", File("2 2\n"), "--r", "1", "--s", "1"],
+    ["mfmc", "--graph", File("2 2 1\n0 0 0\n"), "--r", "1", "--s", "1"],
+    ["mfmc", "--graph", File("2 2 1\n0 x\n"), "--r", "1", "--s", "1"],
+    ["mfmc", "--graph", File("2 2 1\n0 2\n"), "--r", "1", "--s", "1"],
+    ["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", "linear:5"],
 ]
 
 
@@ -284,6 +290,28 @@ def test_non_finite_g_names_the_spec(spec, tmp_path, capsys):
         spec, row = f"file:{path}", "row 2 '1 1 5': "
     assert run(["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", spec]) == 1
     assert f"error: --g {spec}: {row}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("slope", ["5", "-5", "1.001"])
+def test_steep_linear_g_names_the_spec(slope, capsys):
+    assert run(["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", f"linear:{slope}"]) == 1
+    assert (capsys.readouterr().err
+            == f"error: --g linear:{slope}: the slope must lie in [-1, 1]\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("2 2 2\n0 0\n\n0 0\n", "line 4 '0 0': repeats the edge on line 2"),
+    ("2 2\n", "line 1 '2 2': expected 'nx ny m', got 2 fields"),
+    ("2 2 1\n0 0 0\n", "line 2 '0 0 0': expected 'i j', got 3 fields"),
+    ("2 2 1\n0 x\n", "line 2 '0 x': expected 'i j', invalid literal"),
+    ("2 2 1\n0 2\n", "line 2 '0 2': expected 'i j' with 0 <= i < 2 and 0 <= j < 2"),
+    ("2 2 1\n-1 0\n", "line 2 '-1 0': expected 'i j' with 0 <= i < 2"),
+])
+def test_mfmc_input_error_names_the_line_and_its_shape(text, message, tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    assert run(["mfmc", "--graph", str(graph), "--r", "1", "--s", "1"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_fig1_step_bound_is_checked_before_any_row(monkeypatch, capsys):
@@ -384,9 +412,15 @@ def test_optimized_interpreter_gives_same_exit_codes_and_artifacts(tmp_path):
     coloring.write_text(f"{n} explicit\n"
                         + "".join("R" if (v - u) % 2 == 0 else "B"
                                   for u in range(n) for v in range(u + 1, n)) + "\n")
+    graph = tmp_path / "graph.txt"
+    graph.write_text("4 3 6\n0 0\n0 1\n1 0\n2 1\n2 2\n3 2\n")
+    host = tmp_path / "host.txt"
+    host.write_text("12 leftmost\nRBBRRBRBBBRR\n")
     commands = {
         "adversary": ["adversary", "--s", "2", "--r", "1", "--n", "300",
                       "--g", "sigma:2:10"],
+        "mfmc": ["mfmc", "--graph", str(graph), "--r", "2", "--s", "1"],
+        "findflow": ["findflow", "--coloring", str(host), "--r", "3", "--s", "1"],
         "treecut": ["treecut", "--forest", str(forest), "--independent", "1,2,3,5,6",
                     "--lambda-prime", "3/2"],
         "shade": ["shade", "--coloring", str(coloring), "--a", "3", "--min-count", "3"],

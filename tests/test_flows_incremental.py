@@ -3,7 +3,8 @@ reference copies in ``flows_reference``.
 
 ``findflow`` must return the same t, colour, value, flow and certificate as
 the from-scratch sweep, and ``mfmc`` the same certificate (flow h included)
-as the dict-based Edmonds-Karp.  On leftmost hosts the winner is always
+as the dict-based Edmonds-Karp, whose search also takes every length-3 path
+that the greedy pass takes before it.  On leftmost hosts the winner is always
 t = 1 with an empty flow, so the explicit hosts, whose edge colours do not
 follow the vertex order, carry the cases with a flow and the ties.
 """
@@ -150,3 +151,90 @@ def test_mfmc_certificate_matches_reference(make, count):
     for _ in range(count):
         G = make(rng)
         assert mfmc(G) == ref.mfmc(G)
+
+
+def long_paths(rng, nx):
+    """Unequal capacities and X-degrees 1-8 on a Y side of another size, so
+    that many augmenting paths are longer than SRC -> x -> y -> SNK."""
+    ny = rng.randint(max(1, nx // 2), 2 * nx)
+    r, s = rng.sample(range(1, 5), 2)
+    edges = frozenset((i, nx + j) for i in range(nx)
+                      for j in rng.sample(range(ny), rng.randint(1, min(8, ny))))
+    return CapacitatedBipartite(tuple(range(nx)), tuple(range(nx, nx + ny)), edges, r, s)
+
+
+def count_augments(monkeypatch):
+    """Per call of ``_Residual.augment``, the amount it pushed."""
+    pushes = []
+    original = flows._Residual.augment
+
+    def counted(self):
+        pushes.append(original(self))
+        return pushes[-1]
+
+    monkeypatch.setattr(flows._Residual, "augment", counted)
+    return pushes
+
+
+@pytest.mark.parametrize("nx,count", [(10, 30), (25, 12), (50, 6), (100, 3), (200, 2)])
+def test_mfmc_matches_reference_when_paths_are_long(nx, count, monkeypatch):
+    rng = random.Random(3000 + nx)
+    pushes = count_augments(monkeypatch)
+    with_long = 0
+    for _ in range(count):
+        G = long_paths(rng, nx)
+        pushes.clear()
+        assert mfmc(G) == ref.mfmc(G)
+        # every search but the last, which finds no path, took a long path
+        assert pushes[-1] == 0 and all(pushes[:-1])
+        with_long += len(pushes) > 1
+    assert with_long >= count // 4, with_long
+
+
+def prefix_states(chi, r, s):
+    """Per prefix length t and colour, the sweep's D(t) and the residual
+    capacities of its network."""
+    sweeps = {color: flows._PrefixFlow(chi, color, r, s) for color in (BLUE, RED)}
+    states = {}
+    for t in range(1, chi.n + 1):
+        sweeps[other(chi.vertex_colors[t - 1])].add(t - 1)
+        for color, sweep in sweeps.items():
+            states[t, color] = sweep.D, tuple(sweep.net.cap)
+    return states
+
+
+@pytest.mark.parametrize("host", [leftmost_host, explicit_host])
+def test_prefix_flow_value_matches_reference_at_every_prefix(host, monkeypatch):
+    rng = random.Random(41)
+    pushes = count_augments(monkeypatch)
+    with_long = 0
+    for n in (6, 12, 24, 48):
+        chi = host(rng, n)
+        r, s = rng.randint(1, 4), rng.randint(1, 4)
+        want = {(t, color): cert.D for t, color, cert, _ in ref.sweep(chi, r, s)}
+        with monkeypatch.context() as m:
+            m.setattr(flows._Residual, "push_direct", lambda self, pairs: 0)
+            search_only = prefix_states(chi, r, s)
+        pushes.clear()
+        got = prefix_states(chi, r, s)
+        with_long += any(pushes)
+        assert {key: D for key, (D, _) in got.items()} == want
+        # the greedy pass leaves every network exactly as the search alone does
+        assert got == search_only
+    if host is explicit_host:
+        assert with_long, "no sweep took a path longer than 3"
+
+
+def test_mfmc_searches_once_when_every_path_has_length_3(monkeypatch):
+    rng = random.Random(0)
+    nx = 400
+    edges = frozenset((i, nx + j) for i in range(nx)
+                      for j in rng.sample(range(nx), rng.randint(1, 4)))
+    G = CapacitatedBipartite(tuple(range(nx)), tuple(range(nx, 2 * nx)), edges, 3, 1)
+    want = ref.mfmc(G)
+    pushes = count_augments(monkeypatch)
+    assert mfmc(G) == want
+    # Edmonds-Karp alone searches 367 times here: 366 unit paths of length 3,
+    # then the search that finds none; the greedy pass leaves only that one
+    assert want.D == 366
+    assert pushes == [0]

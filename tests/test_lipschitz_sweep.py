@@ -13,7 +13,9 @@ import random
 import pytest
 
 import lipschitz_reference as lref
-from ramseydensity.lipschitz import (GammaParam, PLFunction, UnboundedCandidateError,
+from ramseydensity import lipschitz
+from ramseydensity.lipschitz import (ConsistencyError, GammaParam, PLFunction,
+                                     UnboundedCandidateError,
                                      _crossings, candidate_window,
                                      random_alternating_candidate, sigma_g, sigma_window,
                                      sup_ratio, trace)
@@ -93,6 +95,34 @@ def test_trace_equals_reference(lam):
     for pieces in (5, 20, 60):
         g = random_alternating_candidate(rng, p, max_pieces=pieces, span_cap=1e9)
         assert trace(g, p) == lref.trace(g, p)
+
+
+def test_trace_names_the_piece_where_a_check_fails(monkeypatch):
+    # both checks compare two exact forms of one rational, so no input can
+    # fail them; the fault is put into the piece levels by hand instead
+    p = GammaParam.from_lambda(0.5)
+    g = PLFunction((0.0, 2.0, 3.0, 5.0, 6.0), (0.0, 2.0, 1.0, 3.0, 2.0))
+    honest = lipschitz._piece_levels
+
+    def moved_end(ell, gamma):
+        ends, ts = honest(ell, gamma)
+        ends[2] += 1
+        return ends, ts
+
+    monkeypatch.setattr(lipschitz, "_piece_levels", moved_end)
+    with pytest.raises(ConsistencyError, match=r"^piece end 3: closed formula 5 != 6$"):
+        trace(g, p)
+
+    def moved_last_level(ell, gamma):
+        # the last end moves with its level, so the closed formula still holds
+        ends, ts = honest(ell, gamma)
+        ts[-1] += 1
+        ends[-1] += 1 / (1 + gamma)
+        return ends, ts
+
+    monkeypatch.setattr(lipschitz, "_piece_levels", moved_last_level)
+    with pytest.raises(ConsistencyError, match=r"^level identity failed at 4$"):
+        trace(g, p)
 
 
 def test_nan_inputs_are_rejected():
