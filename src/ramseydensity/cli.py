@@ -281,6 +281,17 @@ def cmd_shade(args):
     return 0 if report.passed else 2
 
 
+def _planted_host(n):
+    """The coloring ``rdl embed`` plants: an edge is blue iff both ends lie in
+    the left class 0..n//2-1.  A left vertex's red neighbours are the right
+    class and a right vertex's are all other vertices, so the red-neighbour
+    masks are built directly, without a set of red pairs."""
+    half = n // 2
+    full = (1 << n) - 1
+    right = full ^ ((1 << half) - 1)
+    return TwoColoring._from_masks(n, [right] * half + [full ^ (1 << v) for v in range(half, n)])
+
+
 def cmd_embed(args):
     from .colorings import Shading
     for option, value, least in (("--host-size", args.host_size, 1), ("--copies", args.copies, 1),
@@ -288,15 +299,8 @@ def cmd_embed(args):
         if value < least:
             raise ValueError(f"{option} must be at least {least}, got {value}")
     n = args.host_size
-    left = set(range(n // 2))
-    red = set()
-    for u in range(n):
-        for v in range(u + 1, n):
-            in_l = (u in left) + (v in left)
-            if in_l != 2:
-                red.add((u, v))
-    chi = TwoColoring(n, "explicit", red_edges=frozenset(red))
-    assignment = tuple(("B", 1) if v in left else ("R", 1) for v in range(n))
+    chi = _planted_host(n)
+    assignment = tuple(("B", 1) if v < n // 2 else ("R", 1) for v in range(n))
     sh = Shading(a=2, assignment=assignment, min_count=2)
     spec = HPrefixSpec.omega_factor(complete_bipartite(args.r, args.s),
                                     args.copies, tuple(range(args.r)))

@@ -17,7 +17,8 @@ import math
 import random
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress, repeat
+from operator import eq, le, sub
 
 from .errors import VerificationError
 from .lipschitz import GammaParam, gamma_crossings
@@ -40,7 +41,8 @@ class TwoColoring:
     colorings when a total coloring is needed.  Explicit and modular colorings
     store their n red-neighbor masks in red_masks, a leftmost one only the
     mask of its red vertices in red_vertices.  from_text reads an explicit
-    colour line straight into red_masks, without a list of red pairs.
+    colour line straight into red_masks, without a list of red pairs, and
+    _from_masks takes masks a caller has built.
     """
 
     n: int
@@ -119,6 +121,14 @@ class TwoColoring:
         return f"{self.n} explicit\n{rows.replace('1', RED).replace('0', BLUE)}\n"
 
     @classmethod
+    def _from_masks(cls, n, masks):
+        """The explicit coloring with these red-neighbor masks, which the
+        caller builds symmetric and without any vertex's own bit."""
+        chi = cls(n, "explicit", red_edges=())  # checks n; the masks come next
+        object.__setattr__(chi, "red_masks", tuple(masks))
+        return chi
+
+    @classmethod
     def from_text(cls, text):
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
         if not lines:
@@ -138,8 +148,7 @@ class TwoColoring:
                                  f"{n * (n - 1) // 2} edge colors, got {len(chars)}")
             if chars.translate(_DROP_COLORS):
                 raise ValueError("explicit coloring may only contain R and B")
-            chi = cls(n, "explicit", red_edges=())  # checks n; the masks come next
-            object.__setattr__(chi, "red_masks", _masks_from_upper_triangle(n, chars))
+            chi = cls._from_masks(n, _masks_from_upper_triangle(n, chars))
         else:
             raise ValueError(f"unknown rule {rule!r}")
         if len(lines) > (1 if chi.rule == "modular" else 2):
@@ -242,20 +251,28 @@ class AdversaryInstance:
 
 def _red_prefix_counts(g, n):
     """floor((m + g(m))/2) for m = 1..n: the number of red vertices among
-    the leftmost m."""
-    ys = g.values_at([float(m) for m in range(1, n + 1)])
-    return [math.floor((m + y) / 2 + 1e-12) for m, y in zip(range(1, n + 1), ys)]
-
-
-def _positions(colors, color):
-    """Indices of the vertices of one color, in increasing order."""
-    return tuple(i for i, c in enumerate(colors) if c == color)
+    the leftmost m.  g is walked one segment at a time with the arithmetic
+    ``values_at`` applies to float(m), so every value is the same float."""
+    bp, vals = g.breakpoints, g.values
+    floor = math.floor
+    out = []
+    m = 1
+    for lo in range(len(bp) - 1):
+        stop = min(max(m, math.ceil(bp[lo + 1])), n + 1)
+        x0, y0 = bp[lo], vals[lo]
+        dx, dy = bp[lo + 1] - x0, vals[lo + 1] - y0
+        out += [floor((x + (y0 + dy * (x - x0) / dx)) / 2 + 1e-12)
+                for x in map(float, range(m, stop))]
+        m = stop
+    x0, y0, tail = bp[-1], vals[-1], g.tail_slope
+    out += [floor((x + (y0 + tail * (x - x0))) / 2 + 1e-12) for x in map(float, range(m, n + 1))]
+    return out
 
 
 def _left_counts(positions):
     """left[a-1] = vertices of the other color left of the a-th vertex in
     positions (which lists one color's vertices in increasing order)."""
-    return [p - k for k, p in enumerate(positions)]
+    return list(map(sub, positions, range(len(positions))))
 
 
 def _min_indices(left, s, r, count):
@@ -274,6 +291,37 @@ def _min_indices(left, s, r, count):
     return out
 
 
+def _run_indices(bits, s, r):
+    """alpha and beta of the coloring whose vertex v is red iff bits[v] is 1,
+    read off its runs of one color.
+
+    In a run the left count L of the run's color is constant, so its index a
+    works for i iff a - i >= c = ceil(r*L/s), and a - c climbs by one per
+    vertex; between runs c only grows.  alpha_i (beta_i) is the least a of
+    its color with a - c >= i, so each run that lifts the running maximum
+    of a - c adds one chunk of its first index and one chunk of consecutive
+    indices."""
+    out = ([], [])              # indexed by bit: beta, alpha
+    seen = [0, 0]               # vertices of each color so far
+    top = [0, 0]                # largest a - c so far, per color
+    start, n = 0, len(bits)
+    while start < n:
+        bit = bits[start]
+        stop = bits.find(bit ^ 1, start)
+        if stop < 0:
+            stop = n
+        first, last = seen[bit] + 1, seen[bit] + stop - start
+        c = -(-r * seen[bit ^ 1] // s)
+        lo = top[bit] + 1
+        if last - c >= lo:
+            out[bit].extend(repeat(first, first - c - lo + 1))
+            out[bit].extend(range(max(lo + c, first + 1), last + 1))
+            top[bit] = last - c
+        seen[bit] = last
+        start = stop
+    return tuple(out[1]), tuple(out[0])
+
+
 def _joint_prefix(alpha, beta, n):
     """Number of leading indices j with alpha_j + beta_j <= n: the phi
     blocks that exist."""
@@ -285,6 +333,23 @@ def _joint_prefix(alpha, beta, n):
     return joint
 
 
+_BIT_COLOR = bytes.maketrans(b"\x00\x01", b"BR")
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _red_bits(g, n):
+    """bits[m-1] = 1 if vertex m-1 is red, else 0: the steps of the red
+    prefix counts, which must all be 0 or 1."""
+    targets = _red_prefix_counts(g, n)
+    try:
+        bits = bytes(map(sub, targets, [0, *targets]))
+    except ValueError:          # a step below 0 or above 255
+        bits = None
+    if bits is None or bits.translate(None, b"\x00\x01"):
+        raise ValueError("g is not 1-Lipschitz along integers")
+    return bits
+
+
 def adversary(s, r, g, n):
     """Build the adversarial instance for lam = s/r on n vertices, steered by
     the 1-Lipschitz PLFunction g."""
@@ -293,18 +358,10 @@ def adversary(s, r, g, n):
     for name, v in (("s", s), ("r", r)):
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise ValueError(f"{name} must be a positive integer, got {v!r}")
-    reds_so_far = 0
-    colors = []
-    for target in _red_prefix_counts(g, n):
-        step = target - reds_so_far
-        if step not in (0, 1):
-            raise ValueError("g is not 1-Lipschitz along integers")
-        colors.append(RED if step == 1 else BLUE)
-        reds_so_far = target
-    red_pos, blue_pos = _positions(colors, RED), _positions(colors, BLUE)
-
-    alpha = tuple(_min_indices(_left_counts(red_pos), s, r, n))
-    beta = tuple(_min_indices(_left_counts(blue_pos), s, r, n))
+    bits = _red_bits(g, n)
+    red_pos = tuple(compress(range(n), bits))
+    blue_pos = tuple(compress(range(n), bits.translate(_FLIP)))
+    alpha, beta = _run_indices(bits, s, r)
 
     # alpha and beta are non-decreasing, so the blocks are nested and block
     # j adds exactly the reds a_{j-1}..a_j - 1 and the blues b_{j-1}..b_j - 1
@@ -318,7 +375,8 @@ def adversary(s, r, g, n):
             raise VerificationError("phi block sizes are inconsistent")
     phi += sorted(red_pos[a_prev:] + blue_pos[b_prev:])
 
-    inst = AdversaryInstance(s=s, r=r, n=n, g=g, vertex_colors=tuple(colors),
+    inst = AdversaryInstance(s=s, r=r, n=n, g=g,
+                             vertex_colors=tuple(bits.translate(_BIT_COLOR).decode()),
                              red_positions=red_pos, blue_positions=blue_pos,
                              alpha=alpha, beta=beta, phi=tuple(phi))
     problems = verify_adversary(inst)
@@ -327,74 +385,132 @@ def adversary(s, r, g, n):
     return inst
 
 
+def _first_wrong_count(is_red, targets):
+    """Least m whose red count among is_red[:m] differs from targets[m-1]
+    (both read up to the shorter length), or None.  Its lists die with the
+    call, so the verifier's later lists do not add to their peak memory."""
+    counts = list(accumulate(is_red))
+    if counts[:len(targets)] == targets[:len(counts)]:
+        return None
+    return next(m for m, (c, t) in enumerate(zip(counts, targets), start=1) if c != t)
+
+
+def _index_problems(name, indices, positions, positions_ok, s, r, n):
+    """Violations of alpha (or beta): ``indices`` against the incremental
+    scan ``_min_indices`` over ``positions``.  Only when they differ does the
+    per-index check run, naming each index that is out of range, breaks its
+    inequality or is not minimal.  That check passes a list equal to the
+    scan and reports at least the first index where any other list of the
+    same length differs.  A length other than the scan's is reported only
+    when the positions match the colors: positions that do not are reported
+    already, and their scan's length says nothing."""
+    left = _left_counts(positions)
+    want = _min_indices(left, s, r, n)
+    if list(indices) == want:
+        return []
+    problems = []
+    if positions_ok and len(indices) != len(want):
+        problems.append(f"{name} has {len(indices)} entries, want {len(want)}")
+    prev = 1
+    for i, a_i in enumerate(indices, start=1):
+        if not 1 <= a_i <= len(left):
+            problems.append(f"{name}_{i} = {a_i} is out of range")
+            continue
+        if r * left[a_i - 1] > s * (a_i - i):
+            problems.append(f"{name}_{i} does not satisfy its inequality")
+        # minimality: everything in [prev, a_i) fails for i; anything below
+        # prev already failed for i-1 and the valid set only shrinks
+        for a in range(prev, a_i):
+            if r * left[a - 1] <= s * (a - i):
+                problems.append(f"{name}_{i} = {a_i} is not minimal (a={a} works)")
+                break
+        prev = a_i
+    return problems
+
+
+def _inverse(phi, n):
+    """where[v] = the position of v in phi if phi is a permutation of
+    0..n-1, else None.  n writes that all land in 0..n-1 and leave no slot
+    unwritten make a permutation; this costs less than sorting phi."""
+    if len(phi) != n:
+        return None
+    where = [-1] * n
+    try:
+        if min(phi, default=0) < 0:
+            return None
+        for k, v in enumerate(phi):
+            where[v] = k
+    except (IndexError, TypeError):     # an entry past n-1, or not an int
+        return None
+    return None if -1 in where else where
+
+
 def _prefix_reach(where, positions):
-    """reach[k] = largest phi position among positions[:k] (-1 when k = 0)."""
-    return list(accumulate(map(where.__getitem__, positions), max, initial=-1))
+    """reach[k] = largest phi position among positions[:k] (-1 when k = 0).
+    A plain loop: ``accumulate`` with ``max`` costs about three times as
+    much per vertex."""
+    reach = [-1]
+    top = -1
+    for v in positions:
+        k = where[v]
+        if k > top:
+            top = k
+        reach.append(top)
+    return reach
 
 
 def verify_adversary(inst):
-    """Re-check every structural invariant; returns a list of violations."""
+    """Re-check every structural invariant; returns a list of violations.
+
+    Prefix counts and positions are read off the colors in one pass each,
+    alpha and beta are compared with the incremental scan, and the phi
+    blocks with prefix reaches.  Messages are built only for what fails."""
     problems = []
     s, r, n = inst.s, inst.r, inst.n
-    g = inst.g
-    reds = 0
-    for m, target in enumerate(_red_prefix_counts(g, n), start=1):
-        if inst.vertex_colors[m - 1] == RED:
-            reds += 1
-        if reds != target:
-            problems.append(f"red prefix count wrong at m={m}")
-            break
+    colors = inst.vertex_colors
+    if len(colors) != n:
+        problems.append(f"vertex_colors has {len(colors)} entries, want {n}")
+    is_red = bytes(map(eq, colors, repeat(RED)))
+    m = _first_wrong_count(is_red, _red_prefix_counts(inst.g, n))
+    if m is not None:
+        problems.append(f"red prefix count wrong at m={m}")
+    two_colored = colors.count(BLUE) == len(colors) - is_red.count(1)
+    is_blue = is_red.translate(_FLIP) if two_colored else bytes(map(eq, colors, repeat(BLUE)))
     red_pos, blue_pos = inst.red_positions, inst.blue_positions
-    if _positions(inst.vertex_colors, RED) != red_pos:
+    red_ok = tuple(compress(range(len(colors)), is_red)) == red_pos
+    blue_ok = tuple(compress(range(len(colors)), is_blue)) == blue_pos
+    if not red_ok:
         problems.append("red positions inconsistent")
-    if _positions(inst.vertex_colors, BLUE) != blue_pos:
+    if not blue_ok:
         problems.append("blue positions inconsistent")
-
-    def check_min(indices, left, name):
-        prev = 1
-        for i, a_i in enumerate(indices, start=1):
-            if not 1 <= a_i <= len(left):
-                problems.append(f"{name}_{i} = {a_i} is out of range")
-                continue
-            if r * left[a_i - 1] > s * (a_i - i):
-                problems.append(f"{name}_{i} does not satisfy its inequality")
-            # minimality: everything in [prev, a_i) fails for i; anything below
-            # prev already failed for i-1 and the valid set only shrinks
-            for a in range(prev, a_i):
-                if r * left[a - 1] <= s * (a - i):
-                    problems.append(f"{name}_{i} = {a_i} is not minimal (a={a} works)")
-                    break
-            prev = a_i
-
-    check_min(inst.alpha, _left_counts(red_pos), "alpha")
-    check_min(inst.beta, _left_counts(blue_pos), "beta")
-
-    if any(b2 <= b1 for b1, b2 in zip(inst.beta, inst.beta[1:])):
+    problems += _index_problems("alpha", inst.alpha, red_pos, red_ok, s, r, n)
+    problems += _index_problems("beta", inst.beta, blue_pos, blue_ok, s, r, n)
+    if any(map(le, inst.beta[1:], inst.beta)):
         problems.append("beta is not strictly increasing")
 
     # Block j asks set(phi[:k]) == reds[:a_j] | blues[:b_j] with k = a_j + b_j.
-    # When phi is a permutation and the positions partition the vertices,
-    # both sides have k elements, so the block matches exactly when every
-    # vertex it wants sits before position k in phi.
+    # When phi is a permutation and the positions are disjoint vertices
+    # without repeats, both sides have k elements, so the block matches
+    # exactly when every vertex it wants sits before position k in phi.
+    # Positions that match the colors of all n vertices are such lists, so
+    # only other positions are sorted to see whether they partition them.
     phi = inst.phi
-    everything = list(range(n))
-    is_perm = sorted(phi) == everything
-    reach = None
-    if is_perm and sorted([*red_pos, *blue_pos]) == everything:
-        where = [0] * n
-        for k, v in enumerate(phi):
-            where[v] = k
-        reach = (_prefix_reach(where, red_pos), _prefix_reach(where, blue_pos))
-    for j in range(_joint_prefix(inst.alpha, inst.beta, n)):
-        a_j, b_j = inst.alpha[j], inst.beta[j]
+    where = _inverse(phi, n)
+    by_reach = where is not None and ((red_ok and blue_ok and len(colors) == n)
+                                      or sorted([*red_pos, *blue_pos]) == list(range(n)))
+    if by_reach:
+        reach_red, reach_blue = _prefix_reach(where, red_pos), _prefix_reach(where, blue_pos)
+    n_red, n_blue = len(red_pos), len(blue_pos)
+    joint = _joint_prefix(inst.alpha, inst.beta, n)
+    for j, (a_j, b_j) in enumerate(zip(inst.alpha[:joint], inst.beta[:joint]), start=1):
         k = a_j + b_j
-        if reach and 0 <= a_j <= len(red_pos) and 0 <= b_j <= len(blue_pos):
-            ok = max(reach[0][a_j], reach[1][b_j]) < k
+        if by_reach and 0 <= a_j <= n_red and 0 <= b_j <= n_blue:
+            ok = reach_red[a_j] < k and reach_blue[b_j] < k
         else:
             ok = set(phi[:k]) == set(red_pos[:a_j]) | set(blue_pos[:b_j])
         if not ok:
-            problems.append(f"phi block {j + 1} mismatch")
-    if not is_perm:
+            problems.append(f"phi block {j} mismatch")
+    if where is None:
         problems.append("phi is not a permutation")
     return problems
 

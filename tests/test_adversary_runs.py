@@ -1,0 +1,185 @@
+"""The run-based adversary builder and the one-pass verifier.
+
+``adversary`` reads alpha and beta off the coloring's runs of one color, and
+``_red_prefix_counts`` walks g one segment at a time.  Both are compared with
+``adversary_reference`` (the quadratic Fraction construction) and with the
+``values_at`` form on colorings cut into many short runs: linear g with a
+slope strictly between -1 and 1, and seeded random PL functions whose pieces
+have any slope in [-1, 1], with non-integer and with integer breakpoints.
+The length mutations check the messages for a color tuple, alpha or beta of
+the wrong length, which the reference does not have; the other mutations
+reach the verifier's fallbacks: colors that are neither red nor blue,
+positions that miss a vertex, and phi entries that are no vertex.
+"""
+
+import dataclasses
+import math
+import random
+
+import pytest
+
+import adversary_reference as ref
+from ramseydensity.colorings import (BLUE, RED, _red_prefix_counts, adversary,
+                                     verify_adversary)
+from ramseydensity.lipschitz import GammaParam, PLFunction, sigma_g
+
+LAMBDAS = ((1, 1), (2, 1), (1, 2), (3, 2), (5, 3), (1, 4))
+SIZES = (4, 5, 17, 60, 301, 1000)
+
+
+def random_pl(rng, integer):
+    """A PL function with 1-30 pieces, slopes in [-1, 1] (0, +-1/2 and +-1
+    among them) and breakpoints that are integers or not."""
+    pts = [(0.0, 0.0)]
+    for _ in range(rng.randint(1, 30)):
+        dx = rng.randint(1, 60) if integer else rng.uniform(0.3, 60)
+        slope = rng.choice([rng.uniform(-1, 1), 0.0, 0.5, -0.5, 1.0, -1.0])
+        x, y = pts[-1]
+        pts.append((x + dx, y + slope * dx))
+    return PLFunction.from_points(pts, tail_slope=rng.uniform(-1, 1))
+
+
+def functions(seed):
+    """Linear functions with slopes strictly inside (-1, 1) and random PL
+    functions with non-integer and with integer breakpoints."""
+    rng = random.Random(seed)
+    slopes = [rng.uniform(-0.99, 0.99), rng.choice([-0.5, 0.5, 1 / 3, -0.2, 0.0, 0.9])]
+    return ([PLFunction.linear(m) for m in slopes]
+            + [random_pl(rng, integer=False) for _ in range(2)]
+            + [random_pl(rng, integer=True) for _ in range(2)])
+
+
+def outcome(build, s, r, g, n):
+    try:
+        return build(s, r, g, n)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("s,r", LAMBDAS)
+def test_fragmented_instances_match_reference(s, r, n):
+    for g in functions(seed=100 * s + 10 * r + n):
+        new = outcome(adversary, s, r, g, n)
+        assert new == outcome(ref.adversary, s, r, g, n)
+        if not isinstance(new, str):
+            assert verify_adversary(new) == ref.verify_adversary(new) == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_prefix_counts_equal_values_at_form(seed):
+    s, r = LAMBDAS[seed]
+    for g in functions(seed) + [sigma_g(GammaParam.from_lambda(s / r), 9)]:
+        for n in SIZES:
+            ys = g.values_at([float(m) for m in range(1, n + 1)])
+            want = [math.floor((m + y) / 2 + 1e-12) for m, y in zip(range(1, n + 1), ys)]
+            assert _red_prefix_counts(g, n) == want
+
+
+def test_linear_slopes_give_short_runs():
+    # the builder's chunks are exercised by runs of length one and two
+    inst = adversary(1, 1, PLFunction.linear(0.5), 60)
+    colors = "".join(inst.vertex_colors)
+    assert "BB" not in colors and "RRRR" not in colors
+    assert inst == ref.adversary(1, 1, PLFunction.linear(0.5), 60)
+
+
+def test_steps_outside_zero_one_are_rejected():
+    with pytest.raises(ValueError, match="1-Lipschitz along integers"):
+        adversary(1, 1, PLFunction.linear(3.0), 20)
+    with pytest.raises(ValueError, match="1-Lipschitz along integers"):
+        adversary(1, 1, PLFunction.from_points([(0, 0), (4, 0), (5, -3)], lipschitz=False), 20)
+
+
+# ------------------------------------------------------- length mutations
+
+@pytest.fixture(scope="module", params=LAMBDAS[:4])
+def base(request):
+    s, r = request.param
+    return adversary(s, r, sigma_g(GammaParam.from_lambda(s / r), 12), 400)
+
+
+def test_short_color_tuple_is_reported(base):
+    bad = dataclasses.replace(base, vertex_colors=base.vertex_colors[:-1])
+    problems = verify_adversary(bad)
+    assert problems[0] == f"vertex_colors has {base.n - 1} entries, want {base.n}"
+    dropped = "red" if base.vertex_colors[-1] == RED else "blue"
+    assert f"{dropped} positions inconsistent" in problems
+    assert not any(p.startswith("red prefix count") for p in problems)
+
+
+@pytest.mark.parametrize("extra", [RED, BLUE])
+def test_long_color_tuple_is_reported(base, extra):
+    bad = dataclasses.replace(base, vertex_colors=base.vertex_colors + (extra,))
+    problems = verify_adversary(bad)
+    assert problems == ([f"vertex_colors has {base.n + 1} entries, want {base.n}"]
+                        + ref.verify_adversary(bad))
+    name = "red" if extra == RED else "blue"
+    assert problems[1:] == [f"{name} positions inconsistent"]
+
+
+def test_colors_other_than_red_and_blue_match_reference(base):
+    k = base.n // 2
+    colors = list(base.vertex_colors)
+    colors[k] = "X"
+    bad = dataclasses.replace(base, vertex_colors=tuple(colors))
+    problems = verify_adversary(bad)
+    assert problems == ref.verify_adversary(bad)
+    assert ("red" if base.vertex_colors[k] == RED else "blue") + " positions inconsistent" in problems
+
+
+def test_positions_that_miss_a_vertex_fall_back_to_block_sets(base):
+    # vertex k, the first in phi, is neither red nor blue and is dropped
+    # from its positions, so both position checks pass but the positions no
+    # longer cover it; the reference indexes past the shortened positions,
+    # so the blocks are checked here by their defining set equation
+    k = base.phi[0]
+    field = "red_positions" if base.vertex_colors[k] == RED else "blue_positions"
+    colors = list(base.vertex_colors)
+    colors[k] = "X"
+    bad = dataclasses.replace(base, vertex_colors=tuple(colors), **{
+        field: tuple(v for v in getattr(base, field) if v != k)})
+    problems = verify_adversary(bad)
+    assert not any(p.endswith("positions inconsistent") for p in problems)
+    blocks = []
+    for j, (a_j, b_j) in enumerate(zip(bad.alpha, bad.beta), start=1):
+        if a_j + b_j > bad.n:
+            break
+        if set(bad.phi[:a_j + b_j]) != set(bad.red_positions[:a_j]) | set(bad.blue_positions[:b_j]):
+            blocks.append(f"phi block {j} mismatch")
+    assert blocks
+    assert [p for p in problems if p.startswith("phi block")] == blocks
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta"])
+@pytest.mark.parametrize("keep", [0, 1, -1])
+def test_truncated_indices_are_reported(base, field, keep):
+    full = getattr(base, field)
+    short = full[:keep]
+    problems = verify_adversary(dataclasses.replace(base, **{field: short}))
+    assert problems[0] == f"{field} has {len(short)} entries, want {len(full)}"
+    # a prefix of the scan breaks no inequality, and the phi blocks it
+    # leaves out are not checked
+    assert problems == [problems[0]]
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta"])
+def test_long_indices_are_reported(base, field):
+    full = getattr(base, field)
+    bad = dataclasses.replace(base, **{field: full + (full[-1],)})
+    problems = verify_adversary(bad)
+    want = f"{field} has {len(full) + 1} entries, want {len(full)}"
+    assert problems == [want] + ref.verify_adversary(bad)
+    assert len(problems) >= 2
+
+
+@pytest.mark.parametrize("value", ["past", "negative", "wrapped"])
+def test_phi_entry_that_is_no_vertex_matches_reference(base, value):
+    # "wrapped" is a negative index naming the slot of the entry it replaces
+    phi = list(base.phi)
+    k = len(phi) // 3
+    phi[k] = {"past": base.n, "negative": -1, "wrapped": phi[k] - base.n}[value]
+    bad = dataclasses.replace(base, phi=tuple(phi))
+    problems = verify_adversary(bad)
+    assert problems == ref.verify_adversary(bad)
+    assert problems[-1] == "phi is not a permutation"

@@ -148,6 +148,16 @@ class TestSubcommands:
         doc = json.loads(out.read_text())
         assert doc["verify_passed"] and not doc["incomplete"]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 25])
+    def test_embed_host_masks_equal_its_red_pairs(self, n):
+        # the host the embed demo plants: red unless both ends are left
+        from ramseydensity.cli import _planted_host
+        from ramseydensity.colorings import TwoColoring
+        left = range(n // 2)
+        red = [(u, v) for u in range(n) for v in range(u + 1, n)
+               if not (u in left and v in left)]
+        assert _planted_host(n) == TwoColoring(n, "explicit", red_edges=red)
+
     def test_treecut_command(self, tmp_path):
         forest = tmp_path / "f.txt"
         forest.write_text("4 3\n0 1\n0 2\n0 3\n")

@@ -71,7 +71,7 @@ def test_artifact_matches_golden(artifact, tmp_path, monkeypatch):
 
 def test_goldens_present():
     commands = [config_of(p)["command"] for p in ARTIFACTS]
-    minimum = {"findflow": 6, "mfmc": 4, "fig1": 1, "adversary": 1, "shade": 3,
+    minimum = {"findflow": 6, "mfmc": 4, "fig1": 1, "adversary": 6, "shade": 3,
                "mu": 1, "embed": 1, "treecut": 1}
     assert {c: min(commands.count(c), k) for c, k in minimum.items()} == minimum
     shaded = {config_of(p)["coloring"] for p in ARTIFACTS
@@ -79,7 +79,8 @@ def test_goldens_present():
     assert "modular:3" in shaded
     rules = {(GOLDEN / name).read_text().split()[1] for name in shaded - {"modular:3"}}
     assert rules >= {"explicit", "leftmost"}
-    inputs = [v for p in ARTIFACTS for v in config_of(p).values() if v.endswith(".txt")]
+    inputs = [v.removeprefix("file:") for p in ARTIFACTS for v in config_of(p).values()
+              if v.endswith(".txt")]
     assert all((GOLDEN / name).exists() for name in inputs)
 
 
