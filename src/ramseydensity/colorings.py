@@ -121,10 +121,11 @@ class TwoColoring:
         return f"{self.n} explicit\n{rows.replace('1', RED).replace('0', BLUE)}\n"
 
     @classmethod
-    def _from_masks(cls, n, masks):
+    def _from_masks(cls, n, masks, vertex_colors=None):
         """The explicit coloring with these red-neighbor masks, which the
         caller builds symmetric and without any vertex's own bit."""
-        chi = cls(n, "explicit", red_edges=())  # checks n; the masks come next
+        chi = cls(n, "explicit", vertex_colors=vertex_colors,
+                  red_edges=())  # checks n and the colors; the masks come next
         object.__setattr__(chi, "red_masks", tuple(masks))
         return chi
 
@@ -133,14 +134,17 @@ class TwoColoring:
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty coloring text")
-        n_str, rule = lines[0].split()
-        n = int(n_str)
+        n, rule = _header(lines[0])
         if rule == "leftmost" and len(lines) < 2:
             raise ValueError("leftmost coloring has no color line")
         if rule == "leftmost":
             chi = cls(n, "leftmost", vertex_colors=tuple(lines[1].strip()))
         elif rule.startswith("modular:"):
-            chi = cls(n, "modular", modulus=int(rule.split(":")[1]))
+            modulus = rule.partition(":")[2]
+            if not modulus.isdecimal():
+                raise ValueError(f"header {lines[0].strip()!r}: expected '<n> modular:<a>' "
+                                 "with an integer a")
+            chi = cls(n, "modular", modulus=int(modulus))
         elif rule == "explicit":
             chars = lines[1].strip() if len(lines) > 1 else ""  # n = 1 writes an empty line
             if len(chars) != n * (n - 1) // 2:
@@ -155,6 +159,18 @@ class TwoColoring:
             where = "header" if chi.rule == "modular" else "color line"
             raise ValueError(f"{rule} coloring has extra lines after its {where}")
         return chi
+
+
+def _header(line):
+    """n and the rule from a coloring text's first line, which must be
+    '<n> <rule>' with an integer n; the error names the line and the shape."""
+    fields = line.split()
+    try:
+        if len(fields) != 2:
+            raise ValueError(f"got {len(fields)} fields")
+        return int(fields[0]), fields[1]
+    except ValueError as exc:
+        raise ValueError(f"header {line.strip()!r}: expected '<n> <rule>', {exc}") from None
 
 
 _DROP_COLORS = str.maketrans("", "", RED + BLUE)
@@ -241,12 +257,28 @@ class AdversaryInstance:
         return TwoColoring(self.n, "leftmost", vertex_colors=self.vertex_colors)
 
     def permuted_coloring(self):
-        """Coloring where the edge ij takes the color of phi(i)phi(j)."""
-        red, phi = self.coloring.neighbor_sets(RED), self.phi
-        return TwoColoring(self.n, "explicit", red_edges=[
-            (i, j) for i in range(self.n) for j in range(i + 1, self.n)
-            if red[phi[i]] >> phi[j] & 1],
-            vertex_colors=tuple(self.vertex_colors[v] for v in phi))
+        """Coloring where the edge ij takes the color of phi(i)phi(j).
+
+        That edge is red iff the smaller of phi(i) and phi(j) is red, so the
+        masks are built in one pass over u = phi(i) in increasing order: i's
+        red neighbours are the positions of the red vertices below u, and
+        when u is red also those of every vertex above u.
+        """
+        n, phi, colors = self.n, self.phi, self.vertex_colors
+        where = _inverse(phi, n)
+        if where is None:
+            raise ValueError("phi is not a permutation of the vertices")
+        full = (1 << n) - 1
+        masks = [0] * n
+        reds_below = upto = 0  # positions of the red vertices below u; of 0..u
+        for u, i in enumerate(where):
+            upto |= 1 << i
+            if colors[u] == RED:
+                masks[i] = reds_below | (full ^ upto)
+                reds_below |= 1 << i
+            else:
+                masks[i] = reds_below
+        return TwoColoring._from_masks(n, masks, tuple(colors[v] for v in phi))
 
 
 def _red_prefix_counts(g, n):

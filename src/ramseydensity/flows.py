@@ -20,9 +20,12 @@ the last one that finds no path.  ``mfmc`` builds the network and augments
 to the end; the order arcs are added in fixes the flow it returns.  The
 sweep keeps one network per color and, as t grows, adds the new prefix
 vertex to it and augments the flow it already carries, so it reads each
-max flow value without recomputing it; one final ``mfmc`` on the winner's
-graph yields its flow and cover.  Blocking-flow methods (Dinic) would be
-faster still but pick a different flow, and so different certificates.
+max flow value without recomputing it.  On a leftmost host the networks'
+neighbourhoods are nested prefixes, and one left-to-right capacity pool
+reads every max flow value with no network at all.  One final ``mfmc`` on
+the winner's graph yields its flow and cover.  Blocking-flow methods
+(Dinic) would be faster still but pick a different flow, and so different
+certificates.
 """
 
 from __future__ import annotations
@@ -316,6 +319,37 @@ class _PrefixFlow:
             self.D += pushed
 
 
+def _pool_profile(colors, r, s):
+    """D(t) for t = 1..n and both colors on a leftmost host, in one scan.
+
+    There the C-edges of a C-bar vertex y go to exactly the C vertices left
+    of y, so the Y-side neighbourhoods of color C's network are prefixes,
+    nested in Y order, and a greedy is a max flow (Glover 1967, matching in
+    convex bipartite graphs): each C vertex adds r to pool[C], and each
+    C-bar vertex takes min(s, pool[C]) from it, which D(t) for C gains.
+    """
+    pool = {BLUE: 0, RED: 0}
+    D = {BLUE: 0, RED: 0}
+    profile = {BLUE: [], RED: []}
+    for c in colors:
+        pool[c] += r
+        color = other(c)
+        take = min(s, pool[color])
+        pool[color] -= take
+        D[color] += take
+        profile[BLUE].append(D[BLUE])
+        profile[RED].append(D[RED])
+    return profile
+
+
+def _leftmost_graph(colors, color, t, r, s):
+    """Color C's network at prefix length t on a leftmost host: X is every
+    C vertex, Y the C-bar vertices below t, and x y an edge iff x < y."""
+    X = tuple(v for v, c in enumerate(colors) if c == color)
+    Y = tuple(v for v in range(t) if colors[v] != color)
+    return CapacitatedBipartite(X, Y, frozenset((x, y) for y in Y for x in X if x < y), r, s)
+
+
 def findflow(chi, r, s):
     """Sweep every prefix length t and both colors; return the flow maximizing
     |C cap [t]|/t + D/(s*t).
@@ -327,13 +361,16 @@ def findflow(chi, r, s):
     Flow is positive only on C-colored edges with oppositely colored ends.
     Ties in value break toward blue, then toward smaller t.
 
-    The sweep is incremental: each color keeps one residual network, and
-    going from t - 1 to t adds vertex t - 1 to the prefix side of the other
-    color's network, reading its edges to that network's X side from its
-    one color-neighbor mask, and augments the flow the network already
-    carries; only the max flow value D(t) is read per (t, color).  The
-    winner's flow h and cover come from one from-scratch ``mfmc`` on its
-    graph, whose value must equal the swept D(t).
+    Only the max flow value D(t) is read per (t, color).  On a leftmost host
+    it comes from one left-to-right capacity pool (``_pool_profile``).  On
+    other hosts the sweep is incremental: each color keeps one residual
+    network, and going from t - 1 to t adds vertex t - 1 to the prefix side
+    of the other color's network, reading its edges to that network's X side
+    from its one color-neighbor mask, and augments the flow the network
+    already carries.  A value (s |C cap [t]| + D)/(s t) is compared with the
+    best so far by cross-multiplying.  The winner's flow h and cover come
+    from one from-scratch ``mfmc`` on its graph, whose value must equal the
+    swept D(t).
     """
     if chi.vertex_colors is None:
         raise ValueError("findflow needs vertex colors")
@@ -345,28 +382,41 @@ def findflow(chi, r, s):
         color = RED if BLUE not in colors else BLUE
         return FindFlowResult(t=n, color=color, h=(), value=Fraction(1), certificate=None)
 
-    sweeps = {color: _PrefixFlow(chi, color, r, s) for color in (BLUE, RED)}
-    in_prefix = {BLUE: 0, RED: 0}
-    best = None
-    for t in range(1, n + 1):
-        in_prefix[colors[t - 1]] += 1
-        sweeps[other(colors[t - 1])].add(t - 1)
-        for color in (BLUE, RED):
-            D = sweeps[color].D
-            value = Fraction(in_prefix[color], t) + Fraction(D, s * t)
-            key = (value, 1 if color == BLUE else 0, -t)
-            if best is None or key > best[0]:
-                best = (key, t, color, D)
+    if chi.rule == "leftmost":
+        sweeps = None
+        profile = _pool_profile(colors, r, s)
+    else:
+        sweeps = {color: _PrefixFlow(chi, color, r, s) for color in (BLUE, RED)}
+        profile = {BLUE: [], RED: []}
+        for y in range(n):
+            sweeps[other(colors[y])].add(y)
+            profile[BLUE].append(sweeps[BLUE].D)
+            profile[RED].append(sweeps[RED].D)
 
-    (value, _, _), t, color, D = best
-    sweep = sweeps[color]
-    G = CapacitatedBipartite(sweep.X, tuple(y for y in sweep.Y if y < t),
-                             frozenset((x, y) for x, y in sweep.edges if y < t), r, s)
+    in_prefix = {BLUE: 0, RED: 0}
+    num, den, t, color = -1, 1, 0, RED  # below every value, so t = 1 replaces it
+    for k, c in enumerate(colors):
+        in_prefix[c] += 1
+        den_k = s * (k + 1)
+        for color_k in (BLUE, RED):
+            num_k = s * in_prefix[color_k] + profile[color_k][k]
+            ahead = num_k * den - num * den_k
+            if ahead > 0 or ahead == 0 and color_k == BLUE and color == RED:
+                num, den, t, color = num_k, den_k, k + 1, color_k
+
+    D = profile[color][t - 1]
+    if sweeps is None:
+        G = _leftmost_graph(colors, color, t, r, s)
+    else:
+        sweep = sweeps[color]
+        G = CapacitatedBipartite(sweep.X, tuple(y for y in sweep.Y if y < t),
+                                 frozenset((x, y) for x, y in sweep.edges if y < t), r, s)
     cert = mfmc(G)
     if cert.D != D:
         raise VerificationError(f"findflow: the sweep found flow {D} at t = {t}, "
                                 f"color {color}, but mfmc finds {cert.D}")
-    return FindFlowResult(t=t, color=color, h=cert.h, value=value, certificate=cert)
+    return FindFlowResult(t=t, color=color, h=cert.h, value=Fraction(num, den),
+                          certificate=cert)
 
 
 def bruteforce_max_flow(G: CapacitatedBipartite):

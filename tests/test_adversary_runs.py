@@ -10,6 +10,8 @@ The length mutations check the messages for a color tuple, alpha or beta of
 the wrong length, which the reference does not have; the other mutations
 reach the verifier's fallbacks: colors that are neither red nor blue,
 positions that miss a vertex, and phi entries that are no vertex.
+``permuted_coloring`` builds its masks directly and is compared with the
+coloring built from the list of red pairs.
 """
 
 import dataclasses
@@ -19,7 +21,7 @@ import random
 import pytest
 
 import adversary_reference as ref
-from ramseydensity.colorings import (BLUE, RED, _red_prefix_counts, adversary,
+from ramseydensity.colorings import (BLUE, RED, TwoColoring, _red_prefix_counts, adversary,
                                      verify_adversary)
 from ramseydensity.lipschitz import GammaParam, PLFunction, sigma_g
 
@@ -89,6 +91,32 @@ def test_steps_outside_zero_one_are_rejected():
         adversary(1, 1, PLFunction.linear(3.0), 20)
     with pytest.raises(ValueError, match="1-Lipschitz along integers"):
         adversary(1, 1, PLFunction.from_points([(0, 0), (4, 0), (5, -3)], lipschitz=False), 20)
+
+
+def pair_built_permuted_coloring(inst):
+    """``permuted_coloring`` as it was: the list of every red pair i < j."""
+    red, phi = inst.coloring.neighbor_sets(RED), inst.phi
+    return TwoColoring(inst.n, "explicit", red_edges=[
+        (i, j) for i in range(inst.n) for j in range(i + 1, inst.n)
+        if red[phi[i]] >> phi[j] & 1],
+        vertex_colors=tuple(inst.vertex_colors[v] for v in phi))
+
+
+@pytest.mark.parametrize("n", SIZES[:-1])
+@pytest.mark.parametrize("s,r", LAMBDAS[:3])
+def test_permuted_coloring_equals_the_pair_built_one(s, r, n):
+    for g in (sigma_g(GammaParam.from_lambda(s / r), 6), PLFunction.linear(0.5)):
+        inst = adversary(s, r, g, n)
+        got, want = inst.permuted_coloring(), pair_built_permuted_coloring(inst)
+        assert got.red_masks == want.red_masks
+        assert got.vertex_colors == want.vertex_colors
+        assert got == want
+
+
+def test_permuted_coloring_needs_a_permutation():
+    inst = adversary(1, 1, PLFunction.zero(), 10)
+    with pytest.raises(ValueError, match="phi is not a permutation"):
+        dataclasses.replace(inst, phi=(0,) * 10).permuted_coloring()
 
 
 # ------------------------------------------------------- length mutations

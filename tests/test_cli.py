@@ -252,6 +252,12 @@ BAD_INPUTS = [
     ["mfmc", "--graph", File("2 2 1\n0 x\n"), "--r", "1", "--s", "1"],
     ["mfmc", "--graph", File("2 2 1\n0 2\n"), "--r", "1", "--s", "1"],
     ["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", "linear:5"],
+    ["findflow", "--coloring", File("4 leftmost extra\nRRBB\n"), "--r", "1", "--s", "1"],
+    ["findflow", "--coloring", File("4\nRRBB\n"), "--r", "1", "--s", "1"],
+    ["findflow", "--coloring", File("4.0 leftmost\nRRBB\n"), "--r", "1", "--s", "1"],
+    ["shade", "--coloring", File("6 modular:3 extra\n"), "--a", "2"],
+    ["shade", "--coloring", File("6.0 modular:3\n"), "--a", "2"],
+    ["shade", "--coloring", File("6 modular:x\n"), "--a", "2"],
 ]
 
 

@@ -4,9 +4,12 @@ reference copies in ``flows_reference``.
 ``findflow`` must return the same t, colour, value, flow and certificate as
 the from-scratch sweep, and ``mfmc`` the same certificate (flow h included)
 as the dict-based Edmonds-Karp, whose search also takes every length-3 path
-that the greedy pass takes before it.  On leftmost hosts the winner is always
-t = 1 with an empty flow, so the explicit hosts, whose edge colours do not
-follow the vertex order, carry the cases with a flow and the ties.
+that the greedy pass takes before it.  On leftmost hosts ``findflow`` reads
+D(t) from a left-to-right capacity pool instead of residual networks; the
+pool must equal the residual sweep and the reference at every prefix.  There
+the winner is always t = 1 with an empty flow, so the explicit hosts, whose
+edge colours do not follow the vertex order, carry the cases with a flow and
+the colour ties, and the leftmost winner's graph is checked at every prefix.
 """
 
 import random
@@ -46,13 +49,113 @@ def max_keys(chi, r, s):
     return {c for v, c in values if v == top}, sum(v == top for v, _ in values)
 
 
+def run_host(rng, n):
+    """A leftmost host cut into colour runs of 1 to n vertices, so that long
+    single-colour runs occur (one run is a one-colour host)."""
+    colors, color = [], rng.choice((RED, BLUE))
+    while len(colors) < n:
+        colors += [color] * rng.randint(1, n)
+        color = other(color)
+    return TwoColoring(n, "leftmost", vertex_colors=colors[:n])
+
+
+def pool_hosts():
+    rng = random.Random(15)
+    hosts = []
+    for n in (1, 2, 3, 4, 5, 7, 12, 20, 33, 64, 101, 200):
+        hosts += [TwoColoring(n, "leftmost",
+                              vertex_colors=[rng.choice((RED, BLUE)) for _ in range(n)]),
+                  run_host(rng, n), run_host(rng, n)]
+    hosts += [TwoColoring(n, "leftmost", vertex_colors=(color,) * n)
+              for n in (1, 6, 40) for color in (RED, BLUE)]
+    return hosts
+
+
+def prefix_values(chi, r, s):
+    """D(t) for t = 1..n and both colours, read off the residual sweep."""
+    sweeps = {color: flows._PrefixFlow(chi, color, r, s) for color in (BLUE, RED)}
+    values = {BLUE: [], RED: []}
+    for y in range(chi.n):
+        sweeps[other(chi.vertex_colors[y])].add(y)
+        for color in (BLUE, RED):
+            values[color].append(sweeps[color].D)
+    return values
+
+
+@pytest.mark.parametrize("chi", pool_hosts(),
+                         ids=lambda chi: f"{chi.n}-{''.join(chi.vertex_colors)[:12]}")
+def test_pool_profile_matches_the_residual_sweep_at_every_prefix(chi):
+    rng = random.Random(chi.n)
+    capacities = [(1, 1), (1, 4), (4, 1), (2, 3)] + [(rng.randint(1, 4), rng.randint(1, 4))]
+    for r, s in capacities:
+        pool = flows._pool_profile(chi.vertex_colors, r, s)
+        assert pool == prefix_values(chi, r, s)
+        if chi.n <= 33:
+            want = {(t, color): cert.D for t, color, cert, _ in ref.sweep(chi, r, s)}
+            assert {(t, color): pool[color][t - 1] for t, color in want} == want
+
+
+@pytest.mark.parametrize("n", [2, 5, 9, 16, 24])
+def test_leftmost_graph_matches_reference_at_every_prefix(n):
+    rng = random.Random(300 + n)
+    with_flow = 0
+    for chi in (leftmost_host(rng, n), run_host(rng, n)):
+        r, s = rng.sample(range(1, 5), 2)
+        pool = flows._pool_profile(chi.vertex_colors, r, s)
+        for t, color, cert, _ in ref.sweep(chi, r, s):
+            got = mfmc(flows._leftmost_graph(chi.vertex_colors, color, t, r, s))
+            assert got == cert and got.D == pool[color][t - 1]
+            with_flow += bool(got.h)
+    assert with_flow
+
+
 @pytest.mark.parametrize("n,count", [(8, 20), (16, 10), (32, 6), (64, 3), (128, 1)])
 def test_findflow_matches_reference_on_leftmost_hosts(n, count):
     rng = random.Random(1000 + n)
-    for _ in range(count):
-        chi = leftmost_host(rng, n)
-        r, s = rng.randint(1, 3), rng.randint(1, 3)
-        assert findflow(chi, r, s) == ref.findflow(chi, r, s)
+    t_ties = 0
+    for k in range(count):
+        chi = leftmost_host(rng, n) if k % 2 else run_host(rng, n)
+        r, s = rng.randint(1, 4), rng.randint(1, 4)
+        got = findflow(chi, r, s)
+        assert got == ref.findflow(chi, r, s)
+        if len(set(chi.vertex_colors)) == 2:
+            # t = 1 reaches value 1 in the colour of vertex 0, and the other
+            # colour's first prefix vertex finds an empty pool, so it stays
+            # below 1: no colour tie, and the winner has no flow
+            assert (got.t, got.color, got.h) == (1, chi.vertex_colors[0], ())
+            if n <= 32:  # the reference sweep is slow beyond
+                colors, count_top = max_keys(chi, r, s)
+                assert colors == {chi.vertex_colors[0]}
+                t_ties += count_top > len(colors)
+    assert t_ties >= count // 3 or n > 32, t_ties
+
+
+def test_findflow_on_a_leftmost_host_builds_only_the_final_network(monkeypatch):
+    rng = random.Random(6)
+    chi = leftmost_host(rng, 60)
+    want = ref.findflow(chi, 3, 2)
+    networks, masks = [], []
+    original_init, original_mask = flows._Residual.__init__, TwoColoring.neighbor_mask
+    monkeypatch.setattr(flows._Residual, "__init__",
+                        lambda self: networks.append(self) or original_init(self))
+    monkeypatch.setattr(TwoColoring, "neighbor_mask",
+                        lambda self, v, c: masks.append((v, c)) or original_mask(self, v, c))
+    assert findflow(chi, 3, 2) == want
+    assert len(networks) == 1 and masks == []
+
+
+def test_findflow_checks_the_pool_against_mfmc(monkeypatch):
+    rng = random.Random(9)
+    chi = leftmost_host(rng, 20)
+    original = flows._pool_profile
+
+    def off_by_one(colors, r, s):
+        return {color: [D + 1 for D in values]
+                for color, values in original(colors, r, s).items()}
+
+    monkeypatch.setattr(flows, "_pool_profile", off_by_one)
+    with pytest.raises(VerificationError, match="the sweep found flow"):
+        findflow(chi, 1, 1)
 
 
 def test_findflow_matches_reference_on_explicit_hosts():

@@ -70,6 +70,12 @@ def test_malformed_explicit_text_keeps_its_message(text):
     ("3 explicit\nRRB\n\nB\n", "extra lines after its color line"),
     ("4 leftmost\nRRRR\nBBBB\n", "extra lines after its color line"),
     ("3 modular:3\nRRR\n", "extra lines after its header"),
+    ("4 leftmost extra\nRRBB\n",
+     "^header '4 leftmost extra': expected '<n> <rule>', got 3 fields$"),
+    ("4\nRRBB\n", "^header '4': expected '<n> <rule>', got 1 fields$"),
+    ("4.0 leftmost\nRRBB\n", "^header '4.0 leftmost': expected '<n> <rule>', invalid literal"),
+    ("3 explicit RRB\n", "^header '3 explicit RRB': expected '<n> <rule>', got 3 fields$"),
+    ("6 modular:-3\n", "^header '6 modular:-3': expected '<n> modular:<a>' with an integer a$"),
 ])
 def test_from_text_rejects(text, message):
     with pytest.raises(ValueError, match=message):
