@@ -25,13 +25,23 @@ from .colorings import (TwoColoring, a_good_shading, adversary, clique_coloring,
                         color_masks, verify_adversary, verify_shading)
 from .embedder import HPrefixSpec, build_W, embed, verify_embedding
 from .errors import VerificationError
-from .families import (FiniteGraph, complete_bipartite, default_treecut_delta,
-                       mu_bruteforce, neighborhood, parse_family, treecut)
+from .families import (FiniteGraph, Grid, complete_bipartite, default_treecut_delta,
+                       mu_bruteforce, parse_family, treecut)
 from .flows import CapacitatedBipartite, findflow, mfmc
 from .lipschitz import PLFunction, f_closed
 
 NINE = "{:.9g}"
 FIG1_MAX_STEPS = 10 ** 6  # rdl fig1 writes one row per step, plus x = 0
+# rdl mu work bounds, checked before anything is built.  The search recurses
+# once per vertex of I and holds two masks per candidate, about prefix**2 / 8
+# bytes in all; the family lists prefix * degree neighbours, about 70 bytes
+# each; a grid:d builds every point of the box that holds its prefix's
+# neighbours, about 280 bytes each.
+MU_MAX_N = 64
+MU_MAX_PREFIX = 10 ** 4
+MU_MAX_NEIGHBORS = 2 * 10 ** 5
+MU_MAX_GRID_POINTS = 10 ** 5
+EMBED_MAX_HOST = 10 ** 4  # the planted host's masks take about host**2 / 16 bytes
 
 
 def _fmt(x):
@@ -164,8 +174,29 @@ def cmd_fig1(args):
     return 0
 
 
+def _grid_box(d, size):
+    """The points a Grid(d) builds to give the neighbours of its first
+    ``size`` vertices: the box one shell past the last one's."""
+    side = 1
+    while side ** d < size:
+        side += 2
+    return (side + 2) ** d
+
+
 def cmd_mu(args):
     fam = parse_family(args.family)
+    size = args.prefix_size if fam.finite_size is None else min(args.prefix_size,
+                                                                  fam.finite_size)
+    if args.n > MU_MAX_N:
+        raise ValueError(f"--n {args.n} is too large: at most {MU_MAX_N}")
+    if size > MU_MAX_PREFIX:
+        raise ValueError(f"--prefix-size {size} is too large: at most {MU_MAX_PREFIX}")
+    if size * fam.degree > MU_MAX_NEIGHBORS:
+        raise ValueError(f"{args.family} at --prefix-size {size} would list "
+                         f"{size * fam.degree} neighbours: at most {MU_MAX_NEIGHBORS}")
+    if isinstance(fam, Grid) and _grid_box(fam.d, size) > MU_MAX_GRID_POINTS:
+        raise ValueError(f"{args.family} at --prefix-size {size} would build "
+                         f"{_grid_box(fam.d, size)} points: at most {MU_MAX_GRID_POINTS}")
     value = mu_bruteforce(fam, args.n, args.prefix_size)
     meta = _meta(args, "mu")
     _write_json(args.out, meta, {"family": args.family, "n": args.n,
@@ -299,6 +330,8 @@ def cmd_embed(args):
         if value < least:
             raise ValueError(f"{option} must be at least {least}, got {value}")
     n = args.host_size
+    if n > EMBED_MAX_HOST:
+        raise ValueError(f"--host-size {n} is too large: at most {EMBED_MAX_HOST}")
     chi = _planted_host(n)
     assignment = tuple(("B", 1) if v < n // 2 else ("R", 1) for v in range(n))
     sh = Shading(a=2, assignment=assignment, min_count=2)
@@ -323,8 +356,8 @@ def cmd_treecut(args):
     I = tuple(int(x) for x in args.independent.split(","))
     if len(set(I)) != len(I):
         raise ValueError("--independent lists a vertex twice")
-    adj = forest.adjacency()
-    lam = Fraction(len(neighborhood(adj, I)), len(I))
+    # treecut builds the one adjacency the job needs; N(S) is read off the edges
+    lam = Fraction(len(forest.neighborhood(I)), len(I))
     lam_prime = _fraction(args.lam_prime)
     delta = _fraction(args.delta) if args.delta else default_treecut_delta(lam, lam_prime)
     result = treecut(forest, I, lam, lam_prime, delta)  # raises on a failed postcondition
@@ -336,7 +369,7 @@ def cmd_treecut(args):
     meta = _meta(args, "treecut")
     _write_json(args.out, meta, {
         "I_prime": list(result),
-        "neighborhood_size": len(neighborhood(adj, result)),
+        "neighborhood_size": len(forest.neighborhood(result)),
         "size_bound": size_bound,
         "delta": str(delta),
         "postconditions_ok": True,

@@ -13,7 +13,10 @@ set with nearly the same expansion.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,13 +70,19 @@ def _count_components(adj):
     return count
 
 
+def _vertex_set(vertices, n):
+    """set(vertices), rejecting the vertices outside 0..n-1."""
+    vs = set(vertices)
+    outside = sorted(v for v in vs if not 0 <= v < n)
+    if outside:
+        raise ValueError(f"vertices {outside} lie outside 0..{n - 1}")
+    return vs
+
+
 def neighborhood(adj, vertices):
     """N(S): vertices outside S with a neighbor in S; ``adj[v]`` lists the
     neighbors of v, for v in 0..len(adj)-1."""
-    vs = set(vertices)
-    outside = sorted(v for v in vs if not 0 <= v < len(adj))
-    if outside:
-        raise ValueError(f"vertices {outside} lie outside 0..{len(adj) - 1}")
+    vs = _vertex_set(vertices, len(adj))
     out = set()
     for v in vs:
         out.update(adj[v])
@@ -111,8 +120,10 @@ class FiniteGraph:
         return all(not (u in vs and v in vs) for u, v in self.edges)
 
     def neighborhood(self, vertices):
-        """N(S): vertices outside S with a neighbor in S."""
-        return neighborhood(self.adjacency(), vertices)
+        """N(S): vertices outside S with a neighbor in S, read off the edge set
+        in one pass, with no adjacency built."""
+        vs = _vertex_set(vertices, self.n)
+        return {b if a in vs else a for a, b in self.edges if (a in vs) != (b in vs)}
 
     def is_forest(self):
         return len(self.edges) == self.n - _count_components(self.adjacency())
@@ -150,6 +161,7 @@ class GraphFamily:
     """Base class: a canonical vertex order plus infinite-graph neighborhoods."""
 
     finite_size = None  # None means infinite
+    degree = 0  # the largest degree of a vertex
 
     def neighbors(self, v):
         raise NotImplementedError
@@ -175,6 +187,7 @@ class PathPower(GraphFamily):
         if k < 1:
             raise ValueError("k must be at least 1")
         self.k = k
+        self.degree = 2 * k
 
     def neighbors(self, v):
         return {w for w in range(max(0, v - self.k), v + self.k + 1) if w != v}
@@ -187,6 +200,7 @@ class KAryTree(GraphFamily):
         if k < 1:
             raise ValueError("k must be at least 1")
         self.k = k
+        self.degree = k + 1
 
     def neighbors(self, v):
         out = set(range(self.k * v + 1, self.k * v + self.k + 1))
@@ -203,27 +217,21 @@ class Grid(GraphFamily):
         if d < 1:
             raise ValueError("d must be at least 1")
         self.d = d
-        self._coords = [(0,) * d]
-        self._index = {(0,) * d: 0}
-        self._radius = 0
+        self.degree = 2 * d
+        self._coords = []
+        self._index = {}
+        self._radius = -1  # nothing is built until a vertex is asked for
+        self._inner = 0  # the vertices inside the outermost shell built
 
     def _shell(self, r):
-        pts = []
-
-        def rec(prefix):
-            if len(prefix) == self.d:
-                if max(abs(c) for c in prefix) == r:
-                    pts.append(tuple(prefix))
-                return
-            for c in range(-r, r + 1):
-                rec(prefix + [c])
-
-        rec([])
-        return sorted(pts)
+        """The points of max-norm r in lexicographic order, which product yields."""
+        return [pt for pt in itertools.product(range(-r, r + 1), repeat=self.d)
+                if r in pt or -r in pt]
 
     def _grow_to_radius(self, r):
         while self._radius < r:
             self._radius += 1
+            self._inner = len(self._coords)
             for pt in self._shell(self._radius):
                 self._index[pt] = len(self._coords)
                 self._coords.append(pt)
@@ -243,7 +251,8 @@ class Grid(GraphFamily):
 
     def neighbors(self, v):
         base = self.coord(v)
-        self._grow_to_radius(max(abs(c) for c in base) + 1)
+        if v >= self._inner:  # v lies on the outermost shell: build the next
+            self._grow_to_radius(self._radius + 1)
         out = set()
         for i in range(self.d):
             for step in (-1, 1):
@@ -260,6 +269,7 @@ class OmegaFactor(GraphFamily):
             raise ValueError("factor must be nonempty")
         self.factor = factor
         self._adj = factor.adjacency()
+        self.degree = max(map(len, self._adj))
 
     def neighbors(self, v):
         copy, local = divmod(v, self.factor.n)
@@ -273,6 +283,7 @@ class Explicit(GraphFamily):
         self.graph = graph
         self.finite_size = graph.n
         self._adj = graph.adjacency()
+        self.degree = max(map(len, self._adj), default=0)
 
     def neighbors(self, v):
         return set(self._adj[v])
@@ -319,6 +330,13 @@ def mu_bruteforce(family, n, prefix_size):
     The search carries N(I) as one bitmask, the union of the chosen vertices'
     neighbor masks; a vertex extends I iff its bit is clear, so adding it only
     adds to N(I), and a branch whose N(I) has best or more vertices is cut.
+    A vertex whose neighborhood misses N(I) adds its whole degree, so once
+    |N(I)| plus the least degree of the pool indices left reaches best, only
+    the vertices that share a neighbor with I can pass the cut: the loop then
+    reads only those, the bits of ``close``, the union of the ``near`` masks
+    of the vertices of I.  best only falls, so this holds
+    for the rest of the loop, and the search visits the nodes it would visit
+    testing every vertex, in the same order.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -332,20 +350,51 @@ def mu_bruteforce(family, n, prefix_size):
         raise PrefixTooSmallError(
             f"only {len(pool)} boundary-interior candidates; increase prefix_size")
     masks = [sum(1 << w for w in nbrs[v]) for v in pool]
+    bits = [1 << v for v in pool]
+    # near[i]: the pool indices whose neighborhood meets that of pool[i]
+    holders = {}
+    for i, v in enumerate(pool):
+        for w in nbrs[v]:
+            holders[w] = holders.get(w, 0) | 1 << i
+    near = [functools.reduce(operator.or_, map(holders.get, nbrs[v]), 0) for v in pool]
+    # least[i]: the least degree among pool indices i, i+1, ...
+    least = list(itertools.accumulate(reversed([m.bit_count() for m in masks]), min))[::-1]
 
     best = math.inf
 
-    def extend(start, depth, nbhd):
+    def extend(start, depth, nbhd, close):
         nonlocal best
-        if depth == n:
-            best = nbhd.bit_count()  # the cut below passes only masks under best
-            return
-        for idx in range(start, len(pool) - (n - depth) + 1):
-            new = nbhd | masks[idx]
-            if not nbhd >> pool[idx] & 1 and new.bit_count() < best:
-                extend(idx + 1, depth + 1, new)
+        stop = len(pool) - n + depth + 1
+        size = nbhd.bit_count()
+        last = depth + 1 == n  # the last level takes its minimum in the loop
+        idx = start
+        while idx < stop and size + least[idx] < best:
+            if not nbhd & bits[idx]:
+                new = nbhd | masks[idx]
+                count = new.bit_count()
+                if count < best:
+                    if last:
+                        best = count
+                    else:
+                        extend(idx + 1, depth + 1, new, close | near[idx])
+            idx += 1
+        # the bits of close from idx on; the body is written out twice, since
+        # a shared inner call or a bit scan of every index was slower
+        rest = close & (1 << stop) - (1 << idx)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            idx = low.bit_length() - 1
+            if not nbhd & bits[idx]:
+                new = nbhd | masks[idx]
+                count = new.bit_count()
+                if count < best:
+                    if last:
+                        best = count
+                    else:
+                        extend(idx + 1, depth + 1, new, close | near[idx])
 
-    extend(0, 0, 0)
+    extend(0, 0, 0, 0)
     if best == math.inf:
         raise PrefixTooSmallError("no independent boundary-interior set of the requested size")
     return best

@@ -185,6 +185,16 @@ class File:
 
 STAR = "4 3\n0 1\n0 2\n0 3\n"  # centre 0, leaves 1, 2 and 3
 
+# inputs beyond a work bound of rdl mu or rdl embed
+WORK_BOUND_ROWS = [
+    ["mu", "--family", "pathpower:1", "--n", "2", "--prefix-size", "100000"],
+    ["mu", "--family", "grid:8", "--n", "1", "--prefix-size", "2"],
+    ["mu", "--family", "grid:10", "--n", "1", "--prefix-size", "4"],
+    ["mu", "--family", "pathpower:1000000", "--n", "1", "--prefix-size", "10"],
+    ["mu", "--family", "pathpower:1", "--n", "1500", "--prefix-size", "4000"],
+    ["embed", "--host-size", "10001"],
+]
+
 BAD_INPUTS = [
     ["adversary", "--s", "1", "--r", "0", "--n", "40"],
     ["adversary", "--s", "0", "--r", "1", "--n", "40"],
@@ -258,6 +268,11 @@ BAD_INPUTS = [
     ["shade", "--coloring", File("6 modular:3 extra\n"), "--a", "2"],
     ["shade", "--coloring", File("6.0 modular:3\n"), "--a", "2"],
     ["shade", "--coloring", File("6 modular:x\n"), "--a", "2"],
+    ["mu", "--family", "karytree:2", "--n", "0"],
+    ["mu", "--family", "pathpower:", "--n", "2"],
+    ["mu", "--family", "bogus:1", "--n", "2"],
+    ["mu", "--family", "karytree:2", "--n", "3", "--prefix-size", "7"],
+    *WORK_BOUND_ROWS,
 ]
 
 
@@ -288,6 +303,45 @@ def test_bad_input_exits_1_with_one_error_line(argv, tmp_path, capsys):
 def test_size_error_names_the_option(argv, name, capsys):
     assert run(argv) == 1
     assert f"error: {name} must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", WORK_BOUND_ROWS, ids=" ".join)
+def test_work_bounds_exit_before_anything_is_built(argv, monkeypatch, capsys):
+    from ramseydensity import cli
+
+    def unreachable(*args):
+        raise AssertionError("built past a work bound")
+
+    monkeypatch.setattr(cli, "mu_bruteforce", unreachable)
+    monkeypatch.setattr(cli, "_planted_host", unreachable)
+    monkeypatch.setattr(cli.Grid, "_grow_to_radius", unreachable)
+    assert run(argv) == 1
+    assert "at most" in capsys.readouterr().err
+
+
+def test_work_bounds_admit_their_limits(tmp_path, capsys):
+    # at each bound the command runs, or fails for a reason of its own
+    from ramseydensity import cli
+    out = str(tmp_path / "out.json")
+    for argv, code in [
+            (["pathpower:1", "--n", "1", "--prefix-size", str(cli.MU_MAX_PREFIX)], 0),
+            ([f"pathpower:{cli.MU_MAX_NEIGHBORS // 200}", "--n", "1", "--prefix-size", "100"],
+             1),
+            (["grid:10", "--n", "1", "--prefix-size", "1"], 1),  # a box of 3**10 points
+            (["karytree:2", "--n", str(cli.MU_MAX_N), "--prefix-size", "127"], 1)]:
+        assert run(["mu", "--family", *argv, "--out", out]) == code
+        assert "at most" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d,size", [(1, 1), (1, 30), (2, 9), (2, 10), (2, 121), (3, 27),
+                                    (3, 28), (4, 2)])
+def test_grid_box_counts_the_points_a_grid_prefix_builds(d, size):
+    from ramseydensity.cli import _grid_box
+    from ramseydensity.families import Grid
+    grid = Grid(d)
+    for v in range(size):
+        grid.neighbors(v)
+    assert len(grid._coords) == _grid_box(d, size)
 
 
 @pytest.mark.parametrize("spec", ["modular:1", "modular:", "modular:x"])
@@ -441,6 +495,7 @@ def test_optimized_interpreter_gives_same_exit_codes_and_artifacts(tmp_path):
                     "--lambda-prime", "3/2"],
         "shade": ["shade", "--coloring", str(coloring), "--a", "3", "--min-count", "3"],
         "embed": ["embed", "--host-size", "40", "--copies", "4", "--r", "1", "--s", "2"],
+        "mu": ["mu", "--family", "grid:2", "--n", "4", "--prefix-size", "121"],
     }
     for name, argv in commands.items():
         results = []
