@@ -24,7 +24,7 @@ from . import __version__
 from .colorings import (TwoColoring, a_good_shading, adversary, clique_coloring,
                         color_masks, verify_adversary, verify_shading)
 from .embedder import HPrefixSpec, build_W, embed, verify_embedding
-from .errors import VerificationError
+from .errors import VerificationError, fields
 from .families import (FiniteGraph, Grid, complete_bipartite, default_treecut_delta,
                        mu_bruteforce, parse_family, treecut)
 from .flows import CapacitatedBipartite, findflow, mfmc
@@ -65,6 +65,15 @@ def _meta(args, command):
             "seed": _seed_of(args), "version": __version__}
 
 
+def _emit(path, text):
+    """Write an artifact to path, or to stdout when there is none."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _write_csv(path, meta, header, rows):
     lines = [f"# command: {meta['command']}",
              f"# config: {json.dumps(meta['config'], sort_keys=True)}",
@@ -72,22 +81,11 @@ def _write_csv(path, meta, header, rows):
              f"# version: {meta['version']}",
              ",".join(header)]
     lines += [",".join(row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path, meta, payload):
-    doc = {"meta": meta, **payload}
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(path, json.dumps({"meta": meta, **payload}, indent=2, sort_keys=True) + "\n")
 
 
 def _fraction(text):
@@ -128,18 +126,9 @@ def _parse_pl(spec_text):
             return sigma_g(GammaParam.from_lambda(_number(lam_s)),
                            _number(periods_s, int) if periods_s else 8)
         if kind == "file":
-            pts = []
             with open(rest, encoding="utf-8") as fh:
-                for k, line in enumerate(fh, start=1):
-                    row = line.split()
-                    if not row:
-                        continue
-                    try:
-                        if len(row) != 2:
-                            raise ValueError(f"expected 'x y', got {len(row)} fields")
-                        pts.append((_number(row[0]), _number(row[1])))
-                    except ValueError as exc:
-                        raise ValueError(f"row {k} {line.strip()!r}: {exc}") from None
+                pts = [fields(f"row {k}", line, "x y", _number, _number)
+                       for k, line in enumerate(fh, start=1) if line.strip()]
             if not pts:
                 raise ValueError("the file has no 'x y' rows")
             return PLFunction.from_points(pts)
@@ -149,10 +138,10 @@ def _parse_pl(spec_text):
 
 
 def cmd_f_eval(args):
-    b = f_closed(math.inf if args.lam == "inf" else float(args.lam))
+    lam = float(args.lam)
+    b = f_closed(lam)
     meta = _meta(args, "f-eval")
-    rows = [[_fmt(float(args.lam) if args.lam != "inf" else math.inf),
-             _fmt(b.lower), _fmt(b.upper), _fmt(b.exact)]]
+    rows = [[_fmt(lam), _fmt(b.lower), _fmt(b.upper), _fmt(b.exact)]]
     _write_csv(args.out, meta, ["lambda", "lower", "upper", "exact"], rows)
     return 0
 
@@ -220,18 +209,6 @@ def cmd_adversary(args):
     return 0
 
 
-def _int_fields(k, line, shape):
-    """The integers on line k of a file, which must hold the fields of
-    ``shape`` (such as 'i j'); the error names the line and the shape."""
-    fields = line.split()
-    try:
-        if len(fields) != len(shape.split()):
-            raise ValueError(f"got {len(fields)} fields")
-        return list(map(int, fields))
-    except ValueError as exc:
-        raise ValueError(f"line {k} {line.strip()!r}: expected '{shape}', {exc}") from None
-
-
 def _mfmc_edges(rows, nx, ny):
     """The edges (i, nx + j) of an ``rdl mfmc`` file's 'i j' rows, given as
     (line number, text) pairs; a row that is not two integers with
@@ -247,7 +224,7 @@ def _mfmc_edges(rows, nx, ny):
     # some row breaks a rule: look for the first one row by row
     first = {}
     for k, line in rows:
-        i, j = _int_fields(k, line, "i j")
+        i, j = fields(f"line {k}", line, "i j", int, int)
         if not (0 <= i < nx and 0 <= j < ny):
             raise ValueError(f"line {k} {line.strip()!r}: expected 'i j' with "
                              f"0 <= i < {nx} and 0 <= j < {ny}")
@@ -262,12 +239,13 @@ def cmd_mfmc(args):
         lines = [(k, ln) for k, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError("empty graph file")
-    nx, ny, m = _int_fields(*lines[0], "nx ny m")
+    (k, head), rows = lines[0], lines[1:]
+    nx, ny, m = fields(f"line {k}", head, "nx ny m", int, int, int)
     if min(nx, ny, m) < 0:
-        raise ValueError(f"header 'nx ny m' must be nonnegative, got {lines[0][1].strip()!r}")
-    if len(lines) - 1 != m:
+        raise ValueError(f"header 'nx ny m' must be nonnegative, got {head.strip()!r}")
+    if len(rows) != m:
         raise ValueError("edge count does not match header")
-    edges = _mfmc_edges(lines[1:], nx, ny)
+    edges = _mfmc_edges(rows, nx, ny)
     G = CapacitatedBipartite(tuple(range(nx)), tuple(range(nx, nx + ny)),
                              edges, args.r, args.s)
     cert = mfmc(G)

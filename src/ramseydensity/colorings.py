@@ -20,11 +20,12 @@ from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from operator import eq, le, sub
 
-from .errors import VerificationError
+from .errors import VerificationError, fields
 from .lipschitz import GammaParam, gamma_crossings
 
 RED, BLUE = "R", "B"
 COLORS = (RED, BLUE)
+_CHAIN_TOL = 1e-6  # slack of adversary_bound_chain's float comparisons
 
 
 def other(color):
@@ -134,7 +135,7 @@ class TwoColoring:
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty coloring text")
-        n, rule = _header(lines[0])
+        n, rule = fields("header", lines[0], "<n> <rule>", int, str)
         if rule == "leftmost" and len(lines) < 2:
             raise ValueError("leftmost coloring has no color line")
         if rule == "leftmost":
@@ -159,18 +160,6 @@ class TwoColoring:
             where = "header" if chi.rule == "modular" else "color line"
             raise ValueError(f"{rule} coloring has extra lines after its {where}")
         return chi
-
-
-def _header(line):
-    """n and the rule from a coloring text's first line, which must be
-    '<n> <rule>' with an integer n; the error names the line and the shape."""
-    fields = line.split()
-    try:
-        if len(fields) != 2:
-            raise ValueError(f"got {len(fields)} fields")
-        return int(fields[0]), fields[1]
-    except ValueError as exc:
-        raise ValueError(f"header {line.strip()!r}: expected '<n> <rule>', {exc}") from None
 
 
 _DROP_COLORS = str.maketrans("", "", RED + BLUE)
@@ -396,11 +385,11 @@ def adversary(s, r, g, n):
     alpha, beta = _run_indices(bits, s, r)
 
     # alpha and beta are non-decreasing, so the blocks are nested and block
-    # j adds exactly the reds a_{j-1}..a_j - 1 and the blues b_{j-1}..b_j - 1
-    joint = _joint_prefix(alpha, beta, n)
+    # j adds exactly the reds a_{j-1}..a_j - 1 and the blues b_{j-1}..b_j - 1;
+    # alpha_j counts reds and beta_j blues, so every block fits in n
     phi = []
     a_prev = b_prev = 0
-    for a_j, b_j in zip(alpha[:joint], beta[:joint]):
+    for a_j, b_j in zip(alpha, beta):
         phi += sorted(red_pos[a_prev:a_j] + blue_pos[b_prev:b_j])
         a_prev, b_prev = a_j, b_j
         if len(phi) != a_j + b_j:
@@ -547,7 +536,7 @@ def verify_adversary(inst):
     return problems
 
 
-def adversary_bound_chain(inst, i_min=50, tol=1e-6):
+def adversary_bound_chain(inst, i_min=50):
     """Check alpha_i <= (1-gamma) z+ / 2 + w/2 and the symmetric +2 bound for
     beta_i at every index i >= i_min with alpha_i + beta_i <= n; returns
     violations (an infinite crossing means g was built too small for n).
@@ -566,9 +555,9 @@ def adversary_bound_chain(inst, i_min=50, tol=1e-6):
         if not (math.isfinite(zp) and math.isfinite(zm)):
             problems.append(f"crossing infinite at i={i}")
             continue
-        if inst.alpha[i - 1] > (1 - gamma) * zp / 2 + w / 2 + tol:
+        if inst.alpha[i - 1] > (1 - gamma) * zp / 2 + w / 2 + _CHAIN_TOL:
             problems.append(f"alpha bound fails at i={i}")
-        if inst.beta[i - 1] > (1 - gamma) * zm / 2 + w / 2 + 2 + tol:
+        if inst.beta[i - 1] > (1 - gamma) * zm / 2 + w / 2 + 2 + _CHAIN_TOL:
             problems.append(f"beta bound fails at i={i}")
     return problems
 

@@ -23,6 +23,8 @@ from types import MappingProxyType
 from .colorings import COLORS, other, density
 from .families import FiniteGraph, OmegaFactor, components, neighborhood
 
+_PIECE_WINDOW = 64  # the Y-candidates a piece search looks ahead over
+
 
 @dataclass(frozen=True)
 class BipartitePiece:
@@ -127,7 +129,7 @@ def _find_piece(nb, xs_pool, ys_pool, r, s, window):
     return rec([], sum(1 << x for x in xs_pool), 0)
 
 
-def build_W(chi, sh, r, s, window=64, max_pieces=None):
+def build_W(chi, sh, r, s, max_pieces=None):
     """Greedy backbone packing: for each color and each shade pair, pack
     disjoint complete pieces (exhaustive search per piece over a bounded
     candidate window, optionally capped), then add every unused vertex of the
@@ -146,7 +148,7 @@ def build_W(chi, sh, r, s, window=64, max_pieces=None):
                     xs_pool = [v for v in sh.members(other(color), cj) if v not in used]
                     if len(ys_pool) < s or len(xs_pool) < r:
                         break
-                    got = _find_piece(nb, xs_pool, ys_pool, r, s, window)
+                    got = _find_piece(nb, xs_pool, ys_pool, r, s, _PIECE_WINDOW)
                     if got is None:
                         break
                     X, Y = got

@@ -23,7 +23,8 @@ vertex to it and augments the flow it already carries, so it reads each
 max flow value without recomputing it.  On a leftmost host the networks'
 neighbourhoods are nested prefixes, and one left-to-right capacity pool
 reads every max flow value with no network at all.  One final ``mfmc`` on
-the winner's graph yields its flow and cover.  Blocking-flow methods
+the winner's graph, read off the color-neighbor masks on every host, yields
+its flow and cover.  Blocking-flow methods
 (Dinic) would be faster still but pick a different flow, and so different
 certificates.
 """
@@ -283,13 +284,11 @@ class _PrefixFlow:
 
     def __init__(self, chi, color, r, s):
         self.chi, self.color, self.s = chi, color, s
-        self.X = tuple(v for v in range(chi.n) if chi.vertex_colors[v] == color)
-        self.Y = []
-        self.edges = []
         self.D = 0
         self.net = _Residual()
-        # x's source arc, whose head is x's node
-        self.source = {x: self.net.add_arc(self.net.SRC, self.net.add_node(), r) for x in self.X}
+        # x's source arc, whose head is x's node, in X order
+        self.source = {x: self.net.add_arc(self.net.SRC, self.net.add_node(), r)
+                       for x, c in enumerate(chi.vertex_colors) if c == color}
 
     def add(self, y):
         """Add y to Y with its C-colored edges and augment back to a max flow.
@@ -304,19 +303,27 @@ class _PrefixFlow:
         paths.
         """
         net = self.net
-        self.Y.append(y)
         node = net.add_node()
         sink_arc = net.add_arc(node, net.SNK, self.s)
         mask = self.chi.neighbor_mask(y, self.color)
-        pairs = []
-        for x in self.X:
-            if mask >> x & 1:
-                self.edges.append((x, y))
-                a = self.source[x]
-                pairs.append((a, net.add_arc(net.head[a], node, math.inf)))
+        pairs = [(a, net.add_arc(net.head[a], node, math.inf))
+                 for x, a in self.source.items() if mask >> x & 1]
         self.D += net.push_direct(pairs)
         while net.cap[sink_arc] > 0 and (pushed := net.augment()):
             self.D += pushed
+
+
+def _sweep_profile(chi, r, s):
+    """D(t) for t = 1..n and both colors on any host: each color keeps one
+    network, and going from t - 1 to t adds vertex t - 1 to the other
+    color's network and augments the flow that network already carries."""
+    sweeps = {color: _PrefixFlow(chi, color, r, s) for color in (BLUE, RED)}
+    profile = {BLUE: [], RED: []}
+    for y, c in enumerate(chi.vertex_colors):
+        sweeps[other(c)].add(y)
+        profile[BLUE].append(sweeps[BLUE].D)
+        profile[RED].append(sweeps[RED].D)
+    return profile
 
 
 def _pool_profile(colors, r, s):
@@ -342,12 +349,16 @@ def _pool_profile(colors, r, s):
     return profile
 
 
-def _leftmost_graph(colors, color, t, r, s):
-    """Color C's network at prefix length t on a leftmost host: X is every
-    C vertex, Y the C-bar vertices below t, and x y an edge iff x < y."""
+def _prefix_graph(chi, color, t, r, s):
+    """Color C's network at prefix length t: X is every C vertex, Y the C-bar
+    vertices below t, and x y an edge iff it has color C, read off y's one
+    C-neighbor mask."""
+    colors = chi.vertex_colors
     X = tuple(v for v, c in enumerate(colors) if c == color)
     Y = tuple(v for v in range(t) if colors[v] != color)
-    return CapacitatedBipartite(X, Y, frozenset((x, y) for y in Y for x in X if x < y), r, s)
+    masks = {y: chi.neighbor_mask(y, color) for y in Y}
+    return CapacitatedBipartite(X, Y, frozenset((x, y) for y in Y for x in X
+                                                if masks[y] >> x & 1), r, s)
 
 
 def findflow(chi, r, s):
@@ -361,16 +372,13 @@ def findflow(chi, r, s):
     Flow is positive only on C-colored edges with oppositely colored ends.
     Ties in value break toward blue, then toward smaller t.
 
-    Only the max flow value D(t) is read per (t, color).  On a leftmost host
-    it comes from one left-to-right capacity pool (``_pool_profile``).  On
-    other hosts the sweep is incremental: each color keeps one residual
-    network, and going from t - 1 to t adds vertex t - 1 to the prefix side
-    of the other color's network, reading its edges to that network's X side
-    from its one color-neighbor mask, and augments the flow the network
-    already carries.  A value (s |C cap [t]| + D)/(s t) is compared with the
-    best so far by cross-multiplying.  The winner's flow h and cover come
-    from one from-scratch ``mfmc`` on its graph, whose value must equal the
-    swept D(t).
+    Three steps.  The profile: only the max flow value D(t) is read per
+    (t, color), from one left-to-right capacity pool on a leftmost host
+    (``_pool_profile``) and from the incremental sweep on other hosts
+    (``_sweep_profile``).  The pick: a value (s |C cap [t]| + D)/(s t) is
+    compared with the best so far by cross-multiplying.  The certificate:
+    the winner's flow h and cover come from one from-scratch ``mfmc`` on its
+    graph (``_prefix_graph``), whose value must equal the profile's D(t).
     """
     if chi.vertex_colors is None:
         raise ValueError("findflow needs vertex colors")
@@ -382,16 +390,7 @@ def findflow(chi, r, s):
         color = RED if BLUE not in colors else BLUE
         return FindFlowResult(t=n, color=color, h=(), value=Fraction(1), certificate=None)
 
-    if chi.rule == "leftmost":
-        sweeps = None
-        profile = _pool_profile(colors, r, s)
-    else:
-        sweeps = {color: _PrefixFlow(chi, color, r, s) for color in (BLUE, RED)}
-        profile = {BLUE: [], RED: []}
-        for y in range(n):
-            sweeps[other(colors[y])].add(y)
-            profile[BLUE].append(sweeps[BLUE].D)
-            profile[RED].append(sweeps[RED].D)
+    profile = _pool_profile(colors, r, s) if chi.rule == "leftmost" else _sweep_profile(chi, r, s)
 
     in_prefix = {BLUE: 0, RED: 0}
     num, den, t, color = -1, 1, 0, RED  # below every value, so t = 1 replaces it
@@ -405,13 +404,7 @@ def findflow(chi, r, s):
                 num, den, t, color = num_k, den_k, k + 1, color_k
 
     D = profile[color][t - 1]
-    if sweeps is None:
-        G = _leftmost_graph(colors, color, t, r, s)
-    else:
-        sweep = sweeps[color]
-        G = CapacitatedBipartite(sweep.X, tuple(y for y in sweep.Y if y < t),
-                                 frozenset((x, y) for x, y in sweep.edges if y < t), r, s)
-    cert = mfmc(G)
+    cert = mfmc(_prefix_graph(chi, color, t, r, s))
     if cert.D != D:
         raise VerificationError(f"findflow: the sweep found flow {D} at t = {t}, "
                                 f"color {color}, but mfmc finds {cert.D}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +25,8 @@ INF = math.inf
 
 _LIP_TOL = 1e-9
 _ID_TOL = 1e-12
+_S_GOOD_TOL = 1e-9  # relative slack of s_good's inequality
+_SIGMA_F_PERIODS = 10  # the sawtooth's periods in sigma_f_value
 
 
 class UnboundedCandidateError(ValueError):
@@ -93,15 +95,9 @@ class PLFunction:
         bp, vals = self.breakpoints, self.values
         if x >= bp[-1]:
             return vals[-1] + self.tail_slope * (x - bp[-1])
-        lo, hi = 0, len(bp) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if bp[mid] <= x:
-                lo = mid
-            else:
-                hi = mid
-        x0, x1 = bp[lo], bp[hi]
-        y0, y1 = vals[lo], vals[hi]
+        lo = bisect_right(bp, x) - 1
+        x0, x1 = bp[lo], bp[lo + 1]
+        y0, y1 = vals[lo], vals[lo + 1]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
     def values_at(self, xs):
@@ -406,12 +402,12 @@ def sup_ratio(g, p, t_lo, t_hi):
                max((a + b) / t for a, b, t in zip(*right, below)))
 
 
-def sigma_f_value(lam, periods=10):
+def sigma_f_value(lam):
     """Empirical f(lam) through the sawtooth pipeline: build the sawtooth,
     evaluate the ratio supremum on an interior window, substitute into f."""
     p = GammaParam.from_lambda(lam)
-    g = sigma_g(p, periods)
-    t_lo, t_hi = sigma_window(p, periods)
+    g = sigma_g(p, _SIGMA_F_PERIODS)
+    t_lo, t_hi = sigma_window(p, _SIGMA_F_PERIODS)
     h = sup_ratio(g, p, t_lo, t_hi)
     return f_from_h(h, lam)
 
@@ -587,7 +583,7 @@ def increasing_levels(ts, floor=1.0):
     return out
 
 
-def s_good(ts, S, p, tol=1e-9):
+def s_good(ts, S, p):
     """Whether the increasing level sequence certifies value S: for every
     checkable i, S*t_i dominates the closed lower-bound expression built from
     t_1..t_{i+1} (t_0 = 0).  A single-entry sequence is vacuously good."""
@@ -599,7 +595,7 @@ def s_good(ts, S, p, tol=1e-9):
         rhs = (2 / (1 + gamma)) * full[i]
         for j in range(1, i + 2):
             rhs += c * q ** (i - j + 2) * (full[j] + full[j - 1])
-        if S * full[i] < rhs - tol * max(1.0, abs(rhs)):
+        if S * full[i] < rhs - _S_GOOD_TOL * max(1.0, abs(rhs)):
             return False
     return True
 

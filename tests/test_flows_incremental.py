@@ -103,7 +103,7 @@ def test_leftmost_graph_matches_reference_at_every_prefix(n):
         r, s = rng.sample(range(1, 5), 2)
         pool = flows._pool_profile(chi.vertex_colors, r, s)
         for t, color, cert, _ in ref.sweep(chi, r, s):
-            got = mfmc(flows._leftmost_graph(chi.vertex_colors, color, t, r, s))
+            got = mfmc(flows._prefix_graph(chi, color, t, r, s))
             assert got == cert and got.D == pool[color][t - 1]
             with_flow += bool(got.h)
     assert with_flow
@@ -187,7 +187,10 @@ def test_findflow_reads_one_neighbor_mask_per_prefix_vertex(monkeypatch):
                         lambda self, v, c: masks.append((v, c)) or original_mask(self, v, c))
     assert findflow(chi, 2, 1) == want
     # vertex y joins the prefix side of the other colour's network once and
-    # brings its edges to that network's X side in one mask of that colour
+    # brings its edges to that network's X side in one mask of that colour;
+    # the winner's graph reads one more mask per vertex of its prefix side,
+    # and this winner, t = 1 in the colour of vertex 0, has none
+    assert want.t == 1
     assert colors == []
     assert masks == [(y, other(chi.vertex_colors[y])) for y in range(chi.n)]
 
