@@ -42,6 +42,15 @@ MU_MAX_PREFIX = 10 ** 4
 MU_MAX_NEIGHBORS = 2 * 10 ** 5
 MU_MAX_GRID_POINTS = 10 ** 5
 EMBED_MAX_HOST = 10 ** 4  # the planted host's masks take about host**2 / 16 bytes
+# The other commands' size bounds, checked the same way.  A modular or
+# explicit coloring of n vertices holds n masks of n bits, and rdl shade
+# builds two more lists of them; rdl mfmc, treecut and adversary hold a few
+# hundred bytes per vertex.  At each bound a run peaks under 50 MB (Python
+# 3.11; the import alone takes about 17 MB).
+COLORING_MAX_N = 10 ** 4  # a coloring file's n, and rdl shade --n
+MFMC_MAX_VERTICES = 10 ** 4  # nx + ny
+GRAPH_MAX_N = 10 ** 4  # a graph file's n: a forest, or an omega: or explicit: family
+ADVERSARY_MAX_N = 5 * 10 ** 4
 
 
 def _fmt(x):
@@ -86,6 +95,36 @@ def _write_csv(path, meta, header, rows):
 
 def _write_json(path, meta, payload):
     _emit(path, json.dumps({"meta": meta, **payload}, indent=2, sort_keys=True) + "\n")
+
+
+def _check_bound(name, value, limit):
+    """Reject a size beyond its work bound, before anything is built."""
+    if value > limit:
+        raise ValueError(f"{name} {value} is too large: at most {limit}")
+
+
+def _read_sized(path, where, shape, kinds, limit, name):
+    """The text of an input file whose first nonblank line, read as its
+    parser reads it (``where`` may hold the line number as {k}), opens with
+    a size within limit."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    k, head = next(((k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()),
+                   (0, ""))
+    if head:
+        _check_bound(name, fields(where.format(k=k), head, shape, *kinds)[0], limit)
+    return text
+
+
+def _read_coloring(path):
+    """The coloring in a file, once its n is within COLORING_MAX_N."""
+    return TwoColoring.from_text(_read_sized(path, "header", "<n> <rule>", (int, str),
+                                             COLORING_MAX_N, "the coloring's n ="))
+
+
+def _graph_text(path):
+    """The text of a graph file, once its n is within GRAPH_MAX_N."""
+    return _read_sized(path, "line {k}", "n m", (int, int), GRAPH_MAX_N, "the graph's n =")
 
 
 def _fraction(text):
@@ -173,13 +212,14 @@ def _grid_box(d, size):
 
 
 def cmd_mu(args):
+    kind, _, path = args.family.partition(":")
+    if kind.lower() in ("omega", "explicit"):
+        _graph_text(path)  # parse_family reads the file again, within the bound
     fam = parse_family(args.family)
     size = args.prefix_size if fam.finite_size is None else min(args.prefix_size,
                                                                   fam.finite_size)
-    if args.n > MU_MAX_N:
-        raise ValueError(f"--n {args.n} is too large: at most {MU_MAX_N}")
-    if size > MU_MAX_PREFIX:
-        raise ValueError(f"--prefix-size {size} is too large: at most {MU_MAX_PREFIX}")
+    _check_bound("--n", args.n, MU_MAX_N)
+    _check_bound("--prefix-size", size, MU_MAX_PREFIX)
     if size * fam.degree > MU_MAX_NEIGHBORS:
         raise ValueError(f"{args.family} at --prefix-size {size} would list "
                          f"{size * fam.degree} neighbours: at most {MU_MAX_NEIGHBORS}")
@@ -195,6 +235,7 @@ def cmd_mu(args):
 
 
 def cmd_adversary(args):
+    _check_bound("--n", args.n, ADVERSARY_MAX_N)
     g = _parse_pl(args.g)
     inst = adversary(args.s, args.r, g, args.n)  # raises on any violated invariant
     meta = _meta(args, "adversary")
@@ -243,6 +284,7 @@ def cmd_mfmc(args):
     nx, ny, m = fields(f"line {k}", head, "nx ny m", int, int, int)
     if min(nx, ny, m) < 0:
         raise ValueError(f"header 'nx ny m' must be nonnegative, got {head.strip()!r}")
+    _check_bound("nx + ny =", nx + ny, MFMC_MAX_VERTICES)
     if len(rows) != m:
         raise ValueError("edge count does not match header")
     edges = _mfmc_edges(rows, nx, ny)
@@ -255,9 +297,7 @@ def cmd_mfmc(args):
 
 
 def cmd_findflow(args):
-    with open(args.coloring, encoding="utf-8") as fh:
-        chi = TwoColoring.from_text(fh.read())
-    res = findflow(chi, args.r, args.s)
+    res = findflow(_read_coloring(args.coloring), args.r, args.s)
     meta = _meta(args, "findflow")
     _write_json(args.out, meta, {
         "t": res.t, "color": res.color, "value": _fmt(res.value),
@@ -271,10 +311,10 @@ def cmd_shade(args):
         if not (modulus.strip().isdecimal() and int(modulus) >= 2):
             raise ValueError(f"--coloring {args.coloring}: the modulus must be an integer "
                              "at least 2")
+        _check_bound("--n", args.n, COLORING_MAX_N)
         chi = clique_coloring(int(modulus), args.n)
     else:
-        with open(args.coloring, encoding="utf-8") as fh:
-            chi = TwoColoring.from_text(fh.read())
+        chi = _read_coloring(args.coloring)
     nb = color_masks(chi)  # both steps read the same masks; they go with the job
     sh = a_good_shading(chi, args.a, args.min_count, nb=nb)
     report = verify_shading(chi, sh, args.sample_size, args.subset_cap, _seed_of(args), nb=nb)
@@ -308,8 +348,7 @@ def cmd_embed(args):
         if value < least:
             raise ValueError(f"{option} must be at least {least}, got {value}")
     n = args.host_size
-    if n > EMBED_MAX_HOST:
-        raise ValueError(f"--host-size {n} is too large: at most {EMBED_MAX_HOST}")
+    _check_bound("--host-size", n, EMBED_MAX_HOST)
     chi = _planted_host(n)
     assignment = tuple(("B", 1) if v < n // 2 else ("R", 1) for v in range(n))
     sh = Shading(a=2, assignment=assignment, min_count=2)
@@ -329,8 +368,7 @@ def cmd_embed(args):
 
 
 def cmd_treecut(args):
-    with open(args.forest, encoding="utf-8") as fh:
-        forest = FiniteGraph.from_text(fh.read())
+    forest = FiniteGraph.from_text(_graph_text(args.forest))
     I = tuple(int(x) for x in args.independent.split(","))
     if len(set(I)) != len(I):
         raise ValueError("--independent lists a vertex twice")

@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import VerificationError
+from .errors import VerificationError, fields
 
 
 class PrefixTooSmallError(ValueError):
@@ -135,14 +135,35 @@ class FiniteGraph:
 
     @classmethod
     def from_text(cls, text):
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+        """The graph of an edge-list text: 'n m', then m rows 'u v' with
+        u != v and 0 <= u, v < n, no edge twice (u v and v u are one edge);
+        blank lines are skipped, and an error names the line it is on."""
+        lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
         if not lines:
             raise ValueError("empty graph text")
-        n, m = map(int, lines[0].split())
-        edges = [tuple(map(int, ln.split())) for ln in lines[1:]]
-        if len(edges) != m:
+        (k, head), rows = lines[0], lines[1:]
+        n, m = fields(f"line {k}", head, "n m", int, int)
+        if min(n, m) < 0:
+            raise ValueError(f"header 'n m' must be nonnegative, got {head.strip()!r}")
+        if len(rows) != m:
             raise ValueError("edge count does not match header")
-        return cls(n, frozenset(edges))
+        try:
+            graph = cls(n, [(int(a), int(b)) for a, b in (ln.split() for _, ln in rows)])
+        except ValueError:
+            graph = None
+        if graph is not None and len(graph.edges) == m:
+            return graph
+        # some row breaks a rule: look for the first one row by row
+        first = {}
+        for k, line in rows:
+            u, v = fields(f"line {k}", line, "u v", int, int)
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"line {k} {line.strip()!r}: expected 'u v' with "
+                                 f"u != v and 0 <= u, v < {n}")
+            if first.setdefault((min(u, v), max(u, v)), k) != k:
+                raise ValueError(f"line {k} {line.strip()!r}: repeats the edge on line "
+                                 f"{first[min(u, v), max(u, v)]}")
+        return cls(n, first)
 
 
 def complete_graph(n):
@@ -300,18 +321,19 @@ def parse_family(spec_text):
     """CLI family syntax: pathpower:k, karytree:k, grid:d, omega:<file>, explicit:<file>."""
     kind, _, arg = spec_text.partition(":")
     kind = kind.lower()
-    if kind == "pathpower":
-        return PathPower(int(arg))
-    if kind == "karytree":
-        return KAryTree(int(arg))
-    if kind == "grid":
-        return Grid(int(arg))
-    if kind in ("omega", "omegafactor"):
+    sized = {"pathpower": (PathPower, "k"), "karytree": (KAryTree, "k"), "grid": (Grid, "d")}
+    if kind in sized:
+        family, letter = sized[kind]
+        try:
+            size = int(arg)
+        except ValueError:
+            raise ValueError(f"family {spec_text!r}: expected '{kind}:<{letter}>' with an "
+                             f"integer {letter}") from None
+        return family(size)
+    if kind in ("omega", "explicit"):
         with open(arg, encoding="utf-8") as fh:
-            return OmegaFactor(FiniteGraph.from_text(fh.read()))
-    if kind == "explicit":
-        with open(arg, encoding="utf-8") as fh:
-            return Explicit(FiniteGraph.from_text(fh.read()))
+            graph = FiniteGraph.from_text(fh.read())
+        return OmegaFactor(graph) if kind == "omega" else Explicit(graph)
     raise ValueError(f"unknown family {spec_text!r}")
 
 

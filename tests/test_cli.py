@@ -173,19 +173,33 @@ class TestSubcommands:
 
 
 class File:
-    """A BAD_INPUTS argument that the test replaces by the path of a file
-    holding ``text``."""
+    """A BAD_INPUTS argument that the test replaces by ``prefix`` and the
+    path of a file holding ``text``."""
 
-    def __init__(self, text):
+    def __init__(self, text, prefix=""):
         self.text = text
+        self.prefix = prefix
 
     def __str__(self):
-        return "file:" + self.text.replace("\n", "/")
+        return self.prefix + "file:" + self.text.replace("\n", "/")
+
+
+def with_files(argv, tmp_path):
+    """argv with each File replaced by its prefix and the path of a file
+    holding its text."""
+    out = []
+    for k, arg in enumerate(argv):
+        if isinstance(arg, File):
+            path = tmp_path / f"input{k}.txt"
+            path.write_text(arg.text)
+            arg = arg.prefix + str(path)
+        out.append(arg)
+    return out
 
 
 STAR = "4 3\n0 1\n0 2\n0 3\n"  # centre 0, leaves 1, 2 and 3
 
-# inputs beyond a work bound of rdl mu or rdl embed
+# inputs beyond a work bound, one row per bound
 WORK_BOUND_ROWS = [
     ["mu", "--family", "pathpower:1", "--n", "2", "--prefix-size", "100000"],
     ["mu", "--family", "grid:8", "--n", "1", "--prefix-size", "2"],
@@ -193,6 +207,27 @@ WORK_BOUND_ROWS = [
     ["mu", "--family", "pathpower:1000000", "--n", "1", "--prefix-size", "10"],
     ["mu", "--family", "pathpower:1", "--n", "1500", "--prefix-size", "4000"],
     ["embed", "--host-size", "10001"],
+    ["findflow", "--coloring", File("40000 modular:3\n"), "--r", "1", "--s", "1"],
+    ["shade", "--coloring", File("\n10001 leftmost\nR\n"), "--a", "2"],
+    ["shade", "--coloring", "modular:3", "--n", "20000", "--a", "3"],
+    ["treecut", "--forest", File("100000 0\n"), "--independent", "0", "--lambda-prime", "1"],
+    ["mu", "--family", File("200000 0\n", "explicit:"), "--n", "1", "--prefix-size", "10"],
+    ["mfmc", "--graph", File("50000 50000 0\n"), "--r", "1", "--s", "1"],
+    ["adversary", "--s", "1", "--r", "1", "--n", "100000"],
+]
+
+# graph files that break a rule, each naming the line and its shape
+BAD_GRAPHS = [
+    ("3\n", "line 1 '3': expected 'n m', got 1 fields"),
+    ("\n3 x\n", "line 2 '3 x': expected 'n m', invalid literal"),
+    ("-3 0\n", "header 'n m' must be nonnegative, got '-3 0'"),
+    ("3 1\n0 1 2\n", "line 2 '0 1 2': expected 'u v', got 3 fields"),
+    ("3 1\n0 x\n", "line 2 '0 x': expected 'u v', invalid literal"),
+    ("3 1\n1 1\n", "line 2 '1 1': expected 'u v' with u != v and 0 <= u, v < 3"),
+    ("3 1\n0 3\n", "line 2 '0 3': expected 'u v' with u != v and 0 <= u, v < 3"),
+    ("3 1\n-1 0\n", "line 2 '-1 0': expected 'u v' with u != v and 0 <= u, v < 3"),
+    ("3 2\n0 1\n\n1 0\n", "line 4 '1 0': repeats the edge on line 2"),
+    ("3 2\n0 1\n0 1\n", "line 3 '0 1': repeats the edge on line 2"),
 ]
 
 BAD_INPUTS = [
@@ -272,19 +307,20 @@ BAD_INPUTS = [
     ["mu", "--family", "pathpower:", "--n", "2"],
     ["mu", "--family", "bogus:1", "--n", "2"],
     ["mu", "--family", "karytree:2", "--n", "3", "--prefix-size", "7"],
+    ["mu", "--family", "karytree:x", "--n", "2"],
+    ["mu", "--family", "grid:1.5", "--n", "2"],
     *WORK_BOUND_ROWS,
+    *(["treecut", "--forest", File(text), "--independent", "0", "--lambda-prime", "1"]
+      for text, _ in BAD_GRAPHS),
+    ["mu", "--family", File("3 2\n0 1\n1 0\n", "omega:"), "--n", "1"],
+    ["mu", "--family", File("2 1\n0 0\n", "explicit:"), "--n", "1"],
 ]
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS,
                          ids=lambda argv: " ".join(map(str, argv)) or "no-subcommand")
 def test_bad_input_exits_1_with_one_error_line(argv, tmp_path, capsys):
-    for k, arg in enumerate(argv):
-        if isinstance(arg, File):
-            path = tmp_path / f"input{k}.txt"
-            path.write_text(arg.text)
-            argv = argv[:k] + [str(path)] + argv[k + 1:]
-    assert run(argv) == 1
+    assert run(with_files(argv, tmp_path)) == 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
@@ -305,17 +341,20 @@ def test_size_error_names_the_option(argv, name, capsys):
     assert f"error: {name} must be at least" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", WORK_BOUND_ROWS, ids=" ".join)
-def test_work_bounds_exit_before_anything_is_built(argv, monkeypatch, capsys):
+@pytest.mark.parametrize("argv", WORK_BOUND_ROWS, ids=lambda argv: " ".join(map(str, argv)))
+def test_work_bounds_exit_before_anything_is_built(argv, tmp_path, monkeypatch, capsys):
     from ramseydensity import cli
 
     def unreachable(*args):
         raise AssertionError("built past a work bound")
 
-    monkeypatch.setattr(cli, "mu_bruteforce", unreachable)
-    monkeypatch.setattr(cli, "_planted_host", unreachable)
+    for name in ("mu_bruteforce", "_planted_host", "clique_coloring", "CapacitatedBipartite",
+                 "_mfmc_edges", "adversary", "_parse_pl"):
+        monkeypatch.setattr(cli, name, unreachable)
     monkeypatch.setattr(cli.Grid, "_grow_to_radius", unreachable)
-    assert run(argv) == 1
+    monkeypatch.setattr(cli.TwoColoring, "from_text", unreachable)
+    monkeypatch.setattr(cli.FiniteGraph, "from_text", unreachable)
+    assert run(with_files(argv, tmp_path)) == 1
     assert "at most" in capsys.readouterr().err
 
 
@@ -330,6 +369,22 @@ def test_work_bounds_admit_their_limits(tmp_path, capsys):
             (["grid:10", "--n", "1", "--prefix-size", "1"], 1),  # a box of 3**10 points
             (["karytree:2", "--n", str(cli.MU_MAX_N), "--prefix-size", "127"], 1)]:
         assert run(["mu", "--family", *argv, "--out", out]) == code
+        assert "at most" not in capsys.readouterr().err
+    n = cli.COLORING_MAX_N
+    for argv, code in [
+            (["findflow", "--coloring", File(f"{n} modular:3\n"), "--r", "1", "--s", "1"],
+             1),  # a modular coloring has no vertex colors
+            (["shade", "--coloring", "modular:3", "--n", str(n), "--a", "1"], 1),
+            (["treecut", "--forest", File(f"{cli.GRAPH_MAX_N} 0\n"), "--independent", "0",
+              "--lambda-prime", "1"], 0),
+            (["mu", "--family", File(f"{cli.GRAPH_MAX_N} 0\n", "omega:"), "--n", "1",
+              "--prefix-size", "10"], 0),
+            (["mfmc", "--graph", File(f"{cli.MFMC_MAX_VERTICES // 2} "
+                                      f"{cli.MFMC_MAX_VERTICES // 2} 0\n"),
+              "--r", "1", "--s", "1"], 0),
+            (["adversary", "--s", "1", "--r", "1", "--n", str(cli.ADVERSARY_MAX_N),
+              "--g", "linear:5"], 1)]:
+        assert run(with_files(argv, tmp_path) + ["--out", out]) == code
         assert "at most" not in capsys.readouterr().err
 
 
@@ -382,6 +437,45 @@ def test_mfmc_input_error_names_the_line_and_its_shape(text, message, tmp_path, 
     graph.write_text(text)
     assert run(["mfmc", "--graph", str(graph), "--r", "1", "--s", "1"]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("kind", ["treecut", "omega", "explicit"])
+@pytest.mark.parametrize("text,message", BAD_GRAPHS)
+def test_graph_file_error_names_the_line_and_its_shape(kind, text, message, tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    if kind == "treecut":
+        argv = ["treecut", "--forest", str(graph), "--independent", "0", "--lambda-prime", "1"]
+    else:
+        argv = ["mu", "--family", f"{kind}:{graph}", "--n", "1"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("spec,shape", [("pathpower:", "'pathpower:<k>' with an integer k"),
+                                        ("karytree:x", "'karytree:<k>' with an integer k"),
+                                        ("grid:1.5", "'grid:<d>' with an integer d"),
+                                        ("Grid:-", "'grid:<d>' with an integer d")])
+def test_family_error_names_the_spec_and_its_shape(spec, shape, capsys):
+    assert run(["mu", "--family", spec, "--n", "2"]) == 1
+    assert capsys.readouterr().err == f"error: family {spec!r}: expected {shape}\n"
+
+
+@pytest.mark.parametrize("kind", ["omega", "explicit"])
+@pytest.mark.parametrize("text,n", [(STAR, 1), (STAR, 2), ("5 4\n0 1\n1 2\n2 3\n3 4\n", 2),
+                                    ("6 5\n0 1\n0 2\n3 4\n4 5\n3 5\n", 1),
+                                    ("3 0\n", 2)])
+def test_mu_on_a_graph_file_equals_mu_bruteforce(kind, text, n, tmp_path, capsys):
+    from ramseydensity.families import Explicit, FiniteGraph, OmegaFactor, mu_bruteforce
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    family = (OmegaFactor if kind == "omega" else Explicit)(FiniteGraph.from_text(text))
+    out = tmp_path / "mu.json"
+    assert run(["mu", "--family", f"{kind}:{graph}", "--n", str(n), "--prefix-size", "24",
+                "--out", str(out)]) == 0
+    want = mu_bruteforce(family, n, 24)
+    assert json.loads(out.read_text())["mu"] == want
+    assert capsys.readouterr().out == f"{want}\n"
 
 
 def test_fig1_step_bound_is_checked_before_any_row(monkeypatch, capsys):
@@ -496,6 +590,7 @@ def test_optimized_interpreter_gives_same_exit_codes_and_artifacts(tmp_path):
         "shade": ["shade", "--coloring", str(coloring), "--a", "3", "--min-count", "3"],
         "embed": ["embed", "--host-size", "40", "--copies", "4", "--r", "1", "--s", "2"],
         "mu": ["mu", "--family", "grid:2", "--n", "4", "--prefix-size", "121"],
+        "mu-omega": ["mu", "--family", f"omega:{forest}", "--n", "3", "--prefix-size", "21"],
     }
     for name, argv in commands.items():
         results = []
@@ -509,3 +604,26 @@ def test_optimized_interpreter_gives_same_exit_codes_and_artifacts(tmp_path):
             results.append((proc.returncode, doc))
         assert results[0] == results[1], name
         assert results[0][0] == 0, name
+    # one command past each work bound that exit 1 before anything is built
+    big = {"coloring": "40000 modular:3\n", "forest": "100000 0\n", "graph": "50000 50000 0\n"}
+    for name, text in big.items():
+        (tmp_path / f"big-{name}.txt").write_text(text)
+    bounded = [
+        ["findflow", "--coloring", str(tmp_path / "big-coloring.txt"), "--r", "1", "--s", "1"],
+        ["shade", "--coloring", "modular:3", "--n", "20000", "--a", "3"],
+        ["treecut", "--forest", str(tmp_path / "big-forest.txt"), "--independent", "0",
+         "--lambda-prime", "1"],
+        ["mu", "--family", f"explicit:{tmp_path / 'big-forest.txt'}", "--n", "1"],
+        ["mfmc", "--graph", str(tmp_path / "big-graph.txt"), "--r", "1", "--s", "1"],
+        ["adversary", "--s", "1", "--r", "1", "--n", "100000"],
+    ]
+    for argv in bounded:
+        results = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run([sys.executable, *flags, "-m", "ramseydensity.cli", *argv],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            results.append((proc.returncode, proc.stdout, proc.stderr))
+        assert results[0] == results[1], argv
+        code, out, err = results[0]
+        assert code == 1 and out == "" and err.count("\n") == 1, argv
+        assert err.startswith("error:") and "is too large: at most" in err, argv

@@ -23,7 +23,7 @@ from ramseydensity.colorings import (BLUE, RED, Shading, TwoColoring, a_good_sha
                                      clique_coloring, other)
 from ramseydensity.embedder import (BipartitePiece, HPrefixSpec, IsolatedVertex, WStructure,
                                     build_W, embed, validate_w, verify_embedding)
-from ramseydensity.families import complete_bipartite, path_graph
+from ramseydensity.families import OmegaFactor, complete_bipartite, path_graph
 from ramseydensity.flows import colored_degree_profile
 
 
@@ -264,3 +264,71 @@ def test_colored_degree_profile_equals_the_set_formula():
     for chi in hosts:
         assert colored_degree_profile(chi) == flows_reference.colored_degree_profile(chi)
     assert any(sum(colored_degree_profile(chi).degrees) for chi in hosts)
+
+
+def on_all_red_host(nr, nb1, nb2):
+    """The complete red host with nr vertices shaded (R, 3), then nb1 shaded
+    (B, 1) and nb2 shaded (B, 2): red is the backbone colour and 3 its only
+    shade, so every pattern component sits in the top shade."""
+    n = nr + nb1 + nb2
+    chi = TwoColoring(n, "explicit",
+                      red_edges=[(u, v) for u in range(n) for v in range(u + 1, n)])
+    shades = [(RED, 3)] * nr + [(BLUE, 1)] * nb1 + [(BLUE, 2)] * nb2
+    return chi, Shading(a=3, assignment=tuple(shades), min_count=1)
+
+
+def test_a_three_colour_embedding_cut_short_equals_the_reference():
+    # copies of the path 0-1-2-3-4 with psi 1, 3, 1, 2, 1: a step maps the
+    # out-reachable set of the least unmapped vertex, so a budget that ends
+    # after it leaves vertex 3 (psi 2) mapped with the unmapped neighbour 4,
+    # which the third progress condition checks
+    chi, sh = on_all_red_host(16, 7, 7)
+    spec = HPrefixSpec.omega_factor(path_graph(5), 3, (0,))
+    assert spec.psi[:5] == (1, 3, 1, 2, 1)
+    W = build_W(chi, sh, spec.r, spec.s, max_pieces=2)
+    assert W == ref.build_W(chi, sh, spec.r, spec.s, max_pieces=2)
+    reached = 0
+    for budget in range(1, 12):
+        state = embed(chi, sh, W, spec, budget)
+        assert state == ref.embed(chi, sh, W, spec, budget), budget
+        report = verify_embedding(state, chi, spec, W)
+        assert report == ref.verify_embedding(state, chi, spec, W), budget
+        assert report.passed, (budget, report.failures)
+        reached += any(state.kappa[state.comp_of[v]] == 3 and spec.psi[v] < 3
+                       and any(u not in state.phi for u in spec.adj[v]) for v in state.phi)
+    assert reached
+    # move that vertex's image into the wrong shade: both verifiers report it
+    state = embed(chi, sh, W, spec, 3)
+    assert state.phi[3] >= 23 and 4 not in state.phi  # vertex 3 sits in (B, 2)
+    state.phi[3] = next(x for x in range(16, 23) if x not in state.phi.values())
+    report = verify_embedding(state, chi, spec, W)
+    assert report == ref.verify_embedding(state, chi, spec, W)
+    assert f"vertex 3: image shade {(BLUE, 1)} != opposite 2" in report.failures
+    # unmap vertex 1 (psi 3): vertex 0 (psi 1) now has an unmapped neighbour
+    # above it, which the third condition forbids
+    del state.phi[1]
+    report = verify_embedding(state, chi, spec, W)
+    assert report == ref.verify_embedding(state, chi, spec, W)
+    assert "vertex 0: an unmapped neighbor has psi >= psi(v)" in report.failures
+
+
+def test_a_piece_with_more_slots_than_its_template_fills_them_like_the_reference():
+    # s = 2 but each template's neighbourhood has one vertex: the piece's
+    # second Y vertex takes a fresh top-colour vertex of another copy
+    copies = 6
+    spec = HPrefixSpec(family=OmegaFactor(complete_bipartite(1, 1)), size=2 * copies,
+                       psi=(1, 2) * copies,
+                       templates={cid: (2 * cid,) for cid in range(copies)}, r=1, s=2)
+    chi, _, _, _ = planted()
+    sh = Shading(a=2, assignment=tuple((BLUE, 1) if v < 10 else (RED, 1)
+                                       for v in range(30)), min_count=2)
+    W = build_W(chi, sh, spec.r, spec.s, max_pieces=2)
+    assert W == ref.build_W(chi, sh, spec.r, spec.s, max_pieces=2) and W.pieces()
+    state = embed(chi, sh, W, spec, 300)
+    assert state == ref.embed(chi, sh, W, spec, 300)
+    report = verify_embedding(state, chi, spec, W)
+    assert report == ref.verify_embedding(state, chi, spec, W) and report.passed
+    image = set(state.phi.values())
+    filled = [c for c in state.consumed if isinstance(c, BipartitePiece)
+              and set(c.Y) <= image]
+    assert filled

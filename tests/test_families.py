@@ -24,6 +24,15 @@ class TestFiniteGraph:
         with pytest.raises(ValueError, match="edge count does not match header"):
             FiniteGraph.from_text(text)
 
+    def test_from_text_reads_rows_in_any_order_and_orientation(self):
+        rng = random.Random(4)
+        for n in (1, 2, 10, 60):
+            edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2}
+            rows = [f"{v} {u}" if rng.random() < 0.5 else f"{u} {v}" for u, v in edges]
+            rng.shuffle(rows)
+            text = f"\n{n} {len(rows)}\n\n" + "\n".join(rows) + "\n"
+            assert FiniteGraph.from_text(text) == FiniteGraph(n, frozenset(edges))
+
     def test_rejects_bad_edges(self):
         with pytest.raises(ValueError):
             FiniteGraph(3, frozenset({(0, 3)}))

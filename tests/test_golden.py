@@ -34,18 +34,20 @@ def config_of(artifact):
     return json.loads(text)["meta"]["config"]
 
 
-def rerun(artifact, out):
+def rerun(artifact, out=None):
     """Run the command recorded in ``artifact`` from the golden directory,
-    writing ``out`` (an absolute path)."""
+    writing ``out`` (an absolute path), or stdout when it is None."""
     config = config_of(artifact)
     argv = [config["command"]]
     for key, value in config.items():
         if key != "command":
             argv += [FLAG.get(key, "--" + key.replace("_", "-")), value]
+    if out is not None:
+        argv += ["--out", str(out)]
     cwd = os.getcwd()
     os.chdir(GOLDEN)
     try:
-        code = main(argv + ["--out", str(out)])
+        code = main(argv)
     finally:
         os.chdir(cwd)
     if code != 0:
@@ -67,6 +69,20 @@ def test_artifact_matches_golden(artifact, tmp_path, monkeypatch):
     rerun(artifact, out)
     assert (without_meta(out.read_text(), artifact.suffix)
             == without_meta(artifact.read_text(), artifact.suffix))
+
+
+@pytest.mark.parametrize("artifact", ARTIFACTS, ids=lambda p: p.stem)
+def test_stdout_without_out_equals_the_written_artifact(artifact, tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.delenv("RDL_SEED", raising=False)
+    out = tmp_path / artifact.name
+    rerun(artifact, out)
+    capsys.readouterr()
+    rerun(artifact)
+    written = out.read_text()
+    if artifact.suffix == ".json" and config_of(artifact)["command"] == "mu":
+        written += f"{json.loads(written)['mu']}\n"  # rdl mu also prints its value
+    assert capsys.readouterr().out == written
 
 
 def test_goldens_present():

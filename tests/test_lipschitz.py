@@ -9,7 +9,7 @@ from ramseydensity.lipschitz import (
     canonicalize, ell_crossing, f_closed, f_from_h, gamma_crossing,
     h_upper_and_f, increasing_levels, random_alternating_candidate,
     recurrence_discriminant, remove_extrema, rotate, run_recurrence, s_good,
-    sigma_g, sigma_peak_levels, sigma_ratio, sigma_window, sup_ratio,
+    sigma_f_value, sigma_g, sigma_peak_levels, sigma_ratio, sigma_window, sup_ratio,
     candidate_window, trace)
 
 ZERO = PLFunction.zero()
@@ -178,6 +178,10 @@ class TestSigma:
     def test_gamma_above_half_rejected(self):
         with pytest.raises(ValueError):
             sigma_g(GammaParam.from_gamma(0.5), 4)
+
+    @pytest.mark.parametrize("lam", [0.25, 0.5, 1, 1.5, 2])
+    def test_f_value_pipeline_equals_the_closed_upper_bound(self, lam):
+        assert abs(sigma_f_value(lam) - f_closed(lam).upper) <= 1e-12
 
     def test_overflow_names_the_period_count(self):
         # at gamma = 0 the breakpoints of period 805 leave the float range
