@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from . import __version__
 # adversary() runs verify_adversary and raises on any violation, so nothing
@@ -93,8 +94,54 @@ def _write_csv(path, meta, header, rows):
     _emit(path, "\n".join(lines) + "\n")
 
 
+_KEY = json.encoder.encode_basestring_ascii
+
+
+def _flat(values):
+    """Whether no value is a dict, list or tuple."""
+    return not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values)))
+
+
+def _indented(obj, nl):
+    """json.dumps(obj, indent=2, sort_keys=True) for a document with str keys
+    placed after the newline-and-indent nl.  json's C encoder runs only when
+    indent is not set, so a flat list or dict is one C call with item
+    separator ',' + the next level's nl, and a list of non-empty flat rows
+    one call at its items' level, split where '],' + newline ends a row (an
+    encoded string holds no raw newline)."""
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if _flat(obj.values()):
+            body = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))[1:-1]
+        else:
+            body = ("," + inner).join(f"{_KEY(k)}: {_indented(v, inner)}"
+                                      for k, v in sorted(obj.items()))
+        return "{" + inner + body + nl + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if _flat(obj):
+            body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
+        elif (all(issubclass(t, (list, tuple)) for t in set(map(type, obj))) and all(obj)
+              and _flat(chain.from_iterable(obj))):
+            row = inner + "  "
+            body = "[" + row + json.dumps(obj, separators=("," + row, ": "))[2:-2].replace(
+                "]," + row + "[", inner + "]," + inner + "[" + row) + inner + "]"
+        else:
+            body = ("," + inner).join(_indented(v, inner) for v in obj)
+        return "[" + inner + body + nl + "]"
+    # the conversions json.dumps makes, without its per-call set-up
+    if type(obj) is str:
+        return _KEY(obj)
+    if type(obj) is int:  # not bool, which is written true or false
+        return int.__repr__(obj)
+    return json.dumps(obj)
+
+
 def _write_json(path, meta, payload):
-    _emit(path, json.dumps({"meta": meta, **payload}, indent=2, sort_keys=True) + "\n")
+    _emit(path, _indented({"meta": meta, **payload}, "\n") + "\n")
 
 
 def _check_bound(name, value, limit):
@@ -250,21 +297,25 @@ def cmd_adversary(args):
     return 0
 
 
-def _mfmc_edges(rows, nx, ny):
-    """The edges (i, nx + j) of an ``rdl mfmc`` file's 'i j' rows, given as
-    (line number, text) pairs; a row that is not two integers with
-    0 <= i < nx and 0 <= j < ny, or that repeats an edge, is rejected with a
-    message naming its line."""
+def _mfmc_edges(rows, lines, head, nx, ny):
+    """The edges (i, nx + j) of an ``rdl mfmc`` file's 'i j' rows: rows holds
+    the fields of each nonblank line of lines after line head.  A row that is
+    not two integers with 0 <= i < nx and 0 <= j < ny, or that repeats an
+    edge, is rejected with a message naming its line; rows are checked in
+    C-level passes, and read one by one only to find the first bad line."""
     try:
-        pairs = [(int(a), int(b)) for a, b in (line.split() for _, line in rows)]
+        ends = [*map(int, chain.from_iterable(rows))] if set(map(len, rows)) <= {2} else []
     except ValueError:
-        pairs = []
-    edges = frozenset((i, nx + j) for i, j in pairs if 0 <= i < nx and 0 <= j < ny)
-    if len(edges) == len(rows):
-        return edges
-    # some row breaks a rule: look for the first one row by row
+        ends = []
+    xs, ys = ends[::2], ends[1::2]
+    if not xs or (min(xs) >= 0 and max(xs) < nx and min(ys) >= 0 and max(ys) < ny):
+        edges = frozenset(zip(xs, map(nx.__add__, ys)))
+        if len(edges) == len(rows):
+            return edges
     first = {}
-    for k, line in rows:
+    for k, line in enumerate(lines[head:], start=head + 1):
+        if not line.strip():
+            continue
         i, j = fields(f"line {k}", line, "i j", int, int)
         if not (0 <= i < nx and 0 <= j < ny):
             raise ValueError(f"line {k} {line.strip()!r}: expected 'i j' with "
@@ -277,17 +328,18 @@ def _mfmc_edges(rows, nx, ny):
 
 def cmd_mfmc(args):
     with open(args.graph, encoding="utf-8") as fh:
-        lines = [(k, ln) for k, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
-    if not lines:
+        lines = fh.read().splitlines()
+    k, head = next(((k, ln) for k, ln in enumerate(lines, start=1) if ln.strip()), (0, ""))
+    if not head:
         raise ValueError("empty graph file")
-    (k, head), rows = lines[0], lines[1:]
     nx, ny, m = fields(f"line {k}", head, "nx ny m", int, int, int)
     if min(nx, ny, m) < 0:
         raise ValueError(f"header 'nx ny m' must be nonnegative, got {head.strip()!r}")
     _check_bound("nx + ny =", nx + ny, MFMC_MAX_VERTICES)
+    rows = [*filter(None, map(str.split, lines[k:]))]
     if len(rows) != m:
         raise ValueError("edge count does not match header")
-    edges = _mfmc_edges(rows, nx, ny)
+    edges = _mfmc_edges(rows, lines, k, nx, ny)
     G = CapacitatedBipartite(tuple(range(nx)), tuple(range(nx, nx + ny)),
                              edges, args.r, args.s)
     cert = mfmc(G)
@@ -315,6 +367,7 @@ def cmd_shade(args):
         chi = clique_coloring(int(modulus), args.n)
     else:
         chi = _read_coloring(args.coloring)
+        args.n = None  # the file sets n, so the artifact's config records no --n
     nb = color_masks(chi)  # both steps read the same masks; they go with the job
     sh = a_good_shading(chi, args.a, args.min_count, nb=nb)
     report = verify_shading(chi, sh, args.sample_size, args.subset_cap, _seed_of(args), nb=nb)

@@ -61,7 +61,7 @@ class TwoColoring:
         if self.vertex_colors is not None:
             vc = tuple(self.vertex_colors)
             object.__setattr__(self, "vertex_colors", vc)
-            if len(vc) != n or any(c not in COLORS for c in vc):
+            if len(vc) != n or not set(vc) <= set(COLORS):
                 raise ValueError("vertex_colors must be n entries of R/B")
         if self.rule == "leftmost":
             if self.vertex_colors is None:
@@ -356,6 +356,19 @@ def _joint_prefix(alpha, beta, n):
 
 _BIT_COLOR = bytes.maketrans(b"\x00\x01", b"BR")
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_IS_RED = bytes(c == ord(RED) for c in range(256))
+
+
+def _color_bytes(colors):
+    """The colors as one ASCII byte each, or None when some color is not a
+    one-character ASCII str."""
+    try:
+        text = "".join(colors)
+    except TypeError:
+        return None
+    if len(text) != len(colors) or "" in colors or not text.isascii():
+        return None
+    return text.encode()
 
 
 def _red_bits(g, n):
@@ -491,11 +504,16 @@ def verify_adversary(inst):
     colors = inst.vertex_colors
     if len(colors) != n:
         problems.append(f"vertex_colors has {len(colors)} entries, want {n}")
-    is_red = bytes(map(eq, colors, repeat(RED)))
+    raw = _color_bytes(colors)
+    if raw is None:
+        is_red = bytes(map(eq, colors, repeat(RED)))
+        two_colored = colors.count(BLUE) == len(colors) - is_red.count(1)
+    else:
+        is_red = raw.translate(_IS_RED)
+        two_colored = not raw.translate(None, b"RB")
     m = _first_wrong_count(is_red, _red_prefix_counts(inst.g, n))
     if m is not None:
         problems.append(f"red prefix count wrong at m={m}")
-    two_colored = colors.count(BLUE) == len(colors) - is_red.count(1)
     is_blue = is_red.translate(_FLIP) if two_colored else bytes(map(eq, colors, repeat(BLUE)))
     red_pos, blue_pos = inst.red_positions, inst.blue_positions
     red_ok = tuple(compress(range(len(colors)), is_red)) == red_pos

@@ -16,8 +16,14 @@ greedy pass pushes on exactly the paths, in the order and by the amounts,
 that Edmonds-Karp's breadth-first search would pick while a length-3 path
 exists, and no length-3 path comes back after it; so the flow is the
 Edmonds-Karp flow, and the search runs only for the longer paths and for
-the last one that finds no path.  ``mfmc`` builds the network and augments
-to the end; the order arcs are added in fixes the flow it returns.  The
+the last one that finds no path.  A source arc's residual capacity never
+rises: a search marks SRC found before it scans any arc, so no augmenting
+path runs back along a source arc, and the greedy pass pushes forward only.
+So the searches skip source arcs once they are saturated (each is dropped
+from SRC's scan list once), and they discover every node in the order they
+did without the skip, which keeps every path, the flow and the cover.
+``mfmc`` builds the network and augments to the end; the order arcs are
+added in fixes the flow it returns.  The
 sweep keeps one network per color and, as t grows, adds the new prefix
 vertex to it and augments the flow it already carries, so it reads each
 max flow value without recomputing it.  On a leftmost host the networks'
@@ -34,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .colorings import BLUE, RED, other
 from .errors import VerificationError
@@ -53,19 +60,22 @@ class CapacitatedBipartite:
 
     def __post_init__(self):
         X, Y = tuple(self.X), tuple(self.Y)
+        edges = frozenset(map(tuple, self.edges))
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
-        if set(X) & set(Y):
+        object.__setattr__(self, "edges", edges)
+        xs, ys = set(X), set(Y)
+        if xs & ys:
             raise ValueError("X and Y must be disjoint")
-        if len(set(X)) != len(X) or len(set(Y)) != len(Y):
+        if len(xs) != len(X) or len(ys) != len(Y):
             raise ValueError("duplicate vertices")
         if self.r < 1 or self.s < 1:
             raise ValueError("capacities must be at least 1")
-        xs, ys = set(X), set(Y)
-        for u, v in self.edges:
-            if u not in xs or v not in ys:
-                raise ValueError("edges must go from X to Y")
+        if not set(map(len, edges)) <= {2}:
+            raise ValueError("edges must be (x, y) pairs")
+        if not (xs.issuperset(map(itemgetter(0), edges))
+                and ys.issuperset(map(itemgetter(1), edges))):
+            raise ValueError("edges must go from X to Y")
 
 
 @dataclass(frozen=True)
@@ -88,7 +98,8 @@ class _Residual:
 
     Arc a runs to head[a] with residual capacity cap[a]; arcs are added in
     pairs, so a ^ 1 is its reverse.  out[u] lists u's arcs in the order they
-    were added, which fixes the order a search scans them in.  A node has at
+    were added, which fixes the order a search scans them in; SRC's list
+    drops its saturated arcs before each search.  A node has at
     most one arc into SNK, kept in sink_arc (-1 for none).
     """
 
@@ -114,6 +125,15 @@ class _Residual:
         if v == self.SNK:
             self.sink_arc[u] = a
         return a
+
+    def _drop_saturated_sources(self):
+        """Drop SRC's saturated arcs from out[SRC], keeping the order of the
+        rest.  A source arc's residual never rises (see the module
+        docstring), so a dropped arc is never needed again.  Each arc is
+        dropped once, and otherwise a call takes one step per unsaturated
+        source arc, which the search that follows scans anyway."""
+        cap = self.cap
+        self.out[self.SRC] = [a for a in self.out[self.SRC] if cap[a] > 0]
 
     def push_direct(self, pairs):
         """Push flow along each path SRC -> x -> y -> SNK, given as the pair
@@ -149,6 +169,7 @@ class _Residual:
         """
         head, cap, out, sink_arc = self.head, self.cap, self.out, self.sink_arc
         src = self.SRC
+        self._drop_saturated_sources()
         via = [-1] * len(out)
         via[src] = -2
         queue = [src]
@@ -174,6 +195,7 @@ class _Residual:
 
     def reachable(self):
         """Per node, whether SRC reaches it along positive residual arcs."""
+        self._drop_saturated_sources()
         head, cap, out = self.head, self.cap, self.out
         seen = [False] * len(out)
         seen[self.SRC] = True

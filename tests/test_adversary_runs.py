@@ -156,6 +156,17 @@ def test_colors_other_than_red_and_blue_match_reference(base):
     assert ("red" if base.vertex_colors[k] == RED else "blue") + " positions inconsistent" in problems
 
 
+@pytest.mark.parametrize("bad", [None, 1, "RR", "é", "", ("", "RB"), ("RB", "")], ids=repr)
+def test_colors_that_are_not_one_ascii_character_match_reference(base, bad):
+    # the verifier reads one-character ASCII colors as bytes; these take the
+    # per-entry path, an empty color next to a two-character one included
+    k = base.n // 2
+    colors = list(base.vertex_colors)
+    colors[k:k + 2] = bad if isinstance(bad, tuple) else (bad, colors[k + 1])
+    bad_inst = dataclasses.replace(base, vertex_colors=tuple(colors))
+    assert verify_adversary(bad_inst) == ref.verify_adversary(bad_inst)
+
+
 def test_positions_that_miss_a_vertex_fall_back_to_block_sets(base):
     # vertex k, the first in phi, is neither red nor blue and is dropped
     # from its positions, so both position checks pass but the positions no

@@ -128,6 +128,18 @@ class TestSubcommands:
         assert rc == 0
         assert json.loads(out.read_text())["verify_passed"]
 
+    def test_shade_records_n_only_for_a_modular_coloring(self, tmp_path):
+        # a coloring file sets n itself, so --n is not part of its config
+        coloring = tmp_path / "c.txt"
+        coloring.write_text("8 leftmost\nRBRRBRBB\n")
+        configs = []
+        for spec in ("modular:3", str(coloring)):
+            out = tmp_path / "sh.json"
+            assert run(["shade", "--coloring", spec, "--n", "30", "--a", "2",
+                        "--min-count", "1", "--out", str(out)]) == 0
+            configs.append(json.loads(out.read_text())["meta"]["config"])
+        assert configs[0]["n"] == "30" and "n" not in configs[1]
+
     def test_shade_verification_failure_exits_2(self, tmp_path):
         # a floor close to the host size cannot survive sampling slack
         coloring = tmp_path / "c.txt"
@@ -296,6 +308,8 @@ BAD_INPUTS = [
     ["mfmc", "--graph", File("2 2 1\n0 0 0\n"), "--r", "1", "--s", "1"],
     ["mfmc", "--graph", File("2 2 1\n0 x\n"), "--r", "1", "--s", "1"],
     ["mfmc", "--graph", File("2 2 1\n0 2\n"), "--r", "1", "--s", "1"],
+    # four fields in all, but not two per row: line 2 is bad on its own
+    ["mfmc", "--graph", File("2 2 2\n0 0 1\n1\n"), "--r", "1", "--s", "1"],
     ["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", "linear:5"],
     ["findflow", "--coloring", File("4 leftmost extra\nRRBB\n"), "--r", "1", "--s", "1"],
     ["findflow", "--coloring", File("4\nRRBB\n"), "--r", "1", "--s", "1"],
@@ -428,9 +442,11 @@ def test_steep_linear_g_names_the_spec(slope, capsys):
     ("2 2 2\n0 0\n\n0 0\n", "line 4 '0 0': repeats the edge on line 2"),
     ("2 2\n", "line 1 '2 2': expected 'nx ny m', got 2 fields"),
     ("2 2 1\n0 0 0\n", "line 2 '0 0 0': expected 'i j', got 3 fields"),
+    ("2 2 2\n0 0 1\n1\n", "line 2 '0 0 1': expected 'i j', got 3 fields"),
     ("2 2 1\n0 x\n", "line 2 '0 x': expected 'i j', invalid literal"),
     ("2 2 1\n0 2\n", "line 2 '0 2': expected 'i j' with 0 <= i < 2 and 0 <= j < 2"),
     ("2 2 1\n-1 0\n", "line 2 '-1 0': expected 'i j' with 0 <= i < 2"),
+    ("2 2 1\n2 0\n", "line 2 '2 0': expected 'i j' with 0 <= i < 2"),
 ])
 def test_mfmc_input_error_names_the_line_and_its_shape(text, message, tmp_path, capsys):
     graph = tmp_path / "g.txt"

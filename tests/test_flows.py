@@ -69,6 +69,17 @@ class TestMfmc:
         with pytest.raises(ValueError):
             CapacitatedBipartite((0, 1), (1, 2), frozenset(), 1, 1)
 
+    @pytest.mark.parametrize("edges,message", [
+        ({(2, 0)}, "edges must go from X to Y"),
+        ({(0, 2), (1, 5)}, "edges must go from X to Y"),
+        ({(0, 2), (7, 3)}, "edges must go from X to Y"),
+        ({(0, 2), (1, 3, 4)}, r"edges must be \(x, y\) pairs"),
+        ({(0,)}, r"edges must be \(x, y\) pairs"),
+    ])
+    def test_edges_off_the_sides_rejected(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            CapacitatedBipartite((0, 1), (2, 3), edges, 1, 1)
+
 
 class TestColoredDegreeProfile:
     def test_profile_interpolates_sorted_degrees(self):

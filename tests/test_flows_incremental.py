@@ -344,3 +344,71 @@ def test_mfmc_searches_once_when_every_path_has_length_3(monkeypatch):
     # then the search that finds none; the greedy pass leaves only that one
     assert want.D == 366
     assert pushes == [0]
+
+
+# ------------------------------------------- source arcs that saturate early
+
+def saturating(rng, nx, s, p):
+    """r = 1, so every source arc saturates on its first push: X-vertices
+    join each Y-vertex with probability p, on a Y side of about nx / s."""
+    ny = max(1, nx // s + rng.randint(-2, 2))
+    edges = frozenset((i, nx + j) for i in range(nx) for j in range(ny) if rng.random() < p)
+    return CapacitatedBipartite(tuple(range(nx)), tuple(range(nx, nx + ny)), edges, 1, s)
+
+
+def count_dropped(monkeypatch):
+    """Per call of ``_Residual._drop_saturated_sources``, the arcs it dropped."""
+    dropped = []
+    original = flows._Residual._drop_saturated_sources
+
+    def counted(self):
+        before = len(self.out[self.SRC])
+        original(self)
+        dropped.append(before - len(self.out[self.SRC]))
+
+    monkeypatch.setattr(flows._Residual, "_drop_saturated_sources", counted)
+    return dropped
+
+
+@pytest.mark.parametrize("s,p", [(2, 0.5), (3, 0.5), (1, 0.04)],
+                         ids=["r1-s2-dense", "r1-s3-dense", "r1-s1-sparse"])
+def test_mfmc_matches_reference_when_source_arcs_saturate_early(s, p, monkeypatch):
+    rng = random.Random(100 * s + int(100 * p))
+    dropped = count_dropped(monkeypatch)
+    pushes = count_augments(monkeypatch)
+    for nx in (5, 12, 30, 60, 60, 120):
+        G = saturating(rng, nx, s, p)
+        assert mfmc(G) == ref.mfmc(G)
+    # searches found paths on networks whose saturated source arcs they skip
+    assert sum(dropped) > 0 and any(pushes), (sum(dropped), pushes)
+
+
+@pytest.mark.parametrize("search", ["augment", "reachable"])
+def test_searches_keep_no_saturated_source_arc(search):
+    # x0 and x1 fill y's sink arc, so their source arcs saturate; x2's stays
+    net = flows._Residual()
+    xs = [net.add_node() for _ in range(3)]
+    y = net.add_node()
+    sources = [net.add_arc(net.SRC, x, 1) for x in xs]
+    net.add_arc(y, net.SNK, 2)
+    assert net.push_direct([(a, net.add_arc(x, y, 5)) for a, x in zip(sources, xs)]) == 2
+    getattr(net, search)()
+    assert net.out[net.SRC] == [sources[2]]
+
+
+def modular_host(rng, n):
+    return TwoColoring(n, "modular", modulus=rng.randint(2, 6), vertex_colors=two_colors(rng, n))
+
+
+@pytest.mark.parametrize("host", [modular_host, explicit_host])
+@pytest.mark.parametrize("r,s", [(1, 2), (1, 3), (1, 1)])
+def test_sweep_profile_matches_reference_when_source_arcs_saturate_early(host, r, s,
+                                                                           monkeypatch):
+    rng = random.Random(17 * s + (host is modular_host))
+    dropped = count_dropped(monkeypatch)
+    for n in (5, 16, 40):
+        chi = host(rng, n)
+        want = {(t, color): cert.D for t, color, cert, _ in ref.sweep(chi, r, s)}
+        profile = flows._sweep_profile(chi, r, s)
+        assert {(t, color): profile[color][t - 1] for t, color in want} == want
+    assert sum(dropped) > 0

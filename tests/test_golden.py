@@ -4,8 +4,8 @@ Each ``golden/<name>.json`` or ``golden/<name>.csv`` is an artifact that an
 ``rdl`` command wrote when run from the ``golden`` directory; its ``meta``
 (the ``# config:`` header line of a CSV) records the command and every
 option, so an input file such as ``golden/<name>.txt`` is named relative to
-that directory.  Rerunning the command there must give the same bytes
-outside ``meta`` (outside the ``#`` header lines of a CSV).  To add a
+that directory.  Rerunning the command there must give the same bytes,
+``meta`` (the ``#`` header lines of a CSV) included.  To add a
 golden, run the command from ``tests/golden`` with ``--out <name>.json``.
 After an intended change of output, rewrite the artifacts with
 ``PYTHONPATH=src python tests/test_golden.py`` and say so in CHANGES.md.
@@ -69,6 +69,8 @@ def test_artifact_matches_golden(artifact, tmp_path, monkeypatch):
     rerun(artifact, out)
     assert (without_meta(out.read_text(), artifact.suffix)
             == without_meta(artifact.read_text(), artifact.suffix))
+    # the same configuration and seed give the same file, meta included
+    assert out.read_bytes() == artifact.read_bytes()
 
 
 @pytest.mark.parametrize("artifact", ARTIFACTS, ids=lambda p: p.stem)
