@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -23,7 +24,7 @@ from . import __version__
 # adversary() runs verify_adversary and raises on any violation, so nothing
 # here calls it again; it stays importable from this module
 from .colorings import (TwoColoring, a_good_shading, adversary, clique_coloring,
-                        color_masks, verify_adversary, verify_shading)
+                        verify_adversary, verify_shading)
 from .embedder import HPrefixSpec, build_W, embed, verify_embedding
 from .errors import VerificationError, fields
 from .families import (FiniteGraph, Grid, complete_bipartite, default_treecut_delta,
@@ -43,15 +44,27 @@ MU_MAX_PREFIX = 10 ** 4
 MU_MAX_NEIGHBORS = 2 * 10 ** 5
 MU_MAX_GRID_POINTS = 10 ** 5
 EMBED_MAX_HOST = 10 ** 4  # the planted host's masks take about host**2 / 16 bytes
+# The pattern rdl embed builds has copies * (r + s) vertices and
+# copies * r * s edges, up to about 1 KB each, and its backbone search scans
+# the host once per piece, for up to copies / 2 pieces.
+EMBED_MAX_PATTERN_VERTICES = 15 * 10 ** 3
+EMBED_MAX_PATTERN_EDGES = 2 * 10 ** 4
+EMBED_MAX_COPIES_HOST = 8 * 10 ** 6  # copies * host size
 # The other commands' size bounds, checked the same way.  A modular or
 # explicit coloring of n vertices holds n masks of n bits, and rdl shade
 # builds two more lists of them; rdl mfmc, treecut and adversary hold a few
 # hundred bytes per vertex.  At each bound a run peaks under 50 MB (Python
-# 3.11; the import alone takes about 17 MB).
+# 3.11; the import alone takes about 17 MB), except on an explicit coloring
+# file, whose colour line holds n**2 / 2 characters.
 COLORING_MAX_N = 10 ** 4  # a coloring file's n, and rdl shade --n
 MFMC_MAX_VERTICES = 10 ** 4  # nx + ny
 GRAPH_MAX_N = 10 ** 4  # a graph file's n: a forest, or an omega: or explicit: family
 ADVERSARY_MAX_N = 5 * 10 ** 4
+# rdl shade shades in up to 2a - 3 rounds over all n vertices, about 10 ms a
+# round at n = 10**4, and its verifier draws --sample-size subsets of at most
+# min(--subset-cap, n) vertices for each of up to four cases per class i < a.
+SHADE_MAX_A = 64
+SHADE_MAX_SAMPLE_WORK = 4 * 10 ** 5  # 4 (a - 1) * sample size * min(subset cap, n)
 
 
 def _fmt(x):
@@ -150,28 +163,46 @@ def _check_bound(name, value, limit):
         raise ValueError(f"{name} {value} is too large: at most {limit}")
 
 
+_NONBLANK = re.compile(r"\S")
+_LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")  # str.splitlines'
+
+
+def _first_line(text):
+    """(k, line): text's first nonblank line and its number in
+    text.splitlines(), counted from 1, or (0, '') for blank text.  Only the
+    blank text before it is split, so a large file is not copied."""
+    found = _NONBLANK.search(text)
+    if found is None:
+        return 0, ""
+    start = found.start()
+    lead = (text[:start] + "x").splitlines()  # "x" stands for the rest of the line
+    end = _LINE_BREAK.search(text, start)
+    return len(lead), lead[-1][:-1] + text[start:end.start() if end else len(text)]
+
+
 def _read_sized(path, where, shape, kinds, limit, name):
-    """The text of an input file whose first nonblank line, read as its
-    parser reads it (``where`` may hold the line number as {k}), opens with
-    a size within limit."""
+    """The text of an input file and the size its first nonblank line opens
+    with (0 for a blank file), once that size is within limit; the line is
+    read as its parser reads it (``where`` may hold its number as {k})."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    k, head = next(((k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()),
-                   (0, ""))
+    k, head = _first_line(text)
+    size = 0
     if head:
-        _check_bound(name, fields(where.format(k=k), head, shape, *kinds)[0], limit)
-    return text
+        size = fields(where.format(k=k), head, shape, *kinds)[0]
+        _check_bound(name, size, limit)
+    return text, size
 
 
-def _read_coloring(path):
-    """The coloring in a file, once its n is within COLORING_MAX_N."""
-    return TwoColoring.from_text(_read_sized(path, "header", "<n> <rule>", (int, str),
-                                             COLORING_MAX_N, "the coloring's n ="))
+def _coloring_text(path):
+    """The text of a coloring file and its n, once n is within COLORING_MAX_N."""
+    return _read_sized(path, "header", "<n> <rule>", (int, str), COLORING_MAX_N,
+                       "the coloring's n =")
 
 
 def _graph_text(path):
     """The text of a graph file, once its n is within GRAPH_MAX_N."""
-    return _read_sized(path, "line {k}", "n m", (int, int), GRAPH_MAX_N, "the graph's n =")
+    return _read_sized(path, "line {k}", "n m", (int, int), GRAPH_MAX_N, "the graph's n =")[0]
 
 
 def _fraction(text):
@@ -349,7 +380,7 @@ def cmd_mfmc(args):
 
 
 def cmd_findflow(args):
-    res = findflow(_read_coloring(args.coloring), args.r, args.s)
+    res = findflow(TwoColoring.from_text(_coloring_text(args.coloring)[0]), args.r, args.s)
     meta = _meta(args, "findflow")
     _write_json(args.out, meta, {
         "t": res.t, "color": res.color, "value": _fmt(res.value),
@@ -358,19 +389,25 @@ def cmd_findflow(args):
 
 
 def cmd_shade(args):
-    if args.coloring.startswith("modular:"):
+    modular = args.coloring.startswith("modular:")
+    if modular:
         modulus = args.coloring.partition(":")[2]
         if not (modulus.strip().isdecimal() and int(modulus) >= 2):
             raise ValueError(f"--coloring {args.coloring}: the modulus must be an integer "
                              "at least 2")
         _check_bound("--n", args.n, COLORING_MAX_N)
-        chi = clique_coloring(int(modulus), args.n)
+        n = args.n
     else:
-        chi = _read_coloring(args.coloring)
+        text, n = _coloring_text(args.coloring)
         args.n = None  # the file sets n, so the artifact's config records no --n
-    nb = color_masks(chi)  # both steps read the same masks; they go with the job
-    sh = a_good_shading(chi, args.a, args.min_count, nb=nb)
-    report = verify_shading(chi, sh, args.sample_size, args.subset_cap, _seed_of(args), nb=nb)
+    _check_bound("--a", args.a, SHADE_MAX_A)
+    if min(args.a - 1, args.sample_size, args.subset_cap) > 0:  # else the library rejects them
+        _check_bound("the sampling work 4 (a - 1) * sample size * min(subset cap, n) =",
+                     4 * (args.a - 1) * args.sample_size * min(args.subset_cap, n),
+                     SHADE_MAX_SAMPLE_WORK)
+    chi = clique_coloring(int(modulus), n) if modular else TwoColoring.from_text(text)
+    sh = a_good_shading(chi, args.a, args.min_count)
+    report = verify_shading(chi, sh, args.sample_size, args.subset_cap, _seed_of(args))
     meta = _meta(args, "shade")
     _write_json(args.out, meta, {
         "a": args.a,
@@ -402,6 +439,11 @@ def cmd_embed(args):
             raise ValueError(f"{option} must be at least {least}, got {value}")
     n = args.host_size
     _check_bound("--host-size", n, EMBED_MAX_HOST)
+    _check_bound("the pattern's vertices --copies * (--r + --s) =",
+                 args.copies * (args.r + args.s), EMBED_MAX_PATTERN_VERTICES)
+    _check_bound("the pattern's edges --copies * --r * --s =",
+                 args.copies * args.r * args.s, EMBED_MAX_PATTERN_EDGES)
+    _check_bound("--copies * --host-size =", args.copies * n, EMBED_MAX_COPIES_HOST)
     chi = _planted_host(n)
     assignment = tuple(("B", 1) if v < n // 2 else ("R", 1) for v in range(n))
     sh = Shading(a=2, assignment=assignment, min_count=2)

@@ -109,8 +109,14 @@ class TwoColoring:
         return self.vertex_colors[v]
 
     def neighbor_sets(self, color):
-        """Color-neighborhood masks, one per vertex."""
-        return [self.neighbor_mask(v, color) for v in range(self.n)]
+        """Color-neighborhood masks, one per vertex, in one pass over the
+        stored red masks (a leftmost coloring asks neighbor_mask per vertex)."""
+        if self.red_masks is None:
+            return [self.neighbor_mask(v, color) for v in range(self.n)]
+        if color == RED:
+            return list(self.red_masks)
+        full = (1 << self.n) - 1
+        return [full ^ m ^ (1 << v) for v, m in enumerate(self.red_masks)]
 
     def to_text(self):
         if self.rule == "leftmost":
@@ -132,7 +138,7 @@ class TwoColoring:
 
     @classmethod
     def from_text(cls, text):
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+        lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty coloring text")
         n, rule = fields("header", lines[0], "<n> <rule>", int, str)
@@ -615,29 +621,20 @@ class Shading:
         return self.assignment[v]
 
 
-def color_masks(chi):
-    """Both colors' neighbor masks, ``{color: chi.neighbor_sets(color)}``."""
-    return {color: chi.neighbor_sets(color) for color in COLORS}
-
-
-def a_good_shading(chi, a, min_count, *, nb=None):
+def a_good_shading(chi, a, min_count):
     """Shade-assigning algorithm with a finite surrogate for "infinite".
 
     Each round colors the unshaded vertices greedily (every vertex takes the
     color keeping the larger running common neighborhood, ties toward red),
     then freezes the dominant color as the next shade of that color.  Reaching
     shade a-1 dumps the rest into the opposite color's shade a; pools of
-    fewer than min_count vertices and leftovers end in X.  ``nb`` maps each
-    color to ``chi.neighbor_sets(color)``; a caller that has built them
-    passes them in, and they are built here otherwise.
+    fewer than min_count vertices and leftovers end in X.
     """
     if a < 2:
         raise ValueError("a must be at least 2")
     if min_count < 1:
         raise ValueError(f"min_count must be at least 1, got {min_count}")
-    if nb is None:
-        nb = color_masks(chi)
-    red_nb, blue_nb = nb[RED], nb[BLUE]
+    red_nb, blue_nb = chi.neighbor_sets(RED), chi.neighbor_sets(BLUE)
     shades = [None] * chi.n
     used = {RED: 0, BLUE: 0}
     remaining = list(range(chi.n))
@@ -681,7 +678,7 @@ class ShadingReport:
     failures: tuple
 
 
-def verify_shading(chi, sh, sample_size, subset_cap, seed, *, nb=None):
+def verify_shading(chi, sh, sample_size, subset_cap, seed):
     """Sample finite subsets S per property and count common color-C
     neighbors in the target shade.
 
@@ -689,14 +686,12 @@ def verify_shading(chi, sh, sample_size, subset_cap, seed, *, nb=None):
     C_a together with the higher opposite shades, targets the opposite
     color's shade i (the common neighborhoods the embedding consumes).
     Passes iff the smallest count found is at least the construction floor.
-    ``nb`` is as in ``a_good_shading``.
     """
     for name, value in (("sample_size", sample_size), ("subset_cap", subset_cap)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     rng = random.Random(seed)
-    if nb is None:
-        nb = color_masks(chi)
+    nb = {color: chi.neighbor_sets(color) for color in COLORS}
     min_found = None
     samples = 0
     failures = []

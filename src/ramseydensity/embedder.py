@@ -111,13 +111,14 @@ def validate_w(chi, sh, W, r, s):
 def _find_piece(nb, xs_pool, ys_pool, r, s, window):
     """Lowest complete color-C piece (nb holds the C-neighbor masks): choose
     s Y-vertices ascending with bounded lookahead so that their common mask
-    keeps at least r of the ascending X-pool; X is the lowest r, or None."""
+    keeps at least r of the ascending X-pool; X is the lowest r, or None.
+    A branch stops where too few candidates are left to complete s."""
     ys_pool = ys_pool[:window]
 
     def rec(chosen, common, start):
         if len(chosen) == s:
             return [x for x in xs_pool if common >> x & 1][:r], list(chosen)
-        for k in range(start, len(ys_pool)):
+        for k in range(start, len(ys_pool) - s + len(chosen) + 1):
             y = ys_pool[k]
             new_common = common & nb[y]
             if new_common.bit_count() >= r:
@@ -233,14 +234,14 @@ class HPrefixSpec:
         return a
 
     @classmethod
-    def omega_factor(cls, factor: FiniteGraph, copies, base_template, b=1):
+    def omega_factor(cls, factor: FiniteGraph, copies, base_template):
         """Spec for countably many copies of a finite graph: the template and
         the coloring of one copy replicated; N(I) gets the top color a and the
         remaining vertices a greedy proper coloring below it."""
         fam = OmegaFactor(factor)
         tset = sorted(set(base_template))
         adj = fam._adj
-        nbhd = sorted(neighborhood(adj, tset))
+        nbhd = neighborhood(adj, tset)
         rest = [v for v in range(factor.n) if v not in nbhd]
         base_psi = {}
         for v in rest:
@@ -253,7 +254,7 @@ class HPrefixSpec:
         templates = {cid: tuple(v + cid * factor.n for v in tset)
                      for cid in range(copies)}
         return cls(family=fam, size=copies * factor.n, psi=psi,
-                   templates=templates, r=len(tset), s=len(nbhd), b=b)
+                   templates=templates, r=len(tset), s=len(nbhd))
 
 
 @dataclass

@@ -100,7 +100,10 @@ class _Residual:
     pairs, so a ^ 1 is its reverse.  out[u] lists u's arcs in the order they
     were added, which fixes the order a search scans them in; SRC's list
     drops its saturated arcs before each search.  A node has at
-    most one arc into SNK, kept in sink_arc (-1 for none).
+    most one arc into SNK, kept in sink_arc (-1 for none).  Each search
+    leaves its marks in via (-1 for a node it did not reach); one that finds
+    no path has searched to the end, so its marks are exactly the nodes SRC
+    reaches along positive residual arcs.
     """
 
     SRC, SNK = 0, 1
@@ -110,6 +113,7 @@ class _Residual:
         self.cap = []
         self.out = [[], []]
         self.sink_arc = [-1, -1]
+        self.via = []
 
     def add_node(self):
         self.out.append([])
@@ -170,7 +174,7 @@ class _Residual:
         head, cap, out, sink_arc = self.head, self.cap, self.out, self.sink_arc
         src = self.SRC
         self._drop_saturated_sources()
-        via = [-1] * len(out)
+        via = self.via = [-1] * len(out)
         via[src] = -2
         queue = [src]
         for u in queue:
@@ -193,21 +197,6 @@ class _Residual:
                     queue.append(v)
         return 0
 
-    def reachable(self):
-        """Per node, whether SRC reaches it along positive residual arcs."""
-        self._drop_saturated_sources()
-        head, cap, out = self.head, self.cap, self.out
-        seen = [False] * len(out)
-        seen[self.SRC] = True
-        queue = [self.SRC]
-        for u in queue:
-            for a in out[u]:
-                v = head[a]
-                if not seen[v] and cap[a] > 0:
-                    seen[v] = True
-                    queue.append(v)
-        return seen
-
 
 def mfmc(G: CapacitatedBipartite):
     """Integral max flow and matching weighted min vertex cover.
@@ -215,11 +204,11 @@ def mfmc(G: CapacitatedBipartite):
     Augments along shortest paths in the residual network (source -> X at
     capacity r, X -> Y uncapacitated, Y -> sink at capacity s): one greedy
     pass over every (x, y) arc, in X order and then arc order, takes the
-    length-3 paths, then Edmonds-Karp takes the longer ones; the final
-    residual reachability yields the cover as the unreachable X-vertices
-    plus the reachable Y-vertices.  Arcs are added source arcs first (in X
-    order), then sink arcs (in Y order), then the edges in sorted order,
-    which fixes the paths chosen and so the flow h.
+    length-3 paths, then Edmonds-Karp takes the longer ones.  Its last
+    search finds no path and marks the nodes the source reaches, and the
+    cover is the unmarked X-vertices plus the marked Y-vertices.  Arcs are
+    added source arcs first (in X order), then sink arcs (in Y order), then
+    the edges in sorted order, which fixes the paths chosen and so the flow h.
     """
     net = _Residual()
     node = {v: net.add_node() for v in (*G.X, *G.Y)}
@@ -233,9 +222,9 @@ def mfmc(G: CapacitatedBipartite):
     while pushed := net.augment():
         D += pushed
 
-    reach = net.reachable()
-    Z = tuple(sorted([x for x in G.X if not reach[node[x]]] +
-                     [y for y in G.Y if reach[node[y]]]))
+    via = net.via  # the marks of the last search, which found no path
+    Z = tuple(sorted([x for x in G.X if via[node[x]] == -1] +
+                     [y for y in G.Y if via[node[y]] != -1]))
     # the residual capacity of a reverse arc is the flow on its edge
     h = tuple((e, net.cap[a ^ 1]) for e, a in zip(edges, arcs) if net.cap[a ^ 1] > 0)
 

@@ -27,6 +27,7 @@ _LIP_TOL = 1e-9
 _ID_TOL = 1e-12
 _S_GOOD_TOL = 1e-9  # relative slack of s_good's inequality
 _SIGMA_F_PERIODS = 10  # the sawtooth's periods in sigma_f_value
+_LEVEL_FLOOR = 1.0  # the least level increasing_levels keeps
 
 
 class UnboundedCandidateError(ValueError):
@@ -572,12 +573,13 @@ def trace(g, p):
                            tuple(float(t) for t in ts))
 
 
-def increasing_levels(ts, floor=1.0):
-    """The subsequence of levels that are >= floor and strict running maxima;
-    the reduction under which only these levels matter for the supremum."""
+def increasing_levels(ts):
+    """The subsequence of levels that are >= _LEVEL_FLOOR and strict running
+    maxima; the reduction under which only these levels matter for the
+    supremum."""
     out, best = [], -INF
     for t in ts:
-        if t >= floor and t > best:
+        if t >= _LEVEL_FLOOR and t > best:
             out.append(t)
             best = t
     return out

@@ -3,6 +3,7 @@ import math
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramseydensity.cli import main
 
@@ -219,9 +220,17 @@ WORK_BOUND_ROWS = [
     ["mu", "--family", "pathpower:1000000", "--n", "1", "--prefix-size", "10"],
     ["mu", "--family", "pathpower:1", "--n", "1500", "--prefix-size", "4000"],
     ["embed", "--host-size", "10001"],
+    ["embed", "--copies", "7501", "--r", "1", "--s", "1"],
+    ["embed", "--copies", "1", "--r", "142", "--s", "142"],
+    ["embed", "--copies", "801", "--host-size", "10000"],
     ["findflow", "--coloring", File("40000 modular:3\n"), "--r", "1", "--s", "1"],
     ["shade", "--coloring", File("\n10001 leftmost\nR\n"), "--a", "2"],
     ["shade", "--coloring", "modular:3", "--n", "20000", "--a", "3"],
+    ["shade", "--coloring", "modular:3", "--n", "60", "--a", "65"],
+    ["shade", "--coloring", "modular:3", "--n", "60", "--a", "3", "--sample-size", "100000"],
+    # a coloring file's sampling work is checked before the file is parsed
+    ["shade", "--coloring", File("60 modular:3\n"), "--a", "2", "--sample-size", "2000",
+     "--subset-cap", "100"],
     ["treecut", "--forest", File("100000 0\n"), "--independent", "0", "--lambda-prime", "1"],
     ["mu", "--family", File("200000 0\n", "explicit:"), "--n", "1", "--prefix-size", "10"],
     ["mfmc", "--graph", File("50000 50000 0\n"), "--r", "1", "--s", "1"],
@@ -362,8 +371,8 @@ def test_work_bounds_exit_before_anything_is_built(argv, tmp_path, monkeypatch, 
     def unreachable(*args):
         raise AssertionError("built past a work bound")
 
-    for name in ("mu_bruteforce", "_planted_host", "clique_coloring", "CapacitatedBipartite",
-                 "_mfmc_edges", "adversary", "_parse_pl"):
+    for name in ("mu_bruteforce", "_planted_host", "complete_bipartite", "clique_coloring",
+                 "CapacitatedBipartite", "_mfmc_edges", "adversary", "_parse_pl"):
         monkeypatch.setattr(cli, name, unreachable)
     monkeypatch.setattr(cli.Grid, "_grow_to_radius", unreachable)
     monkeypatch.setattr(cli.TwoColoring, "from_text", unreachable)
@@ -389,6 +398,16 @@ def test_work_bounds_admit_their_limits(tmp_path, capsys):
             (["findflow", "--coloring", File(f"{n} modular:3\n"), "--r", "1", "--s", "1"],
              1),  # a modular coloring has no vertex colors
             (["shade", "--coloring", "modular:3", "--n", str(n), "--a", "1"], 1),
+            (["shade", "--coloring", "modular:3", "--n", "60", "--a", str(cli.SHADE_MAX_A)], 0),
+            # 4 (a - 1) * sample size * min(subset cap, n) at the bound; the file has n = 50
+            (["shade", "--coloring", File("50 modular:3\n"), "--a", "2", "--subset-cap", "60",
+              "--sample-size", str(cli.SHADE_MAX_SAMPLE_WORK // 200)], 2),
+            (["embed", "--copies", str(cli.EMBED_MAX_PATTERN_VERTICES // 2), "--r", "1",
+              "--s", "1"], 0),
+            (["embed", "--copies", "1", "--r", "2", "--s", str(cli.EMBED_MAX_PATTERN_EDGES // 2)],
+             0),
+            (["embed", "--copies", str(cli.EMBED_MAX_PATTERN_VERTICES // 3), "--host-size",
+              str(cli.EMBED_MAX_COPIES_HOST * 3 // cli.EMBED_MAX_PATTERN_VERTICES)], 0),
             (["treecut", "--forest", File(f"{cli.GRAPH_MAX_N} 0\n"), "--independent", "0",
               "--lambda-prime", "1"], 0),
             (["mu", "--family", File(f"{cli.GRAPH_MAX_N} 0\n", "omega:"), "--n", "1",
@@ -400,6 +419,15 @@ def test_work_bounds_admit_their_limits(tmp_path, capsys):
               "--g", "linear:5"], 1)]:
         assert run(with_files(argv, tmp_path) + ["--out", out]) == code
         assert "at most" not in capsys.readouterr().err
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=" \t\n\r\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029\xa0ab1", max_size=12))
+def test_first_line_is_the_first_nonblank_of_splitlines(text):
+    from ramseydensity.cli import _first_line
+    want = next(((k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()),
+                (0, ""))
+    assert _first_line(text) == want
 
 
 @pytest.mark.parametrize("d,size", [(1, 1), (1, 30), (2, 9), (2, 10), (2, 121), (3, 27),
@@ -627,6 +655,11 @@ def test_optimized_interpreter_gives_same_exit_codes_and_artifacts(tmp_path):
     bounded = [
         ["findflow", "--coloring", str(tmp_path / "big-coloring.txt"), "--r", "1", "--s", "1"],
         ["shade", "--coloring", "modular:3", "--n", "20000", "--a", "3"],
+        ["shade", "--coloring", "modular:3", "--n", "60", "--a", "65"],
+        ["shade", "--coloring", "modular:3", "--n", "60", "--a", "3", "--sample-size", "100000"],
+        ["embed", "--copies", "7501", "--r", "1", "--s", "1"],
+        ["embed", "--copies", "1", "--r", "142", "--s", "142"],
+        ["embed", "--copies", "801", "--host-size", "10000"],
         ["treecut", "--forest", str(tmp_path / "big-forest.txt"), "--independent", "0",
          "--lambda-prime", "1"],
         ["mu", "--family", f"explicit:{tmp_path / 'big-forest.txt'}", "--n", "1"],

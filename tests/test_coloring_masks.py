@@ -99,7 +99,8 @@ def test_color_and_neighbor_masks_follow_the_rule(chi, red):
         for w in range(chi.n):
             if w != v:
                 assert chi.color(v, w) == chi.color(w, v) == ref.rule_color(chi, red, v, w)
-    assert chi.neighbor_sets(RED) == [chi.neighbor_mask(v, RED) for v in range(chi.n)]
+    for c in COLORS:
+        assert chi.neighbor_sets(c) == [chi.neighbor_mask(v, c) for v in range(chi.n)]
 
 
 @pytest.mark.parametrize("chi,red", property_hosts())

@@ -72,6 +72,15 @@ class TestBuildW:
         W = build_W(chi, sh, 1, 1, max_pieces=2)
         assert len(W.pieces()) == 2
 
+    def test_piece_wider_than_the_window_is_not_searched(self):
+        # every cross edge is red, so any s of the window complete a piece;
+        # s past the window used to walk all of its subsets
+        from ramseydensity.embedder import _PIECE_WINDOW
+        chi = two_class_host(2, 80, noise=0.0)
+        sh = low_shading(2, 82)
+        assert len(build_W(chi, sh, 1, _PIECE_WINDOW).pieces()) == 1
+        assert build_W(chi, sh, 1, _PIECE_WINDOW + 1).pieces() == []
+
 
 class TestHPrefixSpec:
     def test_omega_factor_bipartite_gets_two_colors(self):

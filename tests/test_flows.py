@@ -30,6 +30,13 @@ class TestMfmc:
         cert = mfmc(G)
         assert cert.D == 0 and cert.Z == ()
 
+    # the first search finds no path, so the cover comes from its marks
+    @pytest.mark.parametrize("X,Y", [((), (0, 1)), ((0, 1), ()), ((), ())],
+                             ids=["empty-X", "empty-Y", "both-empty"])
+    def test_empty_side(self, X, Y):
+        cert = mfmc(CapacitatedBipartite(X, Y, frozenset(), 2, 3))
+        assert cert.D == 0 and cert.h == () and cert.Z == ()
+
     def test_k22_tight_y_side(self):
         G = CapacitatedBipartite((0, 1), (2, 3),
                                  frozenset({(0, 2), (0, 3), (1, 2), (1, 3)}), 3, 1)

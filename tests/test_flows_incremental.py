@@ -383,8 +383,7 @@ def test_mfmc_matches_reference_when_source_arcs_saturate_early(s, p, monkeypatc
     assert sum(dropped) > 0 and any(pushes), (sum(dropped), pushes)
 
 
-@pytest.mark.parametrize("search", ["augment", "reachable"])
-def test_searches_keep_no_saturated_source_arc(search):
+def test_searches_keep_no_saturated_source_arc():
     # x0 and x1 fill y's sink arc, so their source arcs saturate; x2's stays
     net = flows._Residual()
     xs = [net.add_node() for _ in range(3)]
@@ -392,8 +391,11 @@ def test_searches_keep_no_saturated_source_arc(search):
     sources = [net.add_arc(net.SRC, x, 1) for x in xs]
     net.add_arc(y, net.SNK, 2)
     assert net.push_direct([(a, net.add_arc(x, y, 5)) for a, x in zip(sources, xs)]) == 2
-    getattr(net, search)()
+    assert net.augment() == 0
     assert net.out[net.SRC] == [sources[2]]
+    # the failed search marks what SRC reaches: x2, then y, then x0 and x1
+    # back along their flow; not SNK
+    assert [v for v, mark in enumerate(net.via) if mark != -1] == [net.SRC, *xs, y]
 
 
 def modular_host(rng, n):

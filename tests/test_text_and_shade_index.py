@@ -139,27 +139,17 @@ def test_equal_fields_give_equal_shadings():
     assert "_members" not in repr(one)
 
 
-def test_shade_job_builds_each_color_mask_list_once(tmp_path, monkeypatch):
+def test_shade_job_on_a_modular_coloring_asks_no_single_mask(tmp_path, monkeypatch):
+    # neighbor_sets reads the stored red masks in one pass per color
     from ramseydensity.cli import main
     calls = []
-    built = TwoColoring.neighbor_sets
+    asked = TwoColoring.neighbor_mask
 
-    def counted(self, color):
-        calls.append(color)
-        return built(self, color)
+    def counted(self, v, color):
+        calls.append((v, color))
+        return asked(self, v, color)
 
-    monkeypatch.setattr(TwoColoring, "neighbor_sets", counted)
+    monkeypatch.setattr(TwoColoring, "neighbor_mask", counted)
     assert main(["shade", "--coloring", "modular:3", "--n", "60", "--a", "3",
                  "--min-count", "5", "--out", str(tmp_path / "shade.json")]) == 0
-    assert sorted(calls) == sorted([RED, BLUE])
-
-
-@pytest.mark.parametrize("n", [30, 120])
-def test_shading_with_given_masks_equals_the_built_ones(n):
-    from ramseydensity.colorings import (a_good_shading, clique_coloring, color_masks,
-                                         verify_shading)
-    chi = clique_coloring(3, n)
-    nb = color_masks(chi)
-    sh = a_good_shading(chi, 3, 5)
-    assert a_good_shading(chi, 3, 5, nb=nb) == sh
-    assert verify_shading(chi, sh, 20, 3, 7, nb=nb) == verify_shading(chi, sh, 20, 3, 7)
+    assert calls == []
