@@ -26,9 +26,9 @@ from . import __version__
 from .colorings import (TwoColoring, a_good_shading, adversary, clique_coloring,
                         verify_adversary, verify_shading)
 from .embedder import HPrefixSpec, build_W, embed, verify_embedding
-from .errors import VerificationError, fields
+from .errors import VerificationError, edge_list_header, edge_list_rows, fields, shown
 from .families import (FiniteGraph, Grid, complete_bipartite, default_treecut_delta,
-                       mu_bruteforce, parse_family, treecut)
+                       grid_box, mu_bruteforce, parse_family, treecut)
 from .flows import CapacitatedBipartite, findflow, mfmc
 from .lipschitz import PLFunction, f_closed
 
@@ -181,21 +181,23 @@ def _first_line(text):
 
 
 def _read_sized(path, where, shape, kinds, limit, name):
-    """The text of an input file and the size its first nonblank line opens
-    with (0 for a blank file), once that size is within limit; the line is
-    read as its parser reads it (``where`` may hold its number as {k})."""
+    """The text of an input file and the fields of its first nonblank line
+    (None for a blank file), once the size they open with is within limit;
+    the line is read as its parser reads it (``where`` may hold its number
+    as {k})."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     k, head = _first_line(text)
-    size = 0
-    if head:
-        size = fields(where.format(k=k), head, shape, *kinds)[0]
-        _check_bound(name, size, limit)
-    return text, size
+    if not head:
+        return text, None
+    sizes = fields(where.format(k=k), head, shape, *kinds)
+    _check_bound(name, sizes[0], limit)
+    return text, sizes
 
 
 def _coloring_text(path):
-    """The text of a coloring file and its n, once n is within COLORING_MAX_N."""
+    """The text of a coloring file and its header's n and rule (None for a
+    blank file), once n is within COLORING_MAX_N."""
     return _read_sized(path, "header", "<n> <rule>", (int, str), COLORING_MAX_N,
                        "the coloring's n =")
 
@@ -218,10 +220,10 @@ def _number(text, kind=float):
     try:
         x = kind(text)
     except ValueError:
-        raise ValueError(f"{text.strip()!r} is not {'an integer' if kind is int else 'a number'}") \
+        raise ValueError(f"{shown(text)!r} is not {'an integer' if kind is int else 'a number'}") \
             from None
     if not math.isfinite(x):
-        raise ValueError(f"{text.strip()} is not a finite number")
+        raise ValueError(f"{shown(text)} is not a finite number")
     return x
 
 
@@ -245,7 +247,8 @@ def _parse_pl(spec_text):
         if kind == "file":
             with open(rest, encoding="utf-8") as fh:
                 pts = [fields(f"row {k}", line, "x y", _number, _number)
-                       for k, line in enumerate(fh, start=1) if line.strip()]
+                       for k, line in enumerate(fh.read().splitlines(), start=1)
+                       if line.strip()]
             if not pts:
                 raise ValueError("the file has no 'x y' rows")
             return PLFunction.from_points(pts)
@@ -280,15 +283,6 @@ def cmd_fig1(args):
     return 0
 
 
-def _grid_box(d, size):
-    """The points a Grid(d) builds to give the neighbours of its first
-    ``size`` vertices: the box one shell past the last one's."""
-    side = 1
-    while side ** d < size:
-        side += 2
-    return (side + 2) ** d
-
-
 def cmd_mu(args):
     kind, _, path = args.family.partition(":")
     if kind.lower() in ("omega", "explicit"):
@@ -301,9 +295,9 @@ def cmd_mu(args):
     if size * fam.degree > MU_MAX_NEIGHBORS:
         raise ValueError(f"{args.family} at --prefix-size {size} would list "
                          f"{size * fam.degree} neighbours: at most {MU_MAX_NEIGHBORS}")
-    if isinstance(fam, Grid) and _grid_box(fam.d, size) > MU_MAX_GRID_POINTS:
+    if isinstance(fam, Grid) and grid_box(fam.d, size) > MU_MAX_GRID_POINTS:
         raise ValueError(f"{args.family} at --prefix-size {size} would build "
-                         f"{_grid_box(fam.d, size)} points: at most {MU_MAX_GRID_POINTS}")
+                         f"{grid_box(fam.d, size)} points: at most {MU_MAX_GRID_POINTS}")
     value = mu_bruteforce(fam, args.n, args.prefix_size)
     meta = _meta(args, "mu")
     _write_json(args.out, meta, {"family": args.family, "n": args.n,
@@ -328,49 +322,14 @@ def cmd_adversary(args):
     return 0
 
 
-def _mfmc_edges(rows, lines, head, nx, ny):
-    """The edges (i, nx + j) of an ``rdl mfmc`` file's 'i j' rows: rows holds
-    the fields of each nonblank line of lines after line head.  A row that is
-    not two integers with 0 <= i < nx and 0 <= j < ny, or that repeats an
-    edge, is rejected with a message naming its line; rows are checked in
-    C-level passes, and read one by one only to find the first bad line."""
-    try:
-        ends = [*map(int, chain.from_iterable(rows))] if set(map(len, rows)) <= {2} else []
-    except ValueError:
-        ends = []
-    xs, ys = ends[::2], ends[1::2]
-    if not xs or (min(xs) >= 0 and max(xs) < nx and min(ys) >= 0 and max(ys) < ny):
-        edges = frozenset(zip(xs, map(nx.__add__, ys)))
-        if len(edges) == len(rows):
-            return edges
-    first = {}
-    for k, line in enumerate(lines[head:], start=head + 1):
-        if not line.strip():
-            continue
-        i, j = fields(f"line {k}", line, "i j", int, int)
-        if not (0 <= i < nx and 0 <= j < ny):
-            raise ValueError(f"line {k} {line.strip()!r}: expected 'i j' with "
-                             f"0 <= i < {nx} and 0 <= j < {ny}")
-        if first.setdefault((i, j), k) != k:
-            raise ValueError(f"line {k} {line.strip()!r}: repeats the edge "
-                             f"on line {first[i, j]}")
-    return frozenset((i, nx + j) for i, j in first)
-
-
 def cmd_mfmc(args):
     with open(args.graph, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    k, head = next(((k, ln) for k, ln in enumerate(lines, start=1) if ln.strip()), (0, ""))
-    if not head:
-        raise ValueError("empty graph file")
-    nx, ny, m = fields(f"line {k}", head, "nx ny m", int, int, int)
-    if min(nx, ny, m) < 0:
-        raise ValueError(f"header 'nx ny m' must be nonnegative, got {head.strip()!r}")
+    k, (nx, ny, m) = edge_list_header(lines, "nx ny m")
     _check_bound("nx + ny =", nx + ny, MFMC_MAX_VERTICES)
-    rows = [*filter(None, map(str.split, lines[k:]))]
-    if len(rows) != m:
-        raise ValueError("edge count does not match header")
-    edges = _mfmc_edges(rows, lines, k, nx, ny)
+    edges = edge_list_rows(lines, k, m, "i j",
+                           lambda i, j: (i, nx + j) if 0 <= i < nx and 0 <= j < ny else None,
+                           f"0 <= i < {nx} and 0 <= j < {ny}")
     G = CapacitatedBipartite(tuple(range(nx)), tuple(range(nx, nx + ny)),
                              edges, args.r, args.s)
     cert = mfmc(G)
@@ -380,7 +339,10 @@ def cmd_mfmc(args):
 
 
 def cmd_findflow(args):
-    res = findflow(TwoColoring.from_text(_coloring_text(args.coloring)[0]), args.r, args.s)
+    text, head = _coloring_text(args.coloring)
+    if head and head[1] != "leftmost":  # only a leftmost file lists vertex colors
+        raise ValueError("findflow needs vertex colors")
+    res = findflow(TwoColoring.from_text(text), args.r, args.s)
     meta = _meta(args, "findflow")
     _write_json(args.out, meta, {
         "t": res.t, "color": res.color, "value": _fmt(res.value),
@@ -398,7 +360,8 @@ def cmd_shade(args):
         _check_bound("--n", args.n, COLORING_MAX_N)
         n = args.n
     else:
-        text, n = _coloring_text(args.coloring)
+        text, head = _coloring_text(args.coloring)
+        n = head[0] if head else 0
         args.n = None  # the file sets n, so the artifact's config records no --n
     _check_bound("--a", args.a, SHADE_MAX_A)
     if min(args.a - 1, args.sample_size, args.subset_cap) > 0:  # else the library rejects them

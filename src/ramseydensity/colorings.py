@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from operator import eq, le, sub
 
-from .errors import VerificationError, fields
+from .errors import VerificationError, fields, shown
 from .lipschitz import GammaParam, gamma_crossings
 
 RED, BLUE = "R", "B"
@@ -149,7 +149,7 @@ class TwoColoring:
         elif rule.startswith("modular:"):
             modulus = rule.partition(":")[2]
             if not modulus.isdecimal():
-                raise ValueError(f"header {lines[0].strip()!r}: expected '<n> modular:<a>' "
+                raise ValueError(f"header {shown(lines[0])!r}: expected '<n> modular:<a>' "
                                  "with an integer a")
             chi = cls(n, "modular", modulus=int(modulus))
         elif rule == "explicit":

@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import VerificationError, fields
+from .errors import VerificationError, edge_list_header, edge_list_rows
 
 
 class PrefixTooSmallError(ValueError):
@@ -97,12 +97,12 @@ class FiniteGraph:
     edges: frozenset
 
     def __post_init__(self):
-        edges = frozenset((min(u, v), max(u, v)) for u, v in self.edges)
+        edges = frozenset((u, v) if u < v else (v, u) for u, v in self.edges)
         object.__setattr__(self, "edges", edges)
-        for u, v in edges:
+        for u, v in edges:  # u <= v
             if u == v:
                 raise ValueError("self-loops are not allowed")
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if u < 0 or v >= self.n:
                 raise ValueError("edge endpoint out of range")
 
     def neighbors(self, v):
@@ -138,32 +138,13 @@ class FiniteGraph:
         """The graph of an edge-list text: 'n m', then m rows 'u v' with
         u != v and 0 <= u, v < n, no edge twice (u v and v u are one edge);
         blank lines are skipped, and an error names the line it is on."""
-        lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-        if not lines:
-            raise ValueError("empty graph text")
-        (k, head), rows = lines[0], lines[1:]
-        n, m = fields(f"line {k}", head, "n m", int, int)
-        if min(n, m) < 0:
-            raise ValueError(f"header 'n m' must be nonnegative, got {head.strip()!r}")
-        if len(rows) != m:
-            raise ValueError("edge count does not match header")
-        try:
-            graph = cls(n, [(int(a), int(b)) for a, b in (ln.split() for _, ln in rows)])
-        except ValueError:
-            graph = None
-        if graph is not None and len(graph.edges) == m:
-            return graph
-        # some row breaks a rule: look for the first one row by row
-        first = {}
-        for k, line in rows:
-            u, v = fields(f"line {k}", line, "u v", int, int)
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"line {k} {line.strip()!r}: expected 'u v' with "
-                                 f"u != v and 0 <= u, v < {n}")
-            if first.setdefault((min(u, v), max(u, v)), k) != k:
-                raise ValueError(f"line {k} {line.strip()!r}: repeats the edge on line "
-                                 f"{first[min(u, v), max(u, v)]}")
-        return cls(n, first)
+        lines = text.splitlines()
+        k, (n, m) = edge_list_header(lines, "n m")
+
+        def edge(u, v):
+            return (u, v) if 0 <= u < v < n else (v, u) if 0 <= v < u < n else None
+
+        return cls(n, edge_list_rows(lines, k, m, "u v", edge, f"u != v and 0 <= u, v < {n}"))
 
 
 def complete_graph(n):
@@ -280,6 +261,15 @@ class Grid(GraphFamily):
                 other = base[:i] + (base[i] + step,) + base[i + 1:]
                 out.add(self._index[other])
         return out
+
+
+def grid_box(d, size):
+    """The points a Grid(d) builds to give the neighbours of its first
+    ``size`` vertices: the box one shell past the last one's."""
+    side = 1
+    while side ** d < size:
+        side += 2
+    return (side + 2) ** d
 
 
 class OmegaFactor(GraphFamily):

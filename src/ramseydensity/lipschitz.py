@@ -521,6 +521,13 @@ class BreakpointTrace:
     first_slope: int = 1
 
 
+def _recurrence_constants(gamma):
+    """q = (1-gamma)/(1+gamma), c = 2/(1-gamma^2) and d = 2/(1+gamma), the
+    constants of the level recurrence, in gamma's own arithmetic (float or
+    Fraction)."""
+    return (1 - gamma) / (1 + gamma), 2 / (1 - gamma * gamma), 2 / (1 + gamma)
+
+
 def _piece_levels(ell, gamma):
     """Piece ends x_i and levels t_i = gamma*x_i +- g(x_i) (sign + on the
     rising pieces) of the alternating +-1 function with piece lengths ell."""
@@ -547,8 +554,7 @@ def trace(g, p):
     ends, ts = _piece_levels(ell, gamma)
     # closed formula x_i = t_i/(1+gamma) + c*S_i with c = 2/(1-gamma^2) and
     # S_i = sum_{j<i} q^(i-j) t_j, kept as S_i = q*(S_{i-1} + t_{i-1})
-    q = (1 - gamma) / (1 + gamma)
-    c = 2 / (1 - gamma * gamma)
+    q, c, _ = _recurrence_constants(gamma)
     S = Fraction(0)
     for i, (xi, t) in enumerate(zip(ends, ts), start=1):
         acc = t / (1 + gamma) + c * S
@@ -589,12 +595,10 @@ def s_good(ts, S, p):
     """Whether the increasing level sequence certifies value S: for every
     checkable i, S*t_i dominates the closed lower-bound expression built from
     t_1..t_{i+1} (t_0 = 0).  A single-entry sequence is vacuously good."""
-    gamma = p.gamma
-    q = (1 - gamma) / (1 + gamma)
-    c = 2 / (1 - gamma * gamma)
+    q, c, d = _recurrence_constants(p.gamma)
     full = [0.0] + list(ts)
     for i in range(1, len(ts)):
-        rhs = (2 / (1 + gamma)) * full[i]
+        rhs = d * full[i]
         for j in range(1, i + 2):
             rhs += c * q ** (i - j + 2) * (full[j] + full[j - 1])
         if S * full[i] < rhs - _S_GOOD_TOL * max(1.0, abs(rhs)):
@@ -624,10 +628,7 @@ class RecurrenceRun:
 def recurrence_discriminant(S, p):
     """Discriminant of x^2 + alpha*x + beta for the three-term form of the
     level recurrence at S; its sign flips exactly at the sawtooth value."""
-    gamma = p.gamma
-    q = (1 - gamma) / (1 + gamma)
-    c = 2 / (1 - gamma * gamma)
-    d = 2 / (1 + gamma)
+    q, c, d = _recurrence_constants(p.gamma)
     alpha = -(S - d - c * q) / (c * q)
     beta = (S - d) / c
     return alpha * alpha - 4 * beta, alpha, beta
@@ -644,10 +645,7 @@ def run_recurrence(t1, S, p, N):
         raise ValueError("t1 must be positive")
     if N < 2:
         raise ValueError("N must be at least 2")
-    gamma = p.gamma
-    q = (1 - gamma) / (1 + gamma)
-    c = 2 / (1 - gamma * gamma)
-    d = 2 / (1 + gamma)
+    q, c, d = _recurrence_constants(p.gamma)
     disc, alpha, beta = recurrence_discriminant(S, p)
 
     stored = [float(t1)]

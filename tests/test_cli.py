@@ -337,6 +337,11 @@ BAD_INPUTS = [
       for text, _ in BAD_GRAPHS),
     ["mu", "--family", File("3 2\n0 1\n1 0\n", "omega:"), "--n", "1"],
     ["mu", "--family", File("2 1\n0 0\n", "explicit:"), "--n", "1"],
+    # a line longer than 80 characters is cut in the message
+    ["shade", "--coloring", File("R" * 100 + "\n"), "--a", "2"],
+    ["mfmc", "--graph", File("2 2 1\n" + "0 " * 50 + "\n"), "--r", "1", "--s", "1"],
+    ["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", File("0 0\n" + "x" * 90 + " 1\n",
+                                                                      "file:")],
 ]
 
 
@@ -372,7 +377,7 @@ def test_work_bounds_exit_before_anything_is_built(argv, tmp_path, monkeypatch, 
         raise AssertionError("built past a work bound")
 
     for name in ("mu_bruteforce", "_planted_host", "complete_bipartite", "clique_coloring",
-                 "CapacitatedBipartite", "_mfmc_edges", "adversary", "_parse_pl"):
+                 "CapacitatedBipartite", "edge_list_rows", "adversary", "_parse_pl"):
         monkeypatch.setattr(cli, name, unreachable)
     monkeypatch.setattr(cli.Grid, "_grow_to_radius", unreachable)
     monkeypatch.setattr(cli.TwoColoring, "from_text", unreachable)
@@ -433,12 +438,11 @@ def test_first_line_is_the_first_nonblank_of_splitlines(text):
 @pytest.mark.parametrize("d,size", [(1, 1), (1, 30), (2, 9), (2, 10), (2, 121), (3, 27),
                                     (3, 28), (4, 2)])
 def test_grid_box_counts_the_points_a_grid_prefix_builds(d, size):
-    from ramseydensity.cli import _grid_box
-    from ramseydensity.families import Grid
+    from ramseydensity.families import Grid, grid_box
     grid = Grid(d)
     for v in range(size):
         grid.neighbors(v)
-    assert len(grid._coords) == _grid_box(d, size)
+    assert len(grid._coords) == grid_box(d, size)
 
 
 @pytest.mark.parametrize("spec", ["modular:1", "modular:", "modular:x"])
@@ -459,6 +463,61 @@ def test_non_finite_g_names_the_spec(spec, tmp_path, capsys):
     assert f"error: --g {spec}: {row}" in capsys.readouterr().err
 
 
+def test_g_file_rows_break_where_splitlines_breaks(tmp_path):
+    # a form feed separates two rows, as it does in a coloring or graph file
+    path = tmp_path / "g.txt"
+    out = []
+    for text in ("0 0\f1 0.5\n", "0 0\n1 0.5\n"):
+        path.write_text(text)
+        out.append(tmp_path / f"adv{len(out)}.json")
+        assert run(["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", f"file:{path}",
+                    "--out", str(out[-1])]) == 0
+    assert out[0].read_bytes() == out[1].read_bytes()
+
+
+@pytest.mark.parametrize("header", ["3 explicit\nRRB\n", "6 modular:3\n"])
+def test_findflow_rejects_a_file_without_vertex_colors_before_parsing_it(
+        header, tmp_path, monkeypatch, capsys):
+    from ramseydensity import cli
+
+    def unreachable(*args):
+        raise AssertionError("parsed a coloring findflow cannot use")
+
+    monkeypatch.setattr(cli.TwoColoring, "from_text", unreachable)
+    coloring = tmp_path / "c.txt"
+    coloring.write_text(header)
+    assert run(["findflow", "--coloring", str(coloring), "--r", "1", "--s", "1"]) == 1
+    assert capsys.readouterr().err == "error: findflow needs vertex colors\n"
+
+
+def test_seed_variable_overrides_the_seed_option(tmp_path, monkeypatch):
+    argv = ["shade", "--coloring", "modular:3", "--n", "60", "--a", "3"]
+    flag, env = tmp_path / "flag.json", tmp_path / "env.json"
+    monkeypatch.delenv("RDL_SEED", raising=False)
+    assert run(argv + ["--seed", "5", "--out", str(flag)]) == 0
+    monkeypatch.setenv("RDL_SEED", "5")
+    assert run(argv + ["--seed", "1", "--out", str(env)]) == 0
+    assert env.read_bytes() == flag.read_bytes()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["shade", "--coloring", File("R" * 1830 + "\n"), "--a", "2"],
+     f"header '{'R' * 60}...': expected '<n> <rule>', got 1 fields"),
+    (["mfmc", "--graph", File("2 2 1\n" + "0 " * 200 + "\n"), "--r", "1", "--s", "1"],
+     f"line 2 '{'0 ' * 30}...': expected 'i j', got 200 fields"),
+    (["treecut", "--forest", File("3 1\n0 " + "1" * 100 + "\n"), "--independent", "0",
+      "--lambda-prime", "1"],
+     f"line 2 '0 {'1' * 58}...': expected 'u v' with u != v and 0 <= u, v < 3"),
+    (["adversary", "--s", "1", "--r", "1", "--n", "40",
+      "--g", File("0 0\n" + "9" * 400 + " 1\n", "file:")],
+     f"row 2 '{'9' * 60}...': expected 'x y', {'9' * 60}... is not a finite number"),
+], ids=["header", "fields", "range", "number"])
+def test_error_lines_cut_a_long_input_line(argv, message, tmp_path, capsys):
+    # the line is named and its first 60 characters shown, not all of it
+    assert run(with_files(argv, tmp_path)) == 1
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("slope", ["5", "-5", "1.001"])
 def test_steep_linear_g_names_the_spec(slope, capsys):
     assert run(["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", f"linear:{slope}"]) == 1
@@ -475,6 +534,8 @@ def test_steep_linear_g_names_the_spec(slope, capsys):
     ("2 2 1\n0 2\n", "line 2 '0 2': expected 'i j' with 0 <= i < 2 and 0 <= j < 2"),
     ("2 2 1\n-1 0\n", "line 2 '-1 0': expected 'i j' with 0 <= i < 2"),
     ("2 2 1\n2 0\n", "line 2 '2 0': expected 'i j' with 0 <= i < 2"),
+    # the bound comes before the row count
+    ("50000 50000 5\n", "nx + ny = 100000 is too large: at most 10000"),
 ])
 def test_mfmc_input_error_names_the_line_and_its_shape(text, message, tmp_path, capsys):
     graph = tmp_path / "g.txt"
