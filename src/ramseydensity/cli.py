@@ -207,12 +207,15 @@ def _graph_text(path):
     return _read_sized(path, "line {k}", "n m", (int, int), GRAPH_MAX_N, "the graph's n =")[0]
 
 
-def _fraction(text):
-    """Fraction(text), with a zero denominator reported as bad input."""
+def _fraction(name, text):
+    """Fraction(text), the value of option ``name``; text that is no
+    fraction, or has a zero denominator, is reported naming the option."""
     try:
         return Fraction(text)
+    except ValueError:
+        raise ValueError(f"{name} {shown(text)!r} is not a fraction") from None
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ValueError(f"{name} has a zero denominator in {shown(text)!r}") from None
 
 
 def _number(text, kind=float):
@@ -427,13 +430,18 @@ def cmd_embed(args):
 
 def cmd_treecut(args):
     forest = FiniteGraph.from_text(_graph_text(args.forest))
-    I = tuple(int(x) for x in args.independent.split(","))
+    try:
+        I = tuple(int(x) for x in args.independent.split(","))
+    except ValueError:
+        raise ValueError(f"--independent {shown(args.independent)!r} is not a comma-separated "
+                         "list of vertex ids") from None
     if len(set(I)) != len(I):
         raise ValueError("--independent lists a vertex twice")
     # treecut builds the one adjacency the job needs; N(S) is read off the edges
     lam = Fraction(len(forest.neighborhood(I)), len(I))
-    lam_prime = _fraction(args.lam_prime)
-    delta = _fraction(args.delta) if args.delta else default_treecut_delta(lam, lam_prime)
+    lam_prime = _fraction("--lambda-prime", args.lam_prime)
+    delta = (_fraction("--delta", args.delta) if args.delta
+             else default_treecut_delta(lam, lam_prime))
     result = treecut(forest, I, lam, lam_prime, delta)  # raises on a failed postcondition
     try:
         size_bound = _fmt(2 / delta)

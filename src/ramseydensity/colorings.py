@@ -278,22 +278,68 @@ class AdversaryInstance:
 
 def _red_prefix_counts(g, n):
     """floor((m + g(m))/2) for m = 1..n: the number of red vertices among
-    the leftmost m.  g is walked one segment at a time with the arithmetic
-    ``values_at`` applies to float(m), so every value is the same float."""
+    the leftmost m.  g is walked one piece at a time with the arithmetic
+    ``values_at`` applies to float(m), so every value evaluated is the same
+    float.  The tail is the piece with run dx = 1.0: dividing by 1.0
+    changes no float."""
     bp, vals = g.breakpoints, g.values
-    floor = math.floor
     out = []
     m = 1
     for lo in range(len(bp) - 1):
         stop = min(max(m, math.ceil(bp[lo + 1])), n + 1)
         x0, y0 = bp[lo], vals[lo]
-        dx, dy = bp[lo + 1] - x0, vals[lo + 1] - y0
-        out += [floor((x + (y0 + dy * (x - x0) / dx)) / 2 + 1e-12)
-                for x in map(float, range(m, stop))]
+        out += _piece_counts(x0, y0, bp[lo + 1] - x0, vals[lo + 1] - y0, m, stop)
         m = stop
-    x0, y0, tail = bp[-1], vals[-1], g.tail_slope
-    out += [floor((x + (y0 + tail * (x - x0))) / 2 + 1e-12) for x in map(float, range(m, n + 1))]
+    out += _piece_counts(bp[-1], vals[-1], 1.0, g.tail_slope, m, n + 1)
     return out
+
+
+_SLOPE_TOL = 1e-9           # how far F's slope may be from 0 or 1 for a bulk fill
+_FILL_MARGIN = 2.0 ** -40   # E per unit of M; the rounding error stays under 2^-49 M
+
+
+def _piece_counts(x0, y0, dx, dy, m, stop):
+    """floor(F(x)) for the floats x of m..stop-1, where F(x) is
+    (x + (y0 + dy * (x - x0) / dx)) / 2 + 1e-12 in floats: the red prefix
+    counts on one piece of g, as a list, a range or a repeat.
+
+    The slope of F is B = (1 + dy/dx)/2: 0 on a piece of slope -1, where
+    the counts are one value c (a blue run), and 1 on a piece of slope 1,
+    where they are x + c (a red run).  When B is within _SLOPE_TOL of k in
+    {0, 1}, H(x) = F(x) - k*x in exact arithmetic on the float inputs is
+    linear, so on the piece it lies between its values at the two ends.
+
+    The margin E.  Let M = |x0| + |y0| + 2*stop + 2.  As 0 <= x - x0 < stop
+    and |dy/dx| <= 1 + 2e-9, x - x0, the quotient, the two sums and F are at
+    most 1.01*M in magnitude, and the product is the quotient times dx.
+    The chain rounds seven times (x - x0, the product, the quotient, the
+    two sums, the halving, which is exact above the subnormals, and the
+    last sum), each by at most 2^-53 of one of those quantities (the
+    product's error shrinks with the division by dx), so the chain is
+    within 7 * 2^-53 * 1.01*M < 2^-50*M of F at every x.  Each end value,
+    with one more rounding for subtracting k*x, is within 2^-49*M of H.
+    E = 2^-40*M covers both and the rounding of lo and hi: when [lo, hi],
+    the end values widened by E, holds no integer, the chain's value less
+    k*x lies in it at every x, so every count is c + k*x with c = floor(lo).
+
+    Any other piece (another slope, a range that meets an integer, an end
+    value that is not finite, or fewer than three vertices) is evaluated
+    vertex by vertex, so every value still evaluated is the float it was,
+    and every error the same."""
+    floor = math.floor
+    slope = (1 + dy / dx) / 2
+    k = slope > 0.5
+    if stop - m > 2 and abs(slope - k) <= _SLOPE_TOL:  # two vertices cost what two ends do
+        a, b = [(x + (y0 + dy * (x - x0) / dx)) / 2 + 1e-12 - k * x
+                for x in (float(m), float(stop - 1))]
+        e = _FILL_MARGIN * (abs(x0) + abs(y0) + 2 * stop + 2)
+        lo, hi = min(a, b) - e, max(a, b) + e
+        if hi - lo < 1:             # false unless both are finite
+            c = floor(lo)
+            if hi < c + 1:
+                return range(m + c, stop + c) if k else repeat(c, stop - m)
+    return [floor((x + (y0 + dy * (x - x0) / dx)) / 2 + 1e-12)
+            for x in map(float, range(m, stop))]
 
 
 def _left_counts(positions):

@@ -1,11 +1,21 @@
 """The run-based adversary builder and the one-pass verifier.
 
-``adversary`` reads alpha and beta off the coloring's runs of one color, and
-``_red_prefix_counts`` walks g one segment at a time.  Both are compared with
-``adversary_reference`` (the quadratic Fraction construction) and with the
-``values_at`` form on colorings cut into many short runs: linear g with a
-slope strictly between -1 and 1, and seeded random PL functions whose pieces
-have any slope in [-1, 1], with non-integer and with integer breakpoints.
+``adversary`` reads alpha and beta off the coloring's runs of one color.
+Builder and verifier are compared with ``adversary_reference`` (the
+quadratic Fraction construction) on colorings cut into many short runs:
+linear g with a slope strictly between -1 and 1, and seeded random PL
+functions whose pieces have any slope in [-1, 1], with non-integer and with
+integer breakpoints.  ``_red_prefix_counts`` fills a piece of slope +-1 as
+one range or repeat when a margin proves it, and evaluates every other
+piece vertex by vertex.  Its counts are compared with the ``values_at`` form
+on those functions, on sawtooths of 8-31 periods up to n = 8000 and one at
+the CLI's largest n, on seeded random alternating candidates, and on near
+ties: g = 0, slopes +-1, integer breakpoints, and a seeded search's case
+where the float chain floors apart from the exact line, so that a fill
+without the margin is wrong.  Fills are checked to happen only on pieces of
+slope +-1 and to cover all but a few vertices of the sawtooths and
+candidates.
+
 The length mutations check the messages for a color tuple, alpha or beta of
 the wrong length, which the reference does not have; the other mutations
 reach the verifier's fallbacks: colors that are neither red nor blue,
@@ -17,13 +27,15 @@ coloring built from the list of red pairs.
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 import adversary_reference as ref
+from ramseydensity import cli, colorings
 from ramseydensity.colorings import (BLUE, RED, TwoColoring, _red_prefix_counts, adversary,
                                      verify_adversary)
-from ramseydensity.lipschitz import GammaParam, PLFunction, sigma_g
+from ramseydensity.lipschitz import GammaParam, PLFunction, random_alternating_candidate, sigma_g
 
 LAMBDAS = ((1, 1), (2, 1), (1, 2), (3, 2), (5, 3), (1, 4))
 SIZES = (4, 5, 17, 60, 301, 1000)
@@ -68,14 +80,102 @@ def test_fragmented_instances_match_reference(s, r, n):
             assert verify_adversary(new) == ref.verify_adversary(new) == []
 
 
+# A seeded search's near tie: on the falling piece (x + g(x))/2 + 1e-12 is
+# 34.999999999999 + 1e-12, just below 35 on the exact line, so the exact line
+# floors to 34 there and the float chain mostly to 35, but not at every vertex.
+NEAR_TIE = PLFunction.from_points(
+    [(0.0, 0.0), (34.999999999999, 34.999999999999), (179.12097581932287, -109.12097581932487)],
+    tail_slope=1.0)
+
+
+def near_ties():
+    """Functions whose counts sit on or next to an integer: g = 0, slopes
+    +-1 through the origin, integer breakpoints with slopes 0 and +-1, and
+    NEAR_TIE."""
+    steps = PLFunction.from_points([(0, 0), (10, 10), (20, 0), (25, 0), (40, -15), (41, -14),
+                                    (60, 5), (70, 5), (71, 4), (90, -15)], tail_slope=1.0)
+    return [PLFunction.zero(), PLFunction.linear(1.0), PLFunction.linear(-1.0), steps, NEAR_TIE]
+
+
+def prefix_count_cases(seed):
+    """(g, n) pairs for one of the LAMBDAS: the fragmented functions at
+    every size; the sawtooths of 8-31 periods, at sizes up to 8000; four
+    random alternating candidates; and the near ties."""
+    s, r = LAMBDAS[seed]
+    p = GammaParam.from_lambda(s / r)
+    rng = random.Random(seed)
+    cases = [(g, n) for g in functions(seed) + near_ties() for n in SIZES]
+    cases += [(sigma_g(p, periods), n) for periods in range(8, 32) for n in (61, 2000, 8000)]
+    cases += [(random_alternating_candidate(rng, p, max_pieces=40, span_cap=1e8), n)
+              for n in (301, 2000, 5000, 8000)]
+    return cases
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_prefix_counts_equal_values_at_form(seed):
-    s, r = LAMBDAS[seed]
-    for g in functions(seed) + [sigma_g(GammaParam.from_lambda(s / r), 9)]:
-        for n in SIZES:
-            ys = g.values_at([float(m) for m in range(1, n + 1)])
-            want = [math.floor((m + y) / 2 + 1e-12) for m, y in zip(range(1, n + 1), ys)]
-            assert _red_prefix_counts(g, n) == want
+    cases = prefix_count_cases(seed)
+    if seed == 0:
+        cases.append((sigma_g(GammaParam.from_lambda(1.0), 12), cli.ADVERSARY_MAX_N))
+    for g, n in cases:
+        ys = g.values_at([float(m) for m in range(1, n + 1)])
+        want = [math.floor((m + y) / 2 + 1e-12) for m, y in zip(range(1, n + 1), ys)]
+        assert _red_prefix_counts(g, n) == want
+
+
+def test_near_tie_floors_apart_from_the_exact_line():
+    # NEAR_TIE is the case a fill with no margin gets wrong: on the falling
+    # piece the float chain floors apart from the exact line, and not to one
+    # value, so no single count fits the piece
+    bp, vals = NEAR_TIE.breakpoints, NEAR_TIE.values
+    x0, y0 = Fraction(bp[1]), Fraction(vals[1])
+    slope = (Fraction(vals[2]) - y0) / (Fraction(bp[2]) - x0)
+    falling = range(math.ceil(bp[1]), math.ceil(bp[2]))
+    exact = [math.floor((m + y0 + slope * (m - x0)) / 2 + Fraction(1e-12)) for m in falling]
+    ys = NEAR_TIE.values_at([float(m) for m in falling])
+    chain = [math.floor((m + y) / 2 + 1e-12) for m, y in zip(falling, ys)]
+    assert set(exact) == {34} and set(chain) == {34, 35}
+
+
+def spy_on_pieces(monkeypatch):
+    """A list that gets (dx, dy, counts) for each piece, as
+    ``_red_prefix_counts`` asks ``_piece_counts`` for it."""
+    pieces = []
+    piece_counts = colorings._piece_counts
+
+    def spy(x0, y0, dx, dy, m, stop):
+        counts = piece_counts(x0, y0, dx, dy, m, stop)
+        pieces.append((dx, dy, counts))
+        return counts
+
+    monkeypatch.setattr(colorings, "_piece_counts", spy)
+    return pieces
+
+
+def test_only_unit_slope_pieces_are_filled(monkeypatch):
+    # the margin E is derived for |slope| <= 1 + 2e-9: a piece of any other
+    # slope is evaluated vertex by vertex, even where a fill would be right
+    pieces = spy_on_pieces(monkeypatch)
+    for seed in range(6):
+        for g, n in prefix_count_cases(seed):
+            _red_prefix_counts(g, n)
+    filled = [(dx, dy) for dx, dy, counts in pieces if not isinstance(counts, list)]
+    assert len(filled) > 1000
+    assert all(abs(abs(dy / dx) - 1) <= 2e-9 for dx, dy in filled)
+
+
+def test_unit_slope_pieces_are_filled_in_bulk(monkeypatch):
+    # pieces of slope +-1 and three or more vertices are filled as a range
+    # or a repeat; only short pieces and ties are evaluated vertex by vertex
+    pieces = spy_on_pieces(monkeypatch)
+    rng = random.Random(1)
+    for s, r in LAMBDAS:
+        p = GammaParam.from_lambda(s / r)
+        for g in [sigma_g(p, 12), sigma_g(p, 31)] + [
+                random_alternating_candidate(rng, p, max_pieces=40, span_cap=1e8)
+                for _ in range(4)]:
+            pieces.clear()
+            _red_prefix_counts(g, 8000)
+            assert sum(len(c) for _, _, c in pieces if isinstance(c, list)) <= 40, (s, r, g)
 
 
 def test_linear_slopes_give_short_runs():

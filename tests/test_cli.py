@@ -251,6 +251,18 @@ BAD_GRAPHS = [
     ("3 2\n0 1\n0 1\n", "line 3 '0 1': repeats the edge on line 2"),
 ]
 
+# treecut values that are no vertex list or no fraction, and the option each names
+TREECUT_BAD_OPTIONS = [
+    (["treecut", "--forest", File(STAR), "--independent", ",", "--lambda-prime", "2"],
+     "--independent"),
+    (["treecut", "--forest", File(STAR), "--independent", "1,x", "--lambda-prime", "2"],
+     "--independent"),
+    (["treecut", "--forest", File(STAR), "--independent", "1,2", "--lambda-prime", "x"],
+     "--lambda-prime"),
+    (["treecut", "--forest", File(STAR), "--independent", "1,2", "--lambda-prime", "2",
+      "--delta", "x"], "--delta"),
+]
+
 BAD_INPUTS = [
     ["adversary", "--s", "1", "--r", "0", "--n", "40"],
     ["adversary", "--s", "0", "--r", "1", "--n", "40"],
@@ -286,6 +298,7 @@ BAD_INPUTS = [
     ["treecut", "--forest", File(STAR), "--independent", "1,2,3", "--lambda-prime", "1/2",
      "--delta=-1/4"],
     ["treecut", "--forest", File(STAR), "--independent", "1,1", "--lambda-prime", "2"],
+    *(argv for argv, _ in TREECUT_BAD_OPTIONS),
     ["treecut", "--forest", File("4 2\n0 1\n1 2\n2 3\n"), "--independent", "0,2",
      "--lambda-prime", "2"],
     ["embed", "--host-size", "0"],
@@ -310,7 +323,9 @@ BAD_INPUTS = [
     ["shade", "--coloring", "modular:x", "--n", "10", "--a", "2"],
     ["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", "sigma:1:abc"],
     ["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", "linear:"],
-    ["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", File("0 0\n1 1 5\n")],
+    ["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", File("0 0\n1 1 5\n", "file:")],
+    # a bare path is no function spec
+    ["adversary", "--s", "1", "--r", "1", "--n", "40", "--g", File("0 0\n1 1\n")],
     ["fig1", "--step", "1e-12"],
     ["mfmc", "--graph", File("2 2 2\n0 0\n0 0\n"), "--r", "1", "--s", "1"],
     ["mfmc", "--graph", File("2 2\n"), "--r", "1", "--s", "1"],
@@ -353,6 +368,19 @@ def test_bad_input_exits_1_with_one_error_line(argv, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv,option", [
+    *TREECUT_BAD_OPTIONS,
+    (["treecut", "--forest", File(STAR), "--independent", "1,2", "--lambda-prime", "1/0"],
+     "--lambda-prime"),
+    (["treecut", "--forest", File(STAR), "--independent", "1,2", "--lambda-prime", "2",
+      "--delta", "1/0"], "--delta"),
+], ids=lambda arg: " ".join(arg[3:]) if isinstance(arg, list) else arg)
+def test_treecut_error_names_the_option(argv, option, tmp_path, capsys):
+    assert run(with_files(argv, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} ") and "literal" not in err
 
 
 @pytest.mark.parametrize("argv,name", [
