@@ -261,8 +261,14 @@ def _parse_pl(spec_text):
 
 
 def cmd_f_eval(args):
-    lam = float(args.lam)
-    b = f_closed(lam)
+    try:
+        lam = float(args.lam)
+    except ValueError:
+        raise ValueError(f"--lambda {shown(args.lam)!r} is not a number") from None
+    try:
+        b = f_closed(lam)
+    except ValueError as exc:
+        raise ValueError(f"--lambda {shown(args.lam)!r}: {exc}") from None
     meta = _meta(args, "f-eval")
     rows = [[_fmt(lam), _fmt(b.lower), _fmt(b.upper), _fmt(b.exact)]]
     _write_csv(args.out, meta, ["lambda", "lower", "upper", "exact"], rows)
@@ -271,7 +277,7 @@ def cmd_f_eval(args):
 
 def cmd_fig1(args):
     if not (args.step > 0 and math.isfinite(args.step)):
-        raise ValueError(f"step must be positive and finite, got {args.step!r}")
+        raise ValueError(f"--step must be positive and finite, got {args.step!r}")
     if 3.0 / args.step > FIG1_MAX_STEPS + 0.5:  # round(3/step) > FIG1_MAX_STEPS, inf included
         raise ValueError(f"--step {args.step!r} is too small: [0, 3] would take more than "
                          f"{FIG1_MAX_STEPS} steps; use a step of at least {3 / FIG1_MAX_STEPS:g}")

@@ -9,21 +9,21 @@ totally colored host and extracts, for one of the two colors, a flow between
 the first t vertices of one color class and the whole other class whose
 normalized value certifies a dense structure.
 
-Both run on one integer-indexed residual network (``_Residual``): a greedy
-pass over the length-3 paths SRC -> x -> y -> SNK, then one
-shortest-augmenting-path routine (Edmonds-Karp) for the longer paths.  The
-greedy pass pushes on exactly the paths, in the order and by the amounts,
-that Edmonds-Karp's breadth-first search would pick while a length-3 path
-exists, and no length-3 path comes back after it; so the flow is the
-Edmonds-Karp flow, and the search runs only for the longer paths and for
-the last one that finds no path.  A source arc's residual capacity never
-rises: a search marks SRC found before it scans any arc, so no augmenting
-path runs back along a source arc, and the greedy pass pushes forward only.
-So the searches skip source arcs once they are saturated (each is dropped
-from SRC's scan list once), and they discover every node in the order they
-did without the skip, which keeps every path, the flow and the cover.
-``mfmc`` builds the network and augments to the end; the order arcs are
-added in fixes the flow it returns.  The
+Both run on one integer-indexed residual network (``_Residual``) that holds
+only the X and Y nodes and the x -> y arcs: each X node keeps its unused
+capacity as supply and each Y node its unused capacity as room, so no
+source or sink node is needed.  An augmenting path runs from an X node with
+supply to a Y node with room.  A greedy pass first takes the direct paths
+x -> y, then one shortest-augmenting-path routine (Edmonds-Karp) takes the
+longer ones.  The greedy pass pushes on exactly the paths, in the order and
+by the amounts, that Edmonds-Karp's breadth-first search would pick while a
+direct path exists, and no direct path comes back after it; so the flow is
+the Edmonds-Karp flow, and the search runs only for the longer paths and
+for the last one that finds no path.  Supply and room only fall, since every
+path takes from one of each; so a search starts from the X nodes that still
+have supply, in X order, and an X node that runs out is dropped from that
+list for good.  ``mfmc`` builds the network and augments to the end; the
+order nodes and arcs are added in fixes the flow it returns.  The
 sweep keeps one network per color and, as t grows, adds the new prefix
 vertex to it and augments the flow it already carries, so it reads each
 max flow value without recomputing it.  On a leftmost host the networks'
@@ -94,31 +94,38 @@ class FlowCertificate:
 
 
 class _Residual:
-    """Residual network on integer nodes, SRC = 0 and SNK = 1.
+    """Residual network on integer nodes, X nodes with supply and Y nodes
+    with room.
 
-    Arc a runs to head[a] with residual capacity cap[a]; arcs are added in
-    pairs, so a ^ 1 is its reverse.  out[u] lists u's arcs in the order they
-    were added, which fixes the order a search scans them in; SRC's list
-    drops its saturated arcs before each search.  A node has at
-    most one arc into SNK, kept in sink_arc (-1 for none).  Each search
-    leaves its marks in via (-1 for a node it did not reach); one that finds
-    no path has searched to the end, so its marks are exactly the nodes SRC
-    reaches along positive residual arcs.
+    supply[x] is what X node x can still send and room[y] what Y node y can
+    still take; a node has one or the other.  Arc a runs to head[a] with
+    residual capacity cap[a]; arcs are added in pairs, so a ^ 1 is its
+    reverse.  out[u] lists u's arcs in the order they were added, which
+    fixes the order a search scans them in.  roots lists the X nodes in the
+    order they were added, less those whose supply ran out before a search.
+    Each search leaves its marks in via (-2 for a root, -1 for a node it did
+    not reach); one that finds no path has searched to the end, so its marks
+    are exactly the nodes an X node with supply reaches along positive
+    residual arcs.
     """
-
-    SRC, SNK = 0, 1
 
     def __init__(self):
         self.head = []
         self.cap = []
-        self.out = [[], []]
-        self.sink_arc = [-1, -1]
+        self.out = []
+        self.supply = []
+        self.room = []
+        self.roots = []
         self.via = []
 
-    def add_node(self):
+    def add_node(self, supply, room):
+        u = len(self.out)
         self.out.append([])
-        self.sink_arc.append(-1)
-        return len(self.out) - 1
+        self.supply.append(supply)
+        self.room.append(room)
+        if supply:
+            self.roots.append(u)
+        return u
 
     def add_arc(self, u, v, c):
         a = len(self.head)
@@ -126,70 +133,59 @@ class _Residual:
         self.cap += (c, 0)
         self.out[u].append(a)
         self.out[v].append(a + 1)
-        if v == self.SNK:
-            self.sink_arc[u] = a
         return a
 
-    def _drop_saturated_sources(self):
-        """Drop SRC's saturated arcs from out[SRC], keeping the order of the
-        rest.  A source arc's residual never rises (see the module
-        docstring), so a dropped arc is never needed again.  Each arc is
-        dropped once, and otherwise a call takes one step per unsaturated
-        source arc, which the search that follows scans anyway."""
-        cap = self.cap
-        self.out[self.SRC] = [a for a in self.out[self.SRC] if cap[a] > 0]
+    def push_direct(self, arcs):
+        """Push flow along each x -> y arc, in order and by
+        min(supply[x], residual, room[y]); return the total pushed.
 
-    def push_direct(self, pairs):
-        """Push flow along each path SRC -> x -> y -> SNK, given as the pair
-        (SRC -> x arc, x -> y arc), in order and as much as the path's
-        residual capacity allows; return the total pushed.
-
-        While a length-3 path exists, ``augment`` takes the first one in
-        (source arc, x's arc) insertion order, since its search pops every
-        x with spare source capacity before any y.  Source and sink
-        residuals only fall here, so pairs listed in that order, covering
-        every length-3 path, get exactly the pushes ``augment`` would make
-        and leave no length-3 path behind.
+        While a direct path exists, ``augment`` takes the first one in
+        (root, x's arc) insertion order, since its search pops every root
+        before any y.  Supply and room only fall here, so x -> y arcs listed
+        in that order, covering every direct path, get exactly the pushes
+        ``augment`` would make and leave no direct path behind.
         """
-        head, cap, sink_arc = self.head, self.cap, self.sink_arc
+        head, cap, supply, room = self.head, self.cap, self.supply, self.room
         total = 0
-        for a, b in pairs:
-            c = sink_arc[head[b]]
-            if c >= 0 and (pushed := min(cap[a], cap[b], cap[c])) > 0:
-                for arc in (a, b, c):
-                    cap[arc] -= pushed
-                    cap[arc ^ 1] += pushed
+        for a in arcs:
+            x, y = head[a ^ 1], head[a]
+            if (pushed := min(supply[x], cap[a], room[y])) > 0:
+                supply[x] -= pushed
+                room[y] -= pushed
+                cap[a] -= pushed
+                cap[a ^ 1] += pushed
                 total += pushed
         return total
 
     def augment(self):
-        """Push flow along one shortest SRC -> SNK path of positive residual
-        capacity and return the amount pushed, 0 when there is no such path.
+        """Push flow along one shortest path of positive residual capacity
+        from an X node with supply to a Y node with room, and return the
+        amount pushed, 0 when there is no such path.
 
-        The path is the one a breadth-first search scanning arcs in
-        insertion order finds.  That search pops nodes in the order it
-        discovers them, so SNK's discoverer is the first node discovered
-        with a positive arc into SNK; stopping there already fixes the path.
+        The path is the one a breadth-first search from the roots, in order,
+        scanning arcs in insertion order finds.  That search pops nodes in
+        the order it discovers them, so the path's end is the first node it
+        discovers with room; stopping there already fixes the path.
         """
-        head, cap, out, sink_arc = self.head, self.cap, self.out, self.sink_arc
-        src = self.SRC
-        self._drop_saturated_sources()
+        head, cap, out, supply, room = self.head, self.cap, self.out, self.supply, self.room
+        roots = self.roots = [x for x in self.roots if supply[x] > 0]
         via = self.via = [-1] * len(out)
-        via[src] = -2
-        queue = [src]
+        for x in roots:
+            via[x] = -2
+        queue = roots.copy()
         for u in queue:
             for a in out[u]:
                 v = head[a]
                 if via[v] == -1 and cap[a] > 0:
                     via[v] = a
-                    b = sink_arc[v]
-                    if b >= 0 and cap[b] > 0:
-                        path = [b]
-                        while v != src:
-                            a = via[v]
+                    if room[v] > 0:
+                        y, path = v, []
+                        while (a := via[v]) != -2:
                             path.append(a)
                             v = head[a ^ 1]
-                        pushed = min(cap[a] for a in path)
+                        pushed = min(supply[v], room[y], *(cap[a] for a in path))
+                        supply[v] -= pushed
+                        room[y] -= pushed
                         for a in path:
                             cap[a] -= pushed
                             cap[a ^ 1] += pushed
@@ -201,24 +197,22 @@ class _Residual:
 def mfmc(G: CapacitatedBipartite):
     """Integral max flow and matching weighted min vertex cover.
 
-    Augments along shortest paths in the residual network (source -> X at
-    capacity r, X -> Y uncapacitated, Y -> sink at capacity s): one greedy
-    pass over every (x, y) arc, in X order and then arc order, takes the
-    length-3 paths, then Edmonds-Karp takes the longer ones.  Its last
-    search finds no path and marks the nodes the source reaches, and the
-    cover is the unmarked X-vertices plus the marked Y-vertices.  Arcs are
-    added source arcs first (in X order), then sink arcs (in Y order), then
-    the edges in sorted order, which fixes the paths chosen and so the flow h.
+    Augments along shortest paths in the residual network (supply r per
+    X node, X -> Y uncapacitated, room s per Y node): one greedy pass over
+    every (x, y) arc, in X order and then arc order, takes the direct paths,
+    then Edmonds-Karp takes the longer ones.  Its last search finds no path
+    and marks the nodes the X nodes with supply reach, and the cover is the
+    unmarked X-vertices plus the marked Y-vertices.  Nodes are added X
+    first, in X order, and arcs in sorted edge order, which fixes the paths
+    chosen and so the flow h.
     """
     net = _Residual()
-    node = {v: net.add_node() for v in (*G.X, *G.Y)}
-    sources = [net.add_arc(net.SRC, node[x], G.r) for x in G.X]
-    for y in G.Y:
-        net.add_arc(node[y], net.SNK, G.s)
+    node = {x: net.add_node(G.r, 0) for x in G.X}
+    node.update((y, net.add_node(0, G.s)) for y in G.Y)
     edges = sorted(G.edges)
     arcs = [net.add_arc(node[u], node[v], math.inf) for u, v in edges]
 
-    D = net.push_direct((a, b) for a in sources for b in net.out[net.head[a]])
+    D = net.push_direct(a for x in G.X for a in net.out[node[x]])
     while pushed := net.augment():
         D += pushed
 
@@ -289,38 +283,35 @@ class FindFlowResult:
 
 
 class _PrefixFlow:
-    """Max flow of one color C as the prefix grows: X (capacity r) is every
-    vertex of color C, Y (capacity s) the other color's vertices added so
-    far, and an added y's edges go to the X-vertices in its C-neighbor mask."""
+    """Max flow of one color C as the prefix grows: X (supply r) is every
+    vertex of color C, Y (room s) the other color's vertices added so far,
+    and an added y's edges go to the X-vertices in its C-neighbor mask."""
 
     def __init__(self, chi, color, r, s):
         self.chi, self.color, self.s = chi, color, s
         self.D = 0
         self.net = _Residual()
-        # x's source arc, whose head is x's node, in X order
-        self.source = {x: self.net.add_arc(self.net.SRC, self.net.add_node(), r)
-                       for x, c in enumerate(chi.vertex_colors) if c == color}
+        # x's node, in X order
+        self.node = {x: self.net.add_node(r, 0)
+                     for x, c in enumerate(chi.vertex_colors) if c == color}
 
     def add(self, y):
         """Add y to Y with its C-colored edges and augment back to a max flow.
 
-        The previous flow stays feasible.  The flow on the old arcs is always
-        a flow of the old network, whose maximum the old sink arcs already
-        carry, and no augmenting path passes through the sink to lower one of
-        them; so every augmenting path ends with y's sink arc, and augmenting
-        stops once that arc is full.  Since the old network had no augmenting
-        path, every length-3 path runs through one of y's new arcs: a greedy
-        pass over them in X order takes those, then Edmonds-Karp the longer
-        paths.
+        The previous flow stays feasible.  The flow into the old Y nodes is
+        always a flow of the old network, whose maximum they already take,
+        and an augmenting path lowers no Y node's inflow (it raises its end's
+        only); so every augmenting path ends at y, and augmenting stops once
+        y has no room left.  Since the old network had no augmenting path,
+        every direct path is one of y's new arcs: a greedy pass over them in
+        X order takes those, then Edmonds-Karp the longer paths.
         """
         net = self.net
-        node = net.add_node()
-        sink_arc = net.add_arc(node, net.SNK, self.s)
+        v = net.add_node(0, self.s)
         mask = self.chi.neighbor_mask(y, self.color)
-        pairs = [(a, net.add_arc(net.head[a], node, math.inf))
-                 for x, a in self.source.items() if mask >> x & 1]
-        self.D += net.push_direct(pairs)
-        while net.cap[sink_arc] > 0 and (pushed := net.augment()):
+        arcs = [net.add_arc(u, v, math.inf) for x, u in self.node.items() if mask >> x & 1]
+        self.D += net.push_direct(arcs)
+        while net.room[v] > 0 and (pushed := net.augment()):
             self.D += pushed
 
 

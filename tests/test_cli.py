@@ -272,6 +272,11 @@ BAD_INPUTS = [
     ["fig1", "--step", "inf"],
     ["f-eval", "--lambda", "nan"],
     ["f-eval", "--lambda", "-inf"],
+    ["f-eval", "--lambda", "x"],
+    ["f-eval", "--lambda", "3/2"],
+    ["f-eval", "--lambda", ""],
+    ["f-eval", "--lambda", "-1"],
+    ["f-eval", "--lambda", "101"],
     ["adversary", "--s", "1"],
     ["fig1", "--step", "abc"],
     ["no-such-command"],
@@ -381,6 +386,32 @@ def test_treecut_error_names_the_option(argv, option, tmp_path, capsys):
     assert run(with_files(argv, tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {option} ") and "literal" not in err
+
+
+# option values that f-eval and fig1 reject, each with the message naming the option
+VALUE_ERRORS = [
+    (["f-eval", "--lambda", "x"], "--lambda 'x' is not a number"),
+    (["f-eval", "--lambda", "3/2"], "--lambda '3/2' is not a number"),
+    (["f-eval", "--lambda", ""], "--lambda '' is not a number"),
+    (["f-eval", "--lambda", "nan"], "--lambda 'nan': lam must be a number, not NaN"),
+    (["f-eval", "--lambda", "-1"], "--lambda '-1': lam must be nonnegative"),
+    (["f-eval", "--lambda", "101"], "--lambda '101': lam above 100 is unsupported"),
+    (["fig1", "--step", "0"], "--step must be positive and finite, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("argv,message", [pytest.param(argv, message, id=" ".join(argv))
+                                          for argv, message in VALUE_ERRORS])
+def test_value_error_names_the_option(argv, message, tmp_path, capsys):
+    assert run([*argv, "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_f_eval_accepts_an_infinite_lambda(tmp_path):
+    out = tmp_path / "out.csv"
+    assert run(["f-eval", "--lambda", "inf", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1].startswith("inf,")
 
 
 @pytest.mark.parametrize("argv,name", [
@@ -693,6 +724,22 @@ def test_library_has_no_assert_statements():
         assert asserts == [], f"{path.name} asserts at lines {asserts}"
 
 
+# Run in a child interpreter: read a JSON list of argv lists on stdin, run
+# each through cli.main in-process, and print the interpreter's optimize flag
+# with each command's exit code, stdout and stderr, as JSON.
+IN_PROCESS_CHILD = """
+import contextlib, io, json, sys
+from ramseydensity import cli
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"optimize": sys.flags.optimize, "results": results}))
+"""
+
+
 def test_optimized_interpreter_gives_same_exit_codes_and_artifacts(tmp_path):
     import subprocess
     import sys
@@ -725,18 +772,6 @@ def test_optimized_interpreter_gives_same_exit_codes_and_artifacts(tmp_path):
         "mu": ["mu", "--family", "grid:2", "--n", "4", "--prefix-size", "121"],
         "mu-omega": ["mu", "--family", f"omega:{forest}", "--n", "3", "--prefix-size", "21"],
     }
-    for name, argv in commands.items():
-        results = []
-        for flags in ([], ["-O"]):
-            out = tmp_path / f"{name}{''.join(flags)}.json"
-            proc = subprocess.run([sys.executable, *flags, "-m", "ramseydensity.cli",
-                                   *argv, "--out", str(out)],
-                                  env=env, capture_output=True, text=True, timeout=120)
-            doc = json.loads(out.read_text())
-            doc.pop("meta")
-            results.append((proc.returncode, doc))
-        assert results[0] == results[1], name
-        assert results[0][0] == 0, name
     # one command past each work bound that exit 1 before anything is built
     big = {"coloring": "40000 modular:3\n", "forest": "100000 0\n", "graph": "50000 50000 0\n"}
     for name, text in big.items():
@@ -755,13 +790,36 @@ def test_optimized_interpreter_gives_same_exit_codes_and_artifacts(tmp_path):
         ["mfmc", "--graph", str(tmp_path / "big-graph.txt"), "--r", "1", "--s", "1"],
         ["adversary", "--s", "1", "--r", "1", "--n", "100000"],
     ]
-    for argv in bounded:
+
+    # one interpreter per flag runs every command in-process
+    runs = {}
+    for flags in ([], ["-O"]):
+        argvs = [[*argv, "--out", str(tmp_path / f"{name}{''.join(flags)}.json")]
+                 for name, argv in commands.items()] + bounded
+        proc = subprocess.run([sys.executable, *flags, "-c", IN_PROCESS_CHILD],
+                              input=json.dumps(argvs), env=env, capture_output=True,
+                              text=True, timeout=240)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        child = json.loads(proc.stdout)
+        assert child["optimize"] == len(flags)
+        runs[tuple(flags)] = child["results"]
+    plain, optimized = runs[()], runs[("-O",)]
+    for k, name in enumerate(commands):
         results = []
-        for flags in ([], ["-O"]):
-            proc = subprocess.run([sys.executable, *flags, "-m", "ramseydensity.cli", *argv],
-                                  env=env, capture_output=True, text=True, timeout=120)
-            results.append((proc.returncode, proc.stdout, proc.stderr))
-        assert results[0] == results[1], argv
-        code, out, err = results[0]
+        for flags, got in runs.items():
+            doc = json.loads((tmp_path / f"{name}{''.join(flags)}.json").read_text())
+            doc.pop("meta")
+            results.append((got[k], doc))
+        assert results[0] == results[1], name
+        assert results[0][0][0] == 0 and results[0][0][2] == "", name
+    for k, argv in enumerate(bounded, start=len(commands)):
+        assert plain[k] == optimized[k], argv
+        code, out, err = plain[k]
         assert code == 1 and out == "" and err.count("\n") == 1, argv
         assert err.startswith("error:") and "is too large: at most" in err, argv
+
+    # the entry point passes main's exit code and error line on, once per flag
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "ramseydensity.cli", *bounded[-1]],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert [proc.returncode, proc.stdout, proc.stderr] == plain[-1], flags

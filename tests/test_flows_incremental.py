@@ -261,7 +261,7 @@ def test_mfmc_certificate_matches_reference(make, count):
 
 def long_paths(rng, nx):
     """Unequal capacities and X-degrees 1-8 on a Y side of another size, so
-    that many augmenting paths are longer than SRC -> x -> y -> SNK."""
+    that many augmenting paths are longer than one x -> y arc."""
     ny = rng.randint(max(1, nx // 2), 2 * nx)
     r, s = rng.sample(range(1, 5), 2)
     edges = frozenset((i, nx + j) for i in range(nx)
@@ -299,13 +299,14 @@ def test_mfmc_matches_reference_when_paths_are_long(nx, count, monkeypatch):
 
 def prefix_states(chi, r, s):
     """Per prefix length t and colour, the sweep's D(t) and the residual
-    capacities of its network."""
+    capacities, supplies and rooms of its network."""
     sweeps = {color: flows._PrefixFlow(chi, color, r, s) for color in (BLUE, RED)}
     states = {}
     for t in range(1, chi.n + 1):
         sweeps[other(chi.vertex_colors[t - 1])].add(t - 1)
         for color, sweep in sweeps.items():
-            states[t, color] = sweep.D, tuple(sweep.net.cap)
+            net = sweep.net
+            states[t, color] = sweep.D, tuple(net.cap), tuple(net.supply), tuple(net.room)
     return states
 
 
@@ -324,7 +325,7 @@ def test_prefix_flow_value_matches_reference_at_every_prefix(host, monkeypatch):
         pushes.clear()
         got = prefix_states(chi, r, s)
         with_long += any(pushes)
-        assert {key: D for key, (D, _) in got.items()} == want
+        assert {key: state[0] for key, state in got.items()} == want
         # the greedy pass leaves every network exactly as the search alone does
         assert got == search_only
     if host is explicit_host:
@@ -346,10 +347,10 @@ def test_mfmc_searches_once_when_every_path_has_length_3(monkeypatch):
     assert pushes == [0]
 
 
-# ------------------------------------------- source arcs that saturate early
+# --------------------------------------------- X supplies that run out early
 
 def saturating(rng, nx, s, p):
-    """r = 1, so every source arc saturates on its first push: X-vertices
+    """r = 1, so every X node runs out of supply on its first push: X-vertices
     join each Y-vertex with probability p, on a Y side of about nx / s."""
     ny = max(1, nx // s + rng.randint(-2, 2))
     edges = frozenset((i, nx + j) for i in range(nx) for j in range(ny) if rng.random() < p)
@@ -357,16 +358,18 @@ def saturating(rng, nx, s, p):
 
 
 def count_dropped(monkeypatch):
-    """Per call of ``_Residual._drop_saturated_sources``, the arcs it dropped."""
+    """Per call of ``_Residual.augment``, the roots it dropped for having no
+    supply left."""
     dropped = []
-    original = flows._Residual._drop_saturated_sources
+    original = flows._Residual.augment
 
     def counted(self):
-        before = len(self.out[self.SRC])
-        original(self)
-        dropped.append(before - len(self.out[self.SRC]))
+        before = len(self.roots)
+        pushed = original(self)
+        dropped.append(before - len(self.roots))
+        return pushed
 
-    monkeypatch.setattr(flows._Residual, "_drop_saturated_sources", counted)
+    monkeypatch.setattr(flows._Residual, "augment", counted)
     return dropped
 
 
@@ -379,23 +382,58 @@ def test_mfmc_matches_reference_when_source_arcs_saturate_early(s, p, monkeypatc
     for nx in (5, 12, 30, 60, 60, 120):
         G = saturating(rng, nx, s, p)
         assert mfmc(G) == ref.mfmc(G)
-    # searches found paths on networks whose saturated source arcs they skip
+    # searches found paths on networks whose roots without supply they skip
     assert sum(dropped) > 0 and any(pushes), (sum(dropped), pushes)
 
 
 def test_searches_keep_no_saturated_source_arc():
-    # x0 and x1 fill y's sink arc, so their source arcs saturate; x2's stays
+    # x0 and x1 fill y's room, so their supplies run out; x2's stays
     net = flows._Residual()
-    xs = [net.add_node() for _ in range(3)]
-    y = net.add_node()
-    sources = [net.add_arc(net.SRC, x, 1) for x in xs]
-    net.add_arc(y, net.SNK, 2)
-    assert net.push_direct([(a, net.add_arc(x, y, 5)) for a, x in zip(sources, xs)]) == 2
+    xs = [net.add_node(1, 0) for _ in range(3)]
+    y = net.add_node(0, 2)
+    assert net.push_direct([net.add_arc(x, y, 5) for x in xs]) == 2
     assert net.augment() == 0
-    assert net.out[net.SRC] == [sources[2]]
-    # the failed search marks what SRC reaches: x2, then y, then x0 and x1
-    # back along their flow; not SNK
-    assert [v for v, mark in enumerate(net.via) if mark != -1] == [net.SRC, *xs, y]
+    assert net.roots == [xs[2]]
+    # the failed search marks what x2 reaches: x2, then y, then x0 and x1
+    # back along their flow
+    assert [v for v, mark in enumerate(net.via) if mark != -1] == [*xs, y]
+    assert net.via[xs[2]] == -2
+
+
+def test_networks_hold_only_arcs_between_x_and_y(monkeypatch):
+    rng = random.Random(44)
+    networks, kinds = [], {}
+    original_init, original_add = flows._Residual.__init__, flows._Residual.add_node
+
+    def add_node(self, supply, room):
+        # an X node has supply and a Y node room: no node is a source or sink
+        assert (supply > 0) != (room > 0)
+        u = original_add(self, supply, room)
+        kinds[id(self), u] = supply > 0
+        return u
+
+    monkeypatch.setattr(flows._Residual, "__init__",
+                        lambda self: networks.append(self) or original_init(self))
+    monkeypatch.setattr(flows._Residual, "add_node", add_node)
+    for make in (small_random, scattered_ids, lambda rng: long_paths(rng, 30),
+                 lambda rng: saturating(rng, 30, 2, 0.5)):
+        for _ in range(20):
+            mfmc(make(rng))
+    for host in (explicit_host, modular_host):
+        for n in (8, 20, 40):
+            flows._sweep_profile(host(rng, n), rng.randint(1, 3), rng.randint(1, 3))
+    assert len(networks) == 80 + 2 * 6
+    for net in networks:
+        listed = []
+        for u, arcs in enumerate(net.out):
+            for a in arcs:
+                # a leaves u, and joins an X node and a Y node
+                assert net.head[a ^ 1] == u
+                assert kinds[id(net), u] != kinds[id(net), net.head[a]]
+                listed.append(a)
+        # every arc is listed once, at its tail
+        assert sorted(listed) == list(range(len(net.head)))
+    assert sum(len(net.head) for net in networks) > 1000
 
 
 def modular_host(rng, n):
