@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
-from operator import eq, le, sub
+from operator import eq, le, lt, sub
 
 from .errors import VerificationError, fields, shown
 from .lipschitz import GammaParam, gamma_crossings
@@ -481,21 +482,56 @@ def _first_wrong_count(is_red, targets):
     return next(m for m, (c, t) in enumerate(zip(counts, targets), start=1) if c != t)
 
 
-def _index_problems(name, indices, positions, positions_ok, s, r, n):
+def _fits_runs(indices, positions, is_color, s, r):
+    """Whether ``indices`` equals the scan ``_min_indices`` over
+    ``positions`` (before its cap at n): the run check of
+    ``verify_adversary``.  ``positions`` lists the vertices v with
+    is_color[v] = 1, in order, and its entries and those of ``indices`` are
+    integers; s >= 1 and r >= 0 are integers, or the answer is False.  Each
+    run of the color costs one ``find`` in is_color and one bisect into
+    ``indices``."""
+    if not (type(s) is int and type(r) is int and s > 0 and r >= 0):
+        return False
+    k, m = len(indices), len(positions)
+    if k and not (1 <= indices[0] and indices[-1] <= m and all(map(lt, indices, indices[1:]))):
+        return False
+    a = j = 0           # a: vertices of the color before the run; j: entries <= a
+    while a < m:
+        v = positions[a]
+        c = -(-r * (v - a) // s)
+        end = is_color.find(0, v)
+        last = a + (end if end >= 0 else len(is_color)) - v
+        if j < k and indices[j] <= last and indices[j] - j - 1 < c:
+            return False
+        j = bisect_right(indices, last, j)
+        if last - c > j:
+            return False
+        a = last
+    return True
+
+
+def _index_problems(name, indices, positions, is_color, s, r, n):
     """Violations of alpha (or beta): ``indices`` against the incremental
-    scan ``_min_indices`` over ``positions``.  Only when they differ does the
-    per-index check run, naming each index that is out of range, breaks its
-    inequality or is not minimal.  That check passes a list equal to the
-    scan and reports at least the first index where any other list of the
-    same length differs.  A length other than the scan's is reported only
-    when the positions match the colors: positions that do not are reported
-    already, and their scan's length says nothing."""
+    scan ``_min_indices`` over ``positions``.  ``is_color`` holds a 1 for
+    each vertex of the color, or is None when ``positions`` does not list
+    exactly those.  The run check ``_fits_runs`` settles the usual case, a
+    list equal to the scan over positions that match the colors; otherwise
+    the scan is run, and only when it differs does the per-index check run,
+    naming each index that is out of range, breaks its inequality or is not
+    minimal.  That check passes a list equal to the scan and reports at
+    least the first index where any other list of the same length differs.
+    A length other than the scan's is reported only when the positions
+    match the colors: positions that do not are reported already, and their
+    scan's length says nothing."""
+    if (is_color is not None and len(indices) <= n
+            and _fits_runs(indices, positions, is_color, s, r)):
+        return []
     left = _left_counts(positions)
     want = _min_indices(left, s, r, n)
     if list(indices) == want:
         return []
     problems = []
-    if positions_ok and len(indices) != len(want):
+    if is_color is not None and len(indices) != len(want):
         problems.append(f"{name} has {len(indices)} entries, want {len(want)}")
     prev = 1
     for i, a_i in enumerate(indices, start=1):
@@ -545,12 +581,52 @@ def _prefix_reach(where, positions):
     return reach
 
 
+def _first_non_integer(name, entries):
+    """The violation "<name>_<k> is not an integer" for the first entry that
+    is not an int, with k counted from 1 as in alpha_i, or None.  A bool is an int
+    here as in Python, True being 1.  A sum of ints is an int, and anything
+    else in the sum makes it another type or raises, so the entries are
+    walked only when the sum says one is bad."""
+    try:
+        if type(sum(entries)) is int:
+            return None
+    except TypeError:
+        pass
+    for k, v in enumerate(entries, start=1):
+        if not isinstance(v, int):
+            return f"{name}_{k} is not an integer"
+    return None
+
+
 def verify_adversary(inst):
     """Re-check every structural invariant; returns a list of violations.
 
     Prefix counts and positions are read off the colors in one pass each,
-    alpha and beta are compared with the incremental scan, and the phi
-    blocks with prefix reaches.  Messages are built only for what fails."""
+    alpha and beta are checked once per run of their color, and the phi
+    blocks with prefix reaches.  Messages are built only for what fails.
+    An entry of the positions, alpha or beta that is not an int is reported
+    by field and index, and ends the check.
+
+    The run check.  For the a-th red vertex let left(a) be the blue vertices
+    to its left and key(a) = a - ceil(r*left(a)/s), so that a works for i,
+    r*left(a) <= s*(a - i), iff key(a) >= i, and alpha_i is the least a with
+    key(a) >= i (beta likewise).  left is constant on a red run and never
+    decreases, so key rises by exactly 1 per index inside a run and by at
+    most 1 between runs.  With m red vertices, a list A equals alpha iff
+      1. A is strictly increasing inside [1, m];
+      2. key(A_i) >= i for every i;
+      3. key(a) <= #{i : A_i <= a} for every a in [1, m].
+    alpha satisfies them: the prefix maximum of key rises by at most 1, so
+    alpha_i <= a iff that maximum at a is at least i.  Conversely, 2 puts
+    alpha_i at or before A_i, and 3 with i <= key(alpha_i) puts A_i at or
+    before alpha_i; an entry past the last alpha_i breaks 2, and a missing
+    one breaks 3 at the a with the largest key.  A_i - i never decreases,
+    so in a run 2 needs only the run's first entry of A; and key(a) minus
+    the count never decreases inside a run, so 3 needs only its last index.
+    The scan stops at i = n, so a list longer than n fails the check.  A
+    list that fails, s or r outside s >= 1, r >= 0, and positions that do
+    not match the colors are compared with the scan, and the per-index
+    check names every bad index."""
     problems = []
     s, r, n = inst.s, inst.r, inst.n
     colors = inst.vertex_colors
@@ -566,6 +642,10 @@ def verify_adversary(inst):
     m = _first_wrong_count(is_red, _red_prefix_counts(inst.g, n))
     if m is not None:
         problems.append(f"red prefix count wrong at m={m}")
+    bad = [f for f in (_first_non_integer(name, getattr(inst, name))
+                       for name in ("red_positions", "blue_positions", "alpha", "beta")) if f]
+    if bad:                     # the checks below compute with these entries
+        return problems + bad
     is_blue = is_red.translate(_FLIP) if two_colored else bytes(map(eq, colors, repeat(BLUE)))
     red_pos, blue_pos = inst.red_positions, inst.blue_positions
     red_ok = tuple(compress(range(len(colors)), is_red)) == red_pos
@@ -574,8 +654,10 @@ def verify_adversary(inst):
         problems.append("red positions inconsistent")
     if not blue_ok:
         problems.append("blue positions inconsistent")
-    problems += _index_problems("alpha", inst.alpha, red_pos, red_ok, s, r, n)
-    problems += _index_problems("beta", inst.beta, blue_pos, blue_ok, s, r, n)
+    problems += _index_problems("alpha", inst.alpha, red_pos, is_red if red_ok else None,
+                                s, r, n)
+    problems += _index_problems("beta", inst.beta, blue_pos, is_blue if blue_ok else None,
+                                s, r, n)
     if any(map(le, inst.beta[1:], inst.beta)):
         problems.append("beta is not strictly increasing")
 

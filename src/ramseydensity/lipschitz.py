@@ -462,12 +462,11 @@ def canonicalize(g, span):
         raise ValueError("span too large for distance-1 tracking in float64")
     pts = [(0.0, 0.0)]
     x0, y0, slope = 0.0, 0.0, 1.0
+    bp, j = g.breakpoints, 0
     while x0 < span:
+        j = bisect_right(bp, x0, j)     # bp[j:] lie right of x0
         # first x > x0 where slope * (tracker - g) reaches +1
-        xs = [x0] + [b for b in g.breakpoints if b > x0]
-        ys = [slope * (y0 + slope * (x - x0) - g(x)) for x in xs]
-        tail = 1 - slope * g.tail_slope
-        nxt = _crossings(xs, ys, tail, [1.0])[0]
+        nxt = _tracker_crossing(g, x0, y0, slope, j)
         if nxt >= span or nxt == INF:
             pts.append((span, y0 + slope * (span - x0)))
             break
@@ -478,6 +477,27 @@ def canonicalize(g, span):
         pts.append((x0, y0))
         slope = -slope
     return PLFunction.from_points(pts, tail_slope=slope)
+
+
+def _tracker_crossing(g, x0, y0, slope, j):
+    """The first crossing of level 1 by slope * (tracker - g), the tracker
+    leaving (x0, y0) with the given slope: what ``_crossings`` gives on x0
+    and the breakpoints bp[j:] right of it, with the same float
+    expressions, but each vertex is computed only when the walk gets there.
+    The walk stops at the crossing, where the next piece starts, so a
+    canonicalization reads O(breakpoints + pieces) values, not breakpoints
+    for every piece."""
+    def gap(x):
+        return slope * (y0 + slope * (x - x0) - g(x))
+
+    bp = g.breakpoints
+    xs, ys = [x0], [gap(x0)]
+    while ys[-1] < 1.0 and j < len(bp):
+        xs.append(bp[j])
+        ys.append(gap(bp[j]))
+        j += 1
+    k = len(xs) - 1 if not ys[-1] < 1.0 else len(xs)
+    return _crossing_at(xs, ys, 1 - slope * g.tail_slope, 1.0, k)
 
 
 def remove_extrema(g, p):

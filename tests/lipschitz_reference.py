@@ -1,12 +1,15 @@
-"""Reference copy of the per-level crossing scan, ``sup_ratio`` and ``trace``.
+"""Reference copy of the per-level crossing scan, ``sup_ratio``, ``trace``
+and ``canonicalize``.
 
 These are the ``lipschitz`` functions as they were before every first
 crossing went through one sweep: ``_first_crossing`` scans the tilted
 vertices from the start for each level, ``sup_ratio`` calls it four times
 per critical level and rebuilds the tilted arrays on each call, and
 ``trace`` checks the closed formula and the level identity with O(n^2)
-``Fraction`` double loops.  They are kept only as oracles for the
-differential tests.
+``Fraction`` double loops.  ``canonicalize`` is the tracker as it was before
+its crossing walk: each piece rebuilds the list of breakpoints right of its
+start and evaluates g at every one of them.  They are kept only as oracles
+for the differential tests.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ramseydensity.lipschitz import BreakpointTrace, ConsistencyError, UnboundedCandidateError
+from ramseydensity.lipschitz import (BreakpointTrace, ConsistencyError, PLFunction,
+                                     UnboundedCandidateError, _crossings)
 
 INF = math.inf
 
@@ -139,3 +143,28 @@ def trace(g, p):
     return BreakpointTrace(tuple(float(l) for l in ell),
                            tuple(float(x) for x in ends),
                            tuple(float(t) for t in ts))
+
+
+def canonicalize(g, span):
+    if span <= 0:
+        raise ValueError("span must be positive")
+    if span > 1e14:
+        raise ValueError("span too large for distance-1 tracking in float64")
+    pts = [(0.0, 0.0)]
+    x0, y0, slope = 0.0, 0.0, 1.0
+    while x0 < span:
+        # first x > x0 where slope * (tracker - g) reaches +1
+        xs = [x0] + [b for b in g.breakpoints if b > x0]
+        ys = [slope * (y0 + slope * (x - x0) - g(x)) for x in xs]
+        tail = 1 - slope * g.tail_slope
+        nxt = _crossings(xs, ys, tail, [1.0])[0]
+        if nxt >= span or nxt == INF:
+            pts.append((span, y0 + slope * (span - x0)))
+            break
+        if nxt <= x0:
+            raise ValueError("tracker made no progress; span too large for float64")
+        y0 = y0 + slope * (nxt - x0)
+        x0 = nxt
+        pts.append((x0, y0))
+        slope = -slope
+    return PLFunction.from_points(pts, tail_slope=slope)

@@ -22,10 +22,18 @@ reach the verifier's fallbacks: colors that are neither red nor blue,
 positions that miss a vertex, and phi entries that are no vertex.
 ``permuted_coloring`` builds its masks directly and is compared with the
 coloring built from the list of red pairs.
+
+The run check, by which the verifier tests alpha and beta once per run of
+their color, rests on two facts that are checked on the reference builder's
+indices: they are strictly increasing, and key rises by at most 1 per index.
+Its verdict is compared with the reference scan on seeded mutations of alpha
+and beta, and its messages with the reference's.  Entries that are not
+integers are named, not raised on.
 """
 
 import dataclasses
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -322,3 +330,153 @@ def test_phi_entry_that_is_no_vertex_matches_reference(base, value):
     problems = verify_adversary(bad)
     assert problems == ref.verify_adversary(bad)
     assert problems[-1] == "phi is not a permutation"
+
+
+# ------------------------------------------------------------ the run check
+
+def reference_scan(positions, s, r, n):
+    """The reference builder's alpha (or beta) over ``positions``: the scan
+    with the inequality in Fractions."""
+    return ref._min_indices(positions, lambda a: positions[a - 1] - (a - 1), Fraction(s, r), n)
+
+
+def keys(positions, s, r):
+    """key(a) = a - ceil(r*left(a)/s) for a = 1..m, in Fractions."""
+    return [a - math.ceil(Fraction(r * (v - a + 1), s)) for a, v in enumerate(positions, start=1)]
+
+
+def run_instances(s, r, sizes, seed, randoms):
+    """A sawtooth and ``randoms`` seeded random alternating candidates at
+    each size."""
+    p = GammaParam.from_lambda(s / r)
+    rng = random.Random(seed)
+    for n in sizes:
+        for g in [sigma_g(p, 12)] + [random_alternating_candidate(rng, p, max_pieces=40,
+                                                                  span_cap=1e8)
+                                     for _ in range(randoms)]:
+            yield adversary(s, r, g, n)
+
+
+@pytest.mark.parametrize("s,r", LAMBDAS)
+def test_keys_rise_by_at_most_one(s, r):
+    # the facts the run check rests on, on the reference builder's indices:
+    # alpha and beta are strictly increasing, key rises by exactly 1 inside
+    # a run and by at most 1 between runs, and the scan's length is the
+    # largest key (0 if none is positive)
+    for inst in run_instances(s, r, (60, 400, 2000), seed=s * 10 + r, randoms=2):
+        for positions, indices in ((inst.red_positions, inst.alpha),
+                                   (inst.blue_positions, inst.beta)):
+            want = reference_scan(positions, s, r, inst.n)
+            assert tuple(want) == indices
+            assert all(map(operator.lt, want, want[1:]))
+            key = keys(positions, s, r)
+            steps = list(map(operator.sub, key[1:], key))
+            assert max(steps, default=1) <= 1
+            assert all(d == 1 for d, u, v in zip(steps, positions, positions[1:]) if v == u + 1)
+            assert len(want) == max([0, *key])
+
+
+MUTATIONS = ("none", "+1", "-1", "+2", "-2", "drop", "duplicate", "insert", "truncate", "extend")
+
+
+def mutate(rng, indices, m, kind):
+    """indices with one seeded change of the given kind ("none" makes
+    none); None when the change does not apply (an empty list)."""
+    out = list(indices)
+    if not out and kind not in ("none", "insert", "extend"):
+        return None
+    k = rng.randrange(len(out)) if out else 0
+    if kind == "none":
+        pass
+    elif kind[0] in "+-":
+        out[k] += int(kind)
+    elif kind == "drop":
+        del out[k]
+    elif kind == "duplicate":
+        out.insert(k, out[k])
+    elif kind == "insert":
+        out.insert(k, rng.randint(1, m))
+    elif kind == "truncate":
+        out = out[:k]
+    else:
+        out.append(rng.randint(out[-1] if out else 1, m))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", (60, 400, 2000))
+@pytest.mark.parametrize("s,r", LAMBDAS)
+def test_run_check_equals_scan_on_mutations(s, r, n):
+    # the run check's verdict is list(A) == scan; every message is the
+    # reference's, after the length line for a length other than the scan's
+    # (the reference's phi blocks cost O(n^2), so messages are compared up
+    # to n = 400; the reference reads an index past the positions wrongly,
+    # so they are compared when every entry is a vertex of the color)
+    rng = random.Random(1000 * n + 10 * s + r)
+    verdicts = set()
+    for inst in run_instances(s, r, (n,), seed=n + s + r, randoms=1):
+        for field, color, positions in (("alpha", RED, inst.red_positions),
+                                        ("beta", BLUE, inst.blue_positions)):
+            scan = reference_scan(positions, s, r, n)
+            is_color = bytes(c == color for c in inst.vertex_colors)
+            for kind in MUTATIONS:
+                bad = mutate(rng, getattr(inst, field), len(positions), kind)
+                if bad is None:
+                    continue
+                verdict = list(bad) == scan
+                verdicts.add(verdict)
+                assert colorings._fits_runs(bad, positions, is_color, s, r) == verdict
+                problems = verify_adversary(dataclasses.replace(inst, **{field: bad}))
+                assert (problems == []) == verdict
+                if n <= 400 and all(1 <= a <= len(positions) for a in bad):
+                    want = ref.verify_adversary(dataclasses.replace(inst, **{field: bad}))
+                    if len(bad) != len(scan):
+                        want.insert(0, f"{field} has {len(bad)} entries, want {len(scan)}")
+                    assert problems == want
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("field,index,value,want", [
+    ("alpha", 3, "3", "alpha_4 is not an integer"),
+    ("alpha", None, float, "alpha_1 is not an integer"),
+    ("red_positions", 2, "x", "red_positions_3 is not an integer"),
+], ids=["alpha-str", "alpha-floats", "red_positions-str"])
+def test_entries_that_are_not_integers_are_named(base, field, index, value, want):
+    entries = getattr(base, field)
+    if index is None:
+        bad = tuple(map(value, entries))
+    else:
+        bad = entries[:index] + (value,) + entries[index + 1:]
+    assert verify_adversary(dataclasses.replace(base, **{field: bad})) == [want]
+
+
+def test_bool_entries_count_as_integers():
+    # True is the int 1, as in Python: a beta that starts with True where
+    # the scan has 1 passes
+    inst = adversary(1, 1, PLFunction.zero(), 40)
+    assert inst.beta[0] == 1
+    assert verify_adversary(dataclasses.replace(inst, beta=(True,) + inst.beta[1:])) == []
+
+
+def test_scan_is_capped_at_n():
+    # one red vertex past n makes the uncapped scan one entry longer than
+    # the scan, which stops at i = n: that entry is reported
+    inst = adversary(1, 1, PLFunction.linear(1.0), 20)
+    assert inst.alpha == tuple(range(1, 21)) and inst.beta == ()
+    bad = dataclasses.replace(inst, vertex_colors=inst.vertex_colors + (RED,),
+                              red_positions=inst.red_positions + (20,),
+                              alpha=inst.alpha + (21,))
+    assert verify_adversary(bad) == ["vertex_colors has 21 entries, want 20",
+                                     "alpha has 21 entries, want 20"]
+
+
+@pytest.mark.parametrize("s,r", [(0, 1), (2, -1), (4, 2)])
+def test_s_and_r_outside_the_proof_take_the_scan(s, r):
+    # the run check needs integers s >= 1 and r >= 0; a hand-built instance
+    # with s = 0 or r < 0 is checked against the scan, and lam = 4/2 is lam = 2
+    inst = adversary(2, 1, sigma_g(GammaParam.from_lambda(2.0), 12), 60)
+    problems = verify_adversary(dataclasses.replace(inst, s=s, r=r))
+    scan = colorings._min_indices(colorings._left_counts(inst.red_positions), s, r, inst.n)
+    if scan == list(inst.alpha):
+        assert problems == []
+    else:
+        assert problems[0] == f"alpha has {len(inst.alpha)} entries, want {len(scan)}"

@@ -133,3 +133,64 @@ def test_nan_inputs_are_rejected():
         PLFunction((0.0,), (0.0,), tail_slope=math.nan)
     with pytest.raises(ValueError, match="non-decreasing"):
         _crossings((0.0,), (0.0,), 1.0, [1.0, math.nan])
+
+
+def random_profile(rng, pieces, lipschitz=True):
+    """A PL function with the given number of pieces, dx in [0.05, 4] and
+    slopes in [-1, 1] (0 and +-1 among them), or up to +-3 when not
+    ``lipschitz``."""
+    bound = 1.0 if lipschitz else 3.0
+    pts = [(0.0, 0.0)]
+    for _ in range(pieces):
+        dx = rng.uniform(0.05, 4.0)
+        slope = rng.choice([rng.uniform(-bound, bound), 0.0, 1.0, -1.0])
+        x, y = pts[-1]
+        pts.append((x + dx, y + slope * dx))
+    return PLFunction.from_points(pts, tail_slope=rng.uniform(-bound, bound),
+                                  lipschitz=lipschitz)
+
+
+def canonicalize_outcome(f, g, span):
+    try:
+        return f(g, span)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_canonicalize_equals_reference(seed):
+    # the tracker's crossing walk evaluates the reference's float
+    # expressions, so every breakpoint and value is the same float; spans
+    # end before, at and after g's last breakpoint
+    rng = random.Random(seed)
+    p = GammaParam.from_lambda(LAMBDAS[seed])
+    cases = [(random_profile(rng, rng.randint(1, 120), lipschitz=k % 5 > 0),
+              rng.choice([0.5, 1.0, 1.5]))
+             for k in range(40)]
+    cases += [(sigma_g(p, periods), 1.0) for periods in (4, 9)]
+    cases += [(random_alternating_candidate(rng, p, max_pieces=30, span_cap=1e6), 1.0)
+              for _ in range(3)]
+    cases += [(g, 1.0) for g in (PLFunction.zero(), PLFunction.linear(1.0),
+                                 PLFunction.linear(-1.0), PLFunction.linear(0.5))]
+    for g, scale in cases:
+        for span in (scale * max(g.span, 3.0), g.span + 2.0, rng.uniform(0.1, 3.0)):
+            got = canonicalize_outcome(lipschitz.canonicalize, g, span)
+            assert got == canonicalize_outcome(lref.canonicalize, g, span)
+            assert isinstance(got, PLFunction)
+
+
+def test_canonicalize_rejects_spans_like_reference():
+    g = random_profile(random.Random(1), 5)
+    for span in (0.0, -1.0, 2e14):
+        got = canonicalize_outcome(lipschitz.canonicalize, g, span)
+        assert got == canonicalize_outcome(lref.canonicalize, g, span)
+        assert isinstance(got, str)
+
+
+@pytest.mark.parametrize("y1", [0.0328, 0.03280632784038988, 0.02123576525162417])
+def test_canonicalize_reaches_the_level_at_a_vertex(y1):
+    # the first piece's gap x - g(x) is exactly 1 at the breakpoint x = 1,
+    # where the crossing is solved on the segment ending there, not read off
+    # the vertex, as the reference does
+    g = PLFunction.from_points([(0, 0), (0.1, y1), (1.0, 0.0), (4.0, -0.5)])
+    assert lipschitz.canonicalize(g, 6.0) == lref.canonicalize(g, 6.0)
