@@ -4,14 +4,15 @@ The core primitive is a max-flow/min-cut computation on a bipartite graph
 where every X-vertex can carry r units and every Y-vertex s units; the
 minimum cut converts into a vertex cover Z with r|Z cap X| + s|Z cap Y|
 equal to the flow value, a weighted version of the classical matching/cover
-duality.  On top of it, the flow finder sweeps a prefix parameter t over a
-totally colored host and extracts, for one of the two colors, a flow between
-the first t vertices of one color class and the whole other class whose
-normalized value certifies a dense structure.
+duality.  On top of it, the flow finder picks, over every prefix length t
+of a totally colored host and both colors, the flow between the first t
+vertices of one color class and the whole other class with the largest
+normalized value; that value is 1 at t = 1 on every host, so the finder
+decides the color from vertex 0's edges and runs one ``mfmc``.
 
-Both run on one integer-indexed residual network (``_Residual``) that holds
-only the X and Y nodes and the x -> y arcs: each X node keeps its unused
-capacity as supply and each Y node its unused capacity as room, so no
+``mfmc`` runs on one integer-indexed residual network (``_Residual``) that
+holds only the X and Y nodes and the x -> y arcs: each X node keeps its
+unused capacity as supply and each Y node its unused capacity as room, so no
 source or sink node is needed.  An augmenting path runs from an X node with
 supply to a Y node with room.  A greedy pass first takes the direct paths
 x -> y, then one shortest-augmenting-path routine (Edmonds-Karp) takes the
@@ -23,16 +24,9 @@ for the last one that finds no path.  Supply and room only fall, since every
 path takes from one of each; so a search starts from the X nodes that still
 have supply, in X order, and an X node that runs out is dropped from that
 list for good.  ``mfmc`` builds the network and augments to the end; the
-order nodes and arcs are added in fixes the flow it returns.  The
-sweep keeps one network per color and, as t grows, adds the new prefix
-vertex to it and augments the flow it already carries, so it reads each
-max flow value without recomputing it.  On a leftmost host the networks'
-neighbourhoods are nested prefixes, and one left-to-right capacity pool
-reads every max flow value with no network at all.  One final ``mfmc`` on
-the winner's graph, read off the color-neighbor masks on every host, yields
-its flow and cover.  Blocking-flow methods
-(Dinic) would be faster still but pick a different flow, and so different
-certificates.
+order nodes and arcs are added in fixes the flow it returns.  Blocking-flow
+methods (Dinic) would be faster still but pick a different flow, and so
+different certificates.
 """
 
 from __future__ import annotations
@@ -42,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .colorings import BLUE, RED, other
+from .colorings import BLUE, RED
 from .errors import VerificationError
 from .lipschitz import PLFunction
 
@@ -69,8 +63,9 @@ class CapacitatedBipartite:
             raise ValueError("X and Y must be disjoint")
         if len(xs) != len(X) or len(ys) != len(Y):
             raise ValueError("duplicate vertices")
-        if self.r < 1 or self.s < 1:
-            raise ValueError("capacities must be at least 1")
+        for name, c in (("r", self.r), ("s", self.s)):
+            if not isinstance(c, int) or isinstance(c, bool) or c < 1:
+                raise ValueError(f"capacity {name} must be a positive integer, got {c!r}")
         if not set(map(len, edges)) <= {2}:
             raise ValueError("edges must be (x, y) pairs")
         if not (xs.issuperset(map(itemgetter(0), edges))
@@ -279,139 +274,54 @@ class FindFlowResult:
     color: str
     h: tuple
     value: Fraction
-    certificate: FlowCertificate | None
+    certificate: FlowCertificate
 
 
-class _PrefixFlow:
-    """Max flow of one color C as the prefix grows: X (supply r) is every
-    vertex of color C, Y (room s) the other color's vertices added so far,
-    and an added y's edges go to the X-vertices in its C-neighbor mask."""
-
-    def __init__(self, chi, color, r, s):
-        self.chi, self.color, self.s = chi, color, s
-        self.D = 0
-        self.net = _Residual()
-        # x's node, in X order
-        self.node = {x: self.net.add_node(r, 0)
-                     for x, c in enumerate(chi.vertex_colors) if c == color}
-
-    def add(self, y):
-        """Add y to Y with its C-colored edges and augment back to a max flow.
-
-        The previous flow stays feasible.  The flow into the old Y nodes is
-        always a flow of the old network, whose maximum they already take,
-        and an augmenting path lowers no Y node's inflow (it raises its end's
-        only); so every augmenting path ends at y, and augmenting stops once
-        y has no room left.  Since the old network had no augmenting path,
-        every direct path is one of y's new arcs: a greedy pass over them in
-        X order takes those, then Edmonds-Karp the longer paths.
-        """
-        net = self.net
-        v = net.add_node(0, self.s)
-        mask = self.chi.neighbor_mask(y, self.color)
-        arcs = [net.add_arc(u, v, math.inf) for x, u in self.node.items() if mask >> x & 1]
-        self.D += net.push_direct(arcs)
-        while net.room[v] > 0 and (pushed := net.augment()):
-            self.D += pushed
-
-
-def _sweep_profile(chi, r, s):
-    """D(t) for t = 1..n and both colors on any host: each color keeps one
-    network, and going from t - 1 to t adds vertex t - 1 to the other
-    color's network and augments the flow that network already carries."""
-    sweeps = {color: _PrefixFlow(chi, color, r, s) for color in (BLUE, RED)}
-    profile = {BLUE: [], RED: []}
-    for y, c in enumerate(chi.vertex_colors):
-        sweeps[other(c)].add(y)
-        profile[BLUE].append(sweeps[BLUE].D)
-        profile[RED].append(sweeps[RED].D)
-    return profile
-
-
-def _pool_profile(colors, r, s):
-    """D(t) for t = 1..n and both colors on a leftmost host, in one scan.
-
-    There the C-edges of a C-bar vertex y go to exactly the C vertices left
-    of y, so the Y-side neighbourhoods of color C's network are prefixes,
-    nested in Y order, and a greedy is a max flow (Glover 1967, matching in
-    convex bipartite graphs): each C vertex adds r to pool[C], and each
-    C-bar vertex takes min(s, pool[C]) from it, which D(t) for C gains.
-    """
-    pool = {BLUE: 0, RED: 0}
-    D = {BLUE: 0, RED: 0}
-    profile = {BLUE: [], RED: []}
-    for c in colors:
-        pool[c] += r
-        color = other(c)
-        take = min(s, pool[color])
-        pool[color] -= take
-        D[color] += take
-        profile[BLUE].append(D[BLUE])
-        profile[RED].append(D[RED])
-    return profile
-
-
-def _prefix_graph(chi, color, t, r, s):
-    """Color C's network at prefix length t: X is every C vertex, Y the C-bar
-    vertices below t, and x y an edge iff it has color C, read off y's one
-    C-neighbor mask."""
+def _prefix_graph(chi, color, r, s):
+    """Color C's network at prefix length 1: X is every C vertex, Y is
+    vertex 0 if its color is C-bar (else empty), and x 0 is an edge iff it
+    has color C, read off vertex 0's one C-neighbor mask."""
     colors = chi.vertex_colors
     X = tuple(v for v, c in enumerate(colors) if c == color)
-    Y = tuple(v for v in range(t) if colors[v] != color)
-    masks = {y: chi.neighbor_mask(y, color) for y in Y}
-    return CapacitatedBipartite(X, Y, frozenset((x, y) for y in Y for x in X
-                                                if masks[y] >> x & 1), r, s)
+    Y = () if colors[0] == color else (0,)
+    mask = chi.neighbor_mask(0, color) if Y else 0
+    return CapacitatedBipartite(X, Y, frozenset((x, 0) for x in X if mask >> x & 1), r, s)
 
 
 def findflow(chi, r, s):
-    """Sweep every prefix length t and both colors; return the flow maximizing
-    |C cap [t]|/t + D/(s*t).
+    """The flow maximizing |C cap [t]|/t + D/(s*t) over every prefix length
+    t and both colors C, ties broken toward blue, then toward smaller t.
 
-    For color C, the flow lives on the C-colored edges between the first t
-    vertices of color C-bar restricted appropriately: with C blue, a blue-edge
-    flow between B (capacity r) and the first t reds (capacity s); with C red,
-    a red-edge flow between R (capacity r) and the first t blues (capacity s).
-    Flow is positive only on C-colored edges with oppositely colored ends.
-    Ties in value break toward blue, then toward smaller t.
+    For color C, X is every C vertex (capacity r), Y the C-bar vertices
+    among the first t (capacity s), and D is the max flow on the C-colored
+    edges between them: with C blue, a blue-edge flow between B and the
+    first t reds; with C red, a red-edge flow between R and the first t
+    blues.  The winner is always t = 1 with value 1:
 
-    Three steps.  The profile: only the max flow value D(t) is read per
-    (t, color), from one left-to-right capacity pool on a leftmost host
-    (``_pool_profile``) and from the incremental sweep on other hosts
-    (``_sweep_profile``).  The pick: a value (s |C cap [t]| + D)/(s t) is
-    compared with the best so far by cross-multiplying.  The certificate:
-    the winner's flow h and cover come from one from-scratch ``mfmc`` on its
-    graph (``_prefix_graph``), whose value must equal the profile's D(t).
+    - value <= 1: D <= s |C-bar cap [t]|, so s |C cap [t]| + D <= s t; and
+      at t = 1 the color of vertex 0 has Y empty and value 1.
+    - Ties go to blue, then to the smaller t: blue wins at its least t with
+      value 1 if it has one, else the color of vertex 0 (then red) at t = 1.
+    - A blue 1 at some t > 1 means a blue 1 at t = 1: value 1 saturates
+      every red y < t, vertex 0 among them when it is red, and that flow's
+      edges into vertex 0 carry s in the t = 1 network, a star at vertex 0
+      whose max flow is min(s, r k), for the k blue vertices joined to
+      vertex 0 by a blue edge.
+
+    So blue wins iff vertex 0 is blue or r k >= s, that is iff r k >= s |Y|
+    in blue's t = 1 network.  The winner's flow h and cover come from one
+    ``mfmc`` on its t = 1 graph, whose flow must fill Y.
     """
     if chi.vertex_colors is None:
         raise ValueError("findflow needs vertex colors")
-    if r < 1 or s < 1:
-        raise ValueError("capacities must be at least 1")
-    n = chi.n
-    colors = chi.vertex_colors
-    if RED not in colors or BLUE not in colors:
-        color = RED if BLUE not in colors else BLUE
-        return FindFlowResult(t=n, color=color, h=(), value=Fraction(1), certificate=None)
-
-    profile = _pool_profile(colors, r, s) if chi.rule == "leftmost" else _sweep_profile(chi, r, s)
-
-    in_prefix = {BLUE: 0, RED: 0}
-    num, den, t, color = -1, 1, 0, RED  # below every value, so t = 1 replaces it
-    for k, c in enumerate(colors):
-        in_prefix[c] += 1
-        den_k = s * (k + 1)
-        for color_k in (BLUE, RED):
-            num_k = s * in_prefix[color_k] + profile[color_k][k]
-            ahead = num_k * den - num * den_k
-            if ahead > 0 or ahead == 0 and color_k == BLUE and color == RED:
-                num, den, t, color = num_k, den_k, k + 1, color_k
-
-    D = profile[color][t - 1]
-    cert = mfmc(_prefix_graph(chi, color, t, r, s))
-    if cert.D != D:
-        raise VerificationError(f"findflow: the sweep found flow {D} at t = {t}, "
-                                f"color {color}, but mfmc finds {cert.D}")
-    return FindFlowResult(t=t, color=color, h=cert.h, value=Fraction(num, den),
-                          certificate=cert)
+    color, G = BLUE, _prefix_graph(chi, BLUE, r, s)
+    if r * len(G.edges) < s * len(G.Y):
+        color, G = RED, _prefix_graph(chi, RED, r, s)
+    cert = mfmc(G)
+    if cert.D != s * len(G.Y):
+        raise VerificationError(f"findflow: color {color} has flow {s * len(G.Y)} at t = 1 "
+                                f"by the bound, but mfmc finds {cert.D}")
+    return FindFlowResult(t=1, color=color, h=cert.h, value=Fraction(1), certificate=cert)
 
 
 def bruteforce_max_flow(G: CapacitatedBipartite):

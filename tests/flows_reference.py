@@ -116,12 +116,6 @@ def sweep(chi, r, s):
 def findflow(chi, r, s):
     if chi.vertex_colors is None:
         raise ValueError("findflow needs vertex colors")
-    n = chi.n
-    colors = {chi.vertex_color(v) for v in range(n)}
-    if len(colors) == 1:
-        color = RED if BLUE not in colors else BLUE
-        return FindFlowResult(t=n, color=color, h=(), value=Fraction(1), certificate=None)
-
     best = None
     for t, color, cert, value in sweep(chi, r, s):
         key = (value, 1 if color == BLUE else 0, -t)

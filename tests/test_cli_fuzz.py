@@ -81,8 +81,10 @@ def case_argv(case, tmp_path):
         name = input_file(config[option]) if option in FILE_OPTIONS else None
         if name:
             path = tmp_path / name
-            data = mutate(rng, path.read_text(), wild=True).encode()
-            # a cut at a random byte may split a UTF-8 sequence
+            # a cut at a random byte may split a UTF-8 sequence, and a second
+            # mutation of the same file in this case reads those bytes back
+            text = path.read_bytes().decode(errors="surrogateescape")
+            data = mutate(rng, text, wild=True).encode(errors="surrogateescape")
             path.write_bytes(data[:rng.randrange(len(data) + 1)] if rng.random() < 0.1 else data)
             mutated.add(name)
         else:

@@ -5,8 +5,8 @@ import pytest
 
 from ramseydensity.colorings import BLUE, RED, TwoColoring
 from ramseydensity.flows import (
-    CapacitatedBipartite, bruteforce_max_flow, bruteforce_min_cover,
-    colored_degree_profile, findflow, mfmc)
+    CapacitatedBipartite, FindFlowResult, FlowCertificate, bruteforce_max_flow,
+    bruteforce_min_cover, colored_degree_profile, findflow, mfmc)
 
 
 def random_instance(rng):
@@ -72,6 +72,12 @@ class TestMfmc:
         with pytest.raises(VerificationError, match=message):
             _validate_certificate(G, cert)
 
+    @pytest.mark.parametrize("r,s,name", [(1.5, 1, "r"), (1, 2.5, "s"), (True, 1, "r"),
+                                          (1, "2", "s"), (0, 1, "r")])
+    def test_capacities_must_be_positive_ints(self, r, s, name):
+        with pytest.raises(ValueError, match=f"capacity {name} must be a positive integer"):
+            CapacitatedBipartite((0,), (1,), frozenset({(0, 1)}), r, s)
+
     def test_overlapping_sides_rejected(self):
         with pytest.raises(ValueError):
             CapacitatedBipartite((0, 1), (1, 2), frozenset(), 1, 1)
@@ -106,6 +112,23 @@ class TestColoredDegreeProfile:
         assert all(b <= a for a, b in zip(prof.g.values, prof.g.values[1:])) is False
 
 
+def exhaustive_best(chi, r, s):
+    """The largest (value, blue?, -t) over every prefix length t and colour,
+    each max flow found by ``bruteforce_max_flow``."""
+    n, vc = chi.n, chi.vertex_colors
+    best = None
+    for t in range(1, n + 1):
+        for color in (BLUE, RED):
+            full = [v for v in range(n) if vc[v] == color]
+            pref = [v for v in range(t) if vc[v] != color]
+            edges = frozenset((u, v) for u in full for v in pref if chi.color(u, v) == color)
+            d = bruteforce_max_flow(CapacitatedBipartite(tuple(full), tuple(pref), edges, r, s))
+            in_prefix = sum(1 for v in range(t) if vc[v] == color)
+            key = (Fraction(in_prefix, t) + Fraction(d, s * t), color == BLUE, -t)
+            best = key if best is None else max(best, key)
+    return best
+
+
 class TestFindFlow:
     def test_all_red_short_circuit(self):
         n = 8
@@ -114,7 +137,8 @@ class TestFindFlow:
                                               for v in range(u + 1, n)),
                           vertex_colors=tuple([RED] * n))
         res = findflow(chi, 1, 1)
-        assert res.t == n and res.color == RED and res.value == 1
+        assert (res.t, res.color, res.value, res.h) == (1, RED, 1, ())
+        assert res.certificate == FlowCertificate(D=0, h=(), Z=())
 
     def test_bullets_hold(self):
         rng = random.Random(3)
@@ -149,11 +173,10 @@ class TestFindFlow:
         red = frozenset((u, v) for u in range(n) for v in range(u + 1, n)
                         if (u < 6) != (v < 6))
         chi = TwoColoring(n, "explicit", red_edges=red, vertex_colors=vc)
-        res = findflow(chi, 1, 1)
-        assert res.value >= 1 - Fraction(1, n)
-        # this instance admits the closed-form target at lam = 1
-        from ramseydensity.lipschitz import f_closed
-        assert res.value >= f_closed(1.0).exact - 0.2
+        # vertex 0 is red and its edges to the blues are red, so blue's
+        # network at t = 1 has no edge and red wins there with no flow
+        assert findflow(chi, 1, 1) == FindFlowResult(
+            t=1, color=RED, h=(), value=Fraction(1), certificate=FlowCertificate(D=0, h=(), Z=()))
 
     def test_matches_exhaustive_oracle_on_planted(self):
         # sparse planted instance; the oracle enumerates t and colors and uses
@@ -169,24 +192,30 @@ class TestFindFlow:
         chi = TwoColoring(n, "explicit", red_edges=frozenset(red), vertex_colors=vc)
         r, s = 2, 1
         res = findflow(chi, r, s)
+        assert (res.value, res.color == BLUE, -res.t) == exhaustive_best(chi, r, s)
 
-        best = Fraction(0)
-        for t in range(1, n + 1):
-            for color in (BLUE, RED):
-                if color == BLUE:
-                    full = [v for v in range(n) if vc[v] == BLUE]
-                    pref = [v for v in range(n) if vc[v] == RED and v < t]
-                else:
-                    full = [v for v in range(n) if vc[v] == RED]
-                    pref = [v for v in range(n) if vc[v] == BLUE and v < t]
-                edges = frozenset((u, v) for u in full for v in pref
-                                  if chi.color(u, v) == color)
-                G = CapacitatedBipartite(tuple(full), tuple(pref), edges, r, s)
-                d = bruteforce_max_flow(G)
-                in_prefix = sum(1 for v in range(t) if vc[v] == color)
-                best = max(best, Fraction(in_prefix, t) + Fraction(d, s * t))
-        assert res.value >= best - Fraction(1, 10 ** 9)
-        assert res.value == best
+    def test_small_hosts_match_the_exhaustive_maximum_at_t_1(self):
+        rng = random.Random(24)
+        rules = ("leftmost", "modular", "explicit")
+        colors_won = {rule: set() for rule in rules}
+        for k in range(240):
+            rule = rules[k % 3]
+            n = rng.randint(1, 8)
+            vc = tuple(rng.choice((RED, BLUE)) for _ in range(n))
+            red = frozenset((u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < 0.5)
+            extra = {"leftmost": {}, "modular": {"modulus": rng.randint(2, 4)},
+                     "explicit": {"red_edges": red}}[rule]
+            chi = TwoColoring(n, rule, vertex_colors=vc, **extra)
+            r, s = rng.randint(1, 3), rng.randint(1, 3)
+            res = findflow(chi, r, s)
+            assert (res.t, res.value) == (1, 1)
+            assert (res.value, res.color == BLUE, -res.t) == exhaustive_best(chi, r, s)
+            colors_won[rule].add((vc[0], res.color))
+        # vertex 0 red with blue winning occurs off the leftmost rule only
+        assert colors_won["leftmost"] == {(RED, RED), (BLUE, BLUE)}
+        assert colors_won["modular"] == colors_won["explicit"] == {
+            (RED, RED), (BLUE, BLUE), (RED, BLUE)}
 
     def test_requires_vertex_colors(self):
         chi = TwoColoring(4, "modular", modulus=2)

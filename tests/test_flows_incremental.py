@@ -1,15 +1,14 @@
-"""The integer-indexed max flow and the incremental sweep against the
-reference copies in ``flows_reference``.
+"""The integer-indexed max flow and the flow finder against the reference
+copies in ``flows_reference``.
 
 ``findflow`` must return the same t, colour, value, flow and certificate as
-the from-scratch sweep, and ``mfmc`` the same certificate (flow h included)
-as the dict-based Edmonds-Karp, whose search also takes every length-3 path
-that the greedy pass takes before it.  On leftmost hosts ``findflow`` reads
-D(t) from a left-to-right capacity pool instead of residual networks; the
-pool must equal the residual sweep and the reference at every prefix.  There
-the winner is always t = 1 with an empty flow, so the explicit hosts, whose
-edge colours do not follow the vertex order, carry the cases with a flow and
-the colour ties, and the leftmost winner's graph is checked at every prefix.
+the from-scratch sweep over every (t, colour), and ``mfmc`` the same
+certificate (flow h included) as the dict-based Edmonds-Karp, whose search
+also takes every length-3 path that the greedy pass takes before it.  On a
+leftmost host every edge at vertex 0 has its colour, so the winner is t = 1
+in that colour with an empty flow; the explicit and modular hosts, whose
+edge colours do not follow the vertex order, carry the cases with a flow
+and the colour ties.
 """
 
 import random
@@ -33,6 +32,10 @@ def two_colors(rng, n):
 
 def leftmost_host(rng, n):
     return TwoColoring(n, "leftmost", vertex_colors=two_colors(rng, n))
+
+
+def modular_host(rng, n):
+    return TwoColoring(n, "modular", modulus=rng.randint(2, 6), vertex_colors=two_colors(rng, n))
 
 
 def explicit_host(rng, n):
@@ -59,7 +62,9 @@ def run_host(rng, n):
     return TwoColoring(n, "leftmost", vertex_colors=colors[:n])
 
 
-def pool_hosts():
+def leftmost_hosts():
+    """Leftmost hosts of 1 to 200 vertices, random and cut into colour runs,
+    and one-colour hosts of either colour."""
     rng = random.Random(15)
     hosts = []
     for n in (1, 2, 3, 4, 5, 7, 12, 20, 33, 64, 101, 200):
@@ -71,42 +76,43 @@ def pool_hosts():
     return hosts
 
 
-def prefix_values(chi, r, s):
-    """D(t) for t = 1..n and both colours, read off the residual sweep."""
-    sweeps = {color: flows._PrefixFlow(chi, color, r, s) for color in (BLUE, RED)}
-    values = {BLUE: [], RED: []}
-    for y in range(chi.n):
-        sweeps[other(chi.vertex_colors[y])].add(y)
-        for color in (BLUE, RED):
-            values[color].append(sweeps[color].D)
-    return values
-
-
-@pytest.mark.parametrize("chi", pool_hosts(),
+@pytest.mark.parametrize("chi", leftmost_hosts(),
                          ids=lambda chi: f"{chi.n}-{''.join(chi.vertex_colors)[:12]}")
-def test_pool_profile_matches_the_residual_sweep_at_every_prefix(chi):
+def test_findflow_on_a_leftmost_host_wins_at_t_1_in_the_colour_of_vertex_0(chi):
     rng = random.Random(chi.n)
     capacities = [(1, 1), (1, 4), (4, 1), (2, 3)] + [(rng.randint(1, 4), rng.randint(1, 4))]
     for r, s in capacities:
-        pool = flows._pool_profile(chi.vertex_colors, r, s)
-        assert pool == prefix_values(chi, r, s)
-        if chi.n <= 33:
-            want = {(t, color): cert.D for t, color, cert, _ in ref.sweep(chi, r, s)}
-            assert {(t, color): pool[color][t - 1] for t, color in want} == want
+        got = findflow(chi, r, s)
+        assert (got.t, got.color, got.h, got.value) == (1, chi.vertex_colors[0], (), 1)
+        assert got.certificate == flows.FlowCertificate(D=0, h=(), Z=())
+        if chi.n <= 33:  # the reference sweep is slow beyond
+            # the bound behind the closed form: no (t, colour) passes 1
+            assert max(value for *_, value in ref.sweep(chi, r, s)) == 1
+            assert got == ref.findflow(chi, r, s)
 
 
 @pytest.mark.parametrize("n", [2, 5, 9, 16, 24])
-def test_leftmost_graph_matches_reference_at_every_prefix(n):
+@pytest.mark.parametrize("host", [leftmost_host, modular_host, explicit_host])
+def test_prefix_graph_matches_reference_at_t_1_in_both_colours(host, n):
     rng = random.Random(300 + n)
     with_flow = 0
-    for chi in (leftmost_host(rng, n), run_host(rng, n)):
+    for _ in range(4):
+        chi = host(rng, n)
         r, s = rng.sample(range(1, 5), 2)
-        pool = flows._pool_profile(chi.vertex_colors, r, s)
         for t, color, cert, _ in ref.sweep(chi, r, s):
-            got = mfmc(flows._prefix_graph(chi, color, t, r, s))
-            assert got == cert and got.D == pool[color][t - 1]
-            with_flow += bool(got.h)
-    assert with_flow
+            if t > 1:
+                break
+            G = flows._prefix_graph(chi, color, r, s)
+            assert mfmc(G) == cert
+            # the graph holds every edge of colour C between C and vertex 0
+            # when vertex 0 has the other colour, and nothing else
+            assert G.Y == (() if chi.vertex_colors[0] == color else (0,))
+            assert G.edges == frozenset((x, y) for x in G.X for y in G.Y
+                                        if chi.color(x, y) == color)
+            with_flow += bool(cert.h)
+    # on a leftmost host every edge at vertex 0 has its colour, so the
+    # other colour's network at t = 1 has no edge and no flow
+    assert (with_flow == 0) == (host is leftmost_host), with_flow
 
 
 @pytest.mark.parametrize("n,count", [(8, 20), (16, 10), (32, 6), (64, 3), (128, 1)])
@@ -118,44 +124,15 @@ def test_findflow_matches_reference_on_leftmost_hosts(n, count):
         r, s = rng.randint(1, 4), rng.randint(1, 4)
         got = findflow(chi, r, s)
         assert got == ref.findflow(chi, r, s)
-        if len(set(chi.vertex_colors)) == 2:
-            # t = 1 reaches value 1 in the colour of vertex 0, and the other
-            # colour's first prefix vertex finds an empty pool, so it stays
-            # below 1: no colour tie, and the winner has no flow
-            assert (got.t, got.color, got.h) == (1, chi.vertex_colors[0], ())
-            if n <= 32:  # the reference sweep is slow beyond
-                colors, count_top = max_keys(chi, r, s)
-                assert colors == {chi.vertex_colors[0]}
-                t_ties += count_top > len(colors)
+        # t = 1 reaches value 1 in the colour of vertex 0, and every edge at
+        # vertex 0 has that colour, so the other colour's network has no
+        # edge at t = 1 and stays below 1: no colour tie, and no flow
+        assert (got.t, got.color, got.h) == (1, chi.vertex_colors[0], ())
+        if n <= 32:  # the reference sweep is slow beyond
+            colors, count_top = max_keys(chi, r, s)
+            assert colors == {chi.vertex_colors[0]}
+            t_ties += count_top > len(colors)
     assert t_ties >= count // 3 or n > 32, t_ties
-
-
-def test_findflow_on_a_leftmost_host_builds_only_the_final_network(monkeypatch):
-    rng = random.Random(6)
-    chi = leftmost_host(rng, 60)
-    want = ref.findflow(chi, 3, 2)
-    networks, masks = [], []
-    original_init, original_mask = flows._Residual.__init__, TwoColoring.neighbor_mask
-    monkeypatch.setattr(flows._Residual, "__init__",
-                        lambda self: networks.append(self) or original_init(self))
-    monkeypatch.setattr(TwoColoring, "neighbor_mask",
-                        lambda self, v, c: masks.append((v, c)) or original_mask(self, v, c))
-    assert findflow(chi, 3, 2) == want
-    assert len(networks) == 1 and masks == []
-
-
-def test_findflow_checks_the_pool_against_mfmc(monkeypatch):
-    rng = random.Random(9)
-    chi = leftmost_host(rng, 20)
-    original = flows._pool_profile
-
-    def off_by_one(colors, r, s):
-        return {color: [D + 1 for D in values]
-                for color, values in original(colors, r, s).items()}
-
-    monkeypatch.setattr(flows, "_pool_profile", off_by_one)
-    with pytest.raises(VerificationError, match="the sweep found flow"):
-        findflow(chi, 1, 1)
 
 
 def test_findflow_matches_reference_on_explicit_hosts():
@@ -175,24 +152,61 @@ def test_findflow_matches_reference_on_explicit_hosts():
     assert with_flow >= 20 and color_ties >= 20 and t_ties >= 20, (with_flow, color_ties, t_ties)
 
 
-def test_findflow_reads_one_neighbor_mask_per_prefix_vertex(monkeypatch):
+def test_findflow_on_modular_hosts_matches_reference():
+    rng = random.Random(78)
+    with_flow = color_ties = 0
+    for _ in range(150):
+        n = rng.randint(2, 20)
+        chi = modular_host(rng, n)
+        r, s = rng.randint(1, 3), rng.randint(1, 3)
+        got = findflow(chi, r, s)
+        assert got == ref.findflow(chi, r, s)
+        with_flow += bool(got.h)
+        color_ties += len(max_keys(chi, r, s)[0]) == 2
+    assert with_flow >= 20 and color_ties >= 20, (with_flow, color_ties)
+
+
+@pytest.mark.parametrize("host", [leftmost_host, modular_host, explicit_host])
+def test_findflow_builds_one_network_and_reads_at_most_one_mask(host, monkeypatch):
     rng = random.Random(5)
-    chi = explicit_host(rng, 30)
-    want = ref.findflow(chi, 2, 1)
-    colors, masks = [], []
-    original_color, original_mask = TwoColoring.color, TwoColoring.neighbor_mask
-    monkeypatch.setattr(TwoColoring, "color",
-                        lambda self, u, v: colors.append((u, v)) or original_color(self, u, v))
-    monkeypatch.setattr(TwoColoring, "neighbor_mask",
-                        lambda self, v, c: masks.append((v, c)) or original_mask(self, v, c))
-    assert findflow(chi, 2, 1) == want
-    # vertex y joins the prefix side of the other colour's network once and
-    # brings its edges to that network's X side in one mask of that colour;
-    # the winner's graph reads one more mask per vertex of its prefix side,
-    # and this winner, t = 1 in the colour of vertex 0, has none
-    assert want.t == 1
-    assert colors == []
-    assert masks == [(y, other(chi.vertex_colors[y])) for y in range(chi.n)]
+    hosts = [host(rng, 30) for _ in range(8)]
+    assert {chi.vertex_colors[0] for chi in hosts} == {RED, BLUE}
+    for chi in hosts:
+        want = ref.findflow(chi, 2, 1)
+        networks, colors, masks = [], [], []
+        with monkeypatch.context() as m:
+            original_init = flows._Residual.__init__
+            original_color, original_mask = TwoColoring.color, TwoColoring.neighbor_mask
+            m.setattr(flows._Residual, "__init__",
+                      lambda self: networks.append(self) or original_init(self))
+            m.setattr(TwoColoring, "color",
+                      lambda self, u, v: colors.append((u, v)) or original_color(self, u, v))
+            m.setattr(TwoColoring, "neighbor_mask",
+                      lambda self, v, c: masks.append((v, c)) or original_mask(self, v, c))
+            assert findflow(chi, 2, 1) == want
+        # blue's network at t = 1 has vertex 0 on its prefix side only when
+        # vertex 0 is red, and then reads that vertex's one blue mask
+        assert len(networks) == 1 and colors == []
+        assert masks == ([(0, BLUE)] if chi.vertex_colors[0] == RED else [])
+
+
+@pytest.mark.parametrize("r,k,s", [(1, 3, 3), (1, 2, 3), (2, 2, 4), (2, 2, 5), (3, 1, 3),
+                                   (3, 1, 4), (1, 0, 1)])
+def test_blue_wins_with_vertex_0_red_iff_its_star_fills_vertex_0(r, k, s):
+    # vertex 0 is red, with blue edges to the k blues 1..k and red edges to
+    # the blues k+1, k+2; every other edge is red
+    n = k + 4
+    vc = (RED,) + (BLUE,) * (k + 2) + (RED,)
+    red = frozenset((u, v) for u in range(n) for v in range(u + 1, n) if not (u == 0 and v <= k))
+    chi = TwoColoring(n, "explicit", red_edges=red, vertex_colors=vc)
+    got = findflow(chi, r, s)
+    assert got == ref.findflow(chi, r, s)
+    assert (got.t, got.value) == (1, 1)
+    if r * k >= s:
+        assert got.color == BLUE and got.certificate.D == s
+        assert got.h and {e for e, _ in got.h} <= {(x, 0) for x in range(1, k + 1)}
+    else:
+        assert got.color == RED and got.h == () and got.certificate.D == 0
 
 
 def test_findflow_calls_mfmc_once_and_checks_its_value(monkeypatch):
@@ -210,14 +224,15 @@ def test_findflow_calls_mfmc_once_and_checks_its_value(monkeypatch):
     assert len(calls) == 1
 
     monkeypatch.setattr(flows, "mfmc", lambda G: replace(original(G), D=original(G).D + 1))
-    with pytest.raises(VerificationError, match="the sweep found flow"):
+    with pytest.raises(VerificationError, match="by the bound, but mfmc finds"):
         findflow(chi, 2, 2)
 
 
-@pytest.mark.parametrize("r,s", [(0, 1), (1, 0), (0, -3)])
-def test_findflow_rejects_bad_capacities_on_one_colour_hosts(r, s):
+@pytest.mark.parametrize("r,s,name", [(0, 1, "r"), (1, 0, "s"), (0, -3, "r"), (1.5, 1, "r"),
+                                      (1, 2.5, "s"), (True, 1, "r"), ("2", 1, "r")])
+def test_findflow_rejects_bad_capacities_on_one_colour_hosts(r, s, name):
     chi = TwoColoring(4, "leftmost", vertex_colors=(RED,) * 4)
-    with pytest.raises(ValueError, match="capacities must be at least 1"):
+    with pytest.raises(ValueError, match=f"capacity {name} must be a positive integer"):
         findflow(chi, r, s)
 
 
@@ -295,41 +310,6 @@ def test_mfmc_matches_reference_when_paths_are_long(nx, count, monkeypatch):
         assert pushes[-1] == 0 and all(pushes[:-1])
         with_long += len(pushes) > 1
     assert with_long >= count // 4, with_long
-
-
-def prefix_states(chi, r, s):
-    """Per prefix length t and colour, the sweep's D(t) and the residual
-    capacities, supplies and rooms of its network."""
-    sweeps = {color: flows._PrefixFlow(chi, color, r, s) for color in (BLUE, RED)}
-    states = {}
-    for t in range(1, chi.n + 1):
-        sweeps[other(chi.vertex_colors[t - 1])].add(t - 1)
-        for color, sweep in sweeps.items():
-            net = sweep.net
-            states[t, color] = sweep.D, tuple(net.cap), tuple(net.supply), tuple(net.room)
-    return states
-
-
-@pytest.mark.parametrize("host", [leftmost_host, explicit_host])
-def test_prefix_flow_value_matches_reference_at_every_prefix(host, monkeypatch):
-    rng = random.Random(41)
-    pushes = count_augments(monkeypatch)
-    with_long = 0
-    for n in (6, 12, 24, 48):
-        chi = host(rng, n)
-        r, s = rng.randint(1, 4), rng.randint(1, 4)
-        want = {(t, color): cert.D for t, color, cert, _ in ref.sweep(chi, r, s)}
-        with monkeypatch.context() as m:
-            m.setattr(flows._Residual, "push_direct", lambda self, pairs: 0)
-            search_only = prefix_states(chi, r, s)
-        pushes.clear()
-        got = prefix_states(chi, r, s)
-        with_long += any(pushes)
-        assert {key: state[0] for key, state in got.items()} == want
-        # the greedy pass leaves every network exactly as the search alone does
-        assert got == search_only
-    if host is explicit_host:
-        assert with_long, "no sweep took a path longer than 3"
 
 
 def test_mfmc_searches_once_when_every_path_has_length_3(monkeypatch):
@@ -421,8 +401,8 @@ def test_networks_hold_only_arcs_between_x_and_y(monkeypatch):
             mfmc(make(rng))
     for host in (explicit_host, modular_host):
         for n in (8, 20, 40):
-            flows._sweep_profile(host(rng, n), rng.randint(1, 3), rng.randint(1, 3))
-    assert len(networks) == 80 + 2 * 6
+            findflow(host(rng, n), rng.randint(1, 3), rng.randint(1, 3))
+    assert len(networks) == 80 + 6
     for net in networks:
         listed = []
         for u, arcs in enumerate(net.out):
@@ -435,20 +415,3 @@ def test_networks_hold_only_arcs_between_x_and_y(monkeypatch):
         assert sorted(listed) == list(range(len(net.head)))
     assert sum(len(net.head) for net in networks) > 1000
 
-
-def modular_host(rng, n):
-    return TwoColoring(n, "modular", modulus=rng.randint(2, 6), vertex_colors=two_colors(rng, n))
-
-
-@pytest.mark.parametrize("host", [modular_host, explicit_host])
-@pytest.mark.parametrize("r,s", [(1, 2), (1, 3), (1, 1)])
-def test_sweep_profile_matches_reference_when_source_arcs_saturate_early(host, r, s,
-                                                                           monkeypatch):
-    rng = random.Random(17 * s + (host is modular_host))
-    dropped = count_dropped(monkeypatch)
-    for n in (5, 16, 40):
-        chi = host(rng, n)
-        want = {(t, color): cert.D for t, color, cert, _ in ref.sweep(chi, r, s)}
-        profile = flows._sweep_profile(chi, r, s)
-        assert {(t, color): profile[color][t - 1] for t, color in want} == want
-    assert sum(dropped) > 0

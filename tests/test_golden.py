@@ -89,7 +89,7 @@ def test_stdout_without_out_equals_the_written_artifact(artifact, tmp_path, monk
 
 def test_goldens_present():
     commands = [config_of(p)["command"] for p in ARTIFACTS]
-    minimum = {"findflow": 6, "mfmc": 4, "fig1": 1, "adversary": 6, "shade": 3,
+    minimum = {"findflow": 7, "mfmc": 4, "fig1": 1, "adversary": 6, "shade": 3,
                "mu": 4, "embed": 1, "treecut": 1, "f-eval": 1}
     assert {c: min(commands.count(c), k) for c, k in minimum.items()} == minimum
     shaded = {config_of(p)["coloring"] for p in ARTIFACTS
