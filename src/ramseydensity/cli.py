@@ -515,7 +515,8 @@ def build_parser():
     common(p)
     p.set_defaults(func=cmd_mfmc)
 
-    p = sub.add_parser("findflow", help="prefix sweep flow extraction")
+    p = sub.add_parser("findflow",
+                       help="whole-host maximum of the flow ratio, reached at t = 1")
     p.add_argument("--coloring", required=True, help="coloring file (leftmost rule)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)

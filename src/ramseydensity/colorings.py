@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
-from operator import eq, le, lt, sub
+from operator import le, lt, sub
 
 from .errors import VerificationError, fields, shown
 from .lipschitz import GammaParam, gamma_crossings
@@ -31,6 +31,29 @@ _CHAIN_TOL = 1e-6  # slack of adversary_bound_chain's float comparisons
 
 def other(color):
     return BLUE if color == RED else RED
+
+
+def _set_colors(obj, n):
+    """Store obj.vertex_colors as a tuple and return them as one str,
+    raising unless they are n entries of R/B."""
+    colors = tuple(obj.vertex_colors)
+    object.__setattr__(obj, "vertex_colors", colors)
+    try:
+        if len(colors) == n and set(colors) <= set(COLORS):
+            return "".join(colors)
+    except TypeError:           # an unhashable entry, or one equal to R or B but no str
+        pass
+    raise ValueError("vertex_colors must be n entries of R/B")
+
+
+def _check_sizes(s, r, n):
+    """Raise unless n is an int of at least 4 and s and r are positive ints
+    (a bool is not an int here)."""
+    for name, v, least, want in (("n", n, 4, "an integer of at least 4"),
+                                 ("s", s, 1, "a positive integer"),
+                                 ("r", r, 1, "a positive integer")):
+        if not isinstance(v, int) or isinstance(v, bool) or v < least:
+            raise ValueError(f"{name} must be {want}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -60,15 +83,11 @@ class TwoColoring:
         if n < 1:
             raise ValueError("n must be positive")
         if self.vertex_colors is not None:
-            vc = tuple(self.vertex_colors)
-            object.__setattr__(self, "vertex_colors", vc)
-            if len(vc) != n or not set(vc) <= set(COLORS):
-                raise ValueError("vertex_colors must be n entries of R/B")
+            text = _set_colors(self, n)
         if self.rule == "leftmost":
             if self.vertex_colors is None:
                 raise ValueError("leftmost rule requires vertex colors")
-            bits = "".join(self.vertex_colors)[::-1].replace(RED, "1").replace(BLUE, "0")
-            object.__setattr__(self, "red_vertices", int(bits, 2))
+            object.__setattr__(self, "red_vertices", int(text[::-1].translate(_COLOR_BITS), 2))
             return
         if self.rule == "modular":
             if self.modulus is None or self.modulus < 2:
@@ -227,6 +246,11 @@ class AdversaryInstance:
     vertices to its left, beta is symmetric, and phi reorders the vertices
     so that each block {1..alpha_j+beta_j} consists of the first alpha_j reds
     and first beta_j blues.
+
+    Construction checks the shape: s and r positive ints, n an int of at
+    least 4, n colors of R/B, int entries in alpha and beta, and phi a
+    permutation of 0..n-1.  The positions of each color are derived from
+    the colors, and the inverse of phi is kept for the verifier.
     """
 
     s: int
@@ -234,11 +258,28 @@ class AdversaryInstance:
     n: int
     g: object
     vertex_colors: tuple
-    red_positions: tuple
-    blue_positions: tuple
     alpha: tuple
     beta: tuple
     phi: tuple
+    red_positions: tuple = field(init=False, repr=False, compare=False)
+    blue_positions: tuple = field(init=False, repr=False, compare=False)
+    _where: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.n
+        _check_sizes(self.s, self.r, n)
+        is_red = _set_colors(self, n).encode().translate(_IS_RED)
+        for name in ("alpha", "beta"):
+            bad = _first_non_integer(name, getattr(self, name))
+            if bad:
+                raise ValueError(bad)
+        where = _inverse(self.phi, n)
+        if where is None:
+            raise ValueError("phi is not a permutation of the vertices")
+        object.__setattr__(self, "red_positions", tuple(compress(range(n), is_red)))
+        object.__setattr__(self, "blue_positions",
+                           tuple(compress(range(n), is_red.translate(_FLIP))))
+        object.__setattr__(self, "_where", where)
 
     @property
     def lam(self):
@@ -261,13 +302,10 @@ class AdversaryInstance:
         when u is red also those of every vertex above u.
         """
         n, phi, colors = self.n, self.phi, self.vertex_colors
-        where = _inverse(phi, n)
-        if where is None:
-            raise ValueError("phi is not a permutation of the vertices")
         full = (1 << n) - 1
         masks = [0] * n
         reds_below = upto = 0  # positions of the red vertices below u; of 0..u
-        for u, i in enumerate(where):
+        for u, i in enumerate(self._where):
             upto |= 1 << i
             if colors[u] == RED:
                 masks[i] = reds_below | (full ^ upto)
@@ -349,20 +387,21 @@ def _left_counts(positions):
     return list(map(sub, positions, range(len(positions))))
 
 
-def _min_indices(left, s, r, count):
-    """alpha_i for i = 1..count: least a with left[a-1] <= (s/r)*(a-i),
+def _min_indices(left, s, r):
+    """alpha_i for i = 1, 2, ...: least a with left[a-1] <= (s/r)*(a-i),
     tested as the integer inequality r*left[a-1] <= s*(a-i) and scanned
-    incrementally (the valid set only shrinks as i grows)."""
+    incrementally (the valid set only shrinks as i grows).  a >= i, so the
+    scan ends by i = len(left)."""
     out = []
-    a = 1
+    a = i = 1
     m = len(left)
-    for i in range(1, count + 1):
+    while True:
         while a <= m and r * left[a - 1] > s * (a - i):
             a += 1
         if a > m:
-            break
+            return out
         out.append(a)
-    return out
+        i += 1
 
 
 def _run_indices(bits, s, r):
@@ -412,18 +451,6 @@ _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 _IS_RED = bytes(c == ord(RED) for c in range(256))
 
 
-def _color_bytes(colors):
-    """The colors as one ASCII byte each, or None when some color is not a
-    one-character ASCII str."""
-    try:
-        text = "".join(colors)
-    except TypeError:
-        return None
-    if len(text) != len(colors) or "" in colors or not text.isascii():
-        return None
-    return text.encode()
-
-
 def _red_bits(g, n):
     """bits[m-1] = 1 if vertex m-1 is red, else 0: the steps of the red
     prefix counts, which must all be 0 or 1."""
@@ -440,11 +467,7 @@ def _red_bits(g, n):
 def adversary(s, r, g, n):
     """Build the adversarial instance for lam = s/r on n vertices, steered by
     the 1-Lipschitz PLFunction g."""
-    if n < 4:
-        raise ValueError("n must be at least 4")
-    for name, v in (("s", s), ("r", r)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"{name} must be a positive integer, got {v!r}")
+    _check_sizes(s, r, n)
     bits = _red_bits(g, n)
     red_pos = tuple(compress(range(n), bits))
     blue_pos = tuple(compress(range(n), bits.translate(_FLIP)))
@@ -464,7 +487,6 @@ def adversary(s, r, g, n):
 
     inst = AdversaryInstance(s=s, r=r, n=n, g=g,
                              vertex_colors=tuple(bits.translate(_BIT_COLOR).decode()),
-                             red_positions=red_pos, blue_positions=blue_pos,
                              alpha=alpha, beta=beta, phi=tuple(phi))
     problems = verify_adversary(inst)
     if problems:
@@ -473,25 +495,20 @@ def adversary(s, r, g, n):
 
 
 def _first_wrong_count(is_red, targets):
-    """Least m whose red count among is_red[:m] differs from targets[m-1]
-    (both read up to the shorter length), or None.  Its lists die with the
-    call, so the verifier's later lists do not add to their peak memory."""
+    """Least m whose red count among is_red[:m] differs from targets[m-1],
+    or None.  Its lists die with the call, so the verifier's later lists do
+    not add to their peak memory."""
     counts = list(accumulate(is_red))
-    if counts[:len(targets)] == targets[:len(counts)]:
+    if counts == targets:
         return None
     return next(m for m, (c, t) in enumerate(zip(counts, targets), start=1) if c != t)
 
 
 def _fits_runs(indices, positions, is_color, s, r):
     """Whether ``indices`` equals the scan ``_min_indices`` over
-    ``positions`` (before its cap at n): the run check of
-    ``verify_adversary``.  ``positions`` lists the vertices v with
-    is_color[v] = 1, in order, and its entries and those of ``indices`` are
-    integers; s >= 1 and r >= 0 are integers, or the answer is False.  Each
-    run of the color costs one ``find`` in is_color and one bisect into
-    ``indices``."""
-    if not (type(s) is int and type(r) is int and s > 0 and r >= 0):
-        return False
+    ``positions``: the run check of ``verify_adversary``.  ``positions``
+    lists the vertices v with is_color[v] = 1, in order.  Each run of the
+    color costs one ``find`` in is_color and one bisect into ``indices``."""
     k, m = len(indices), len(positions)
     if k and not (1 <= indices[0] and indices[-1] <= m and all(map(lt, indices, indices[1:]))):
         return False
@@ -510,28 +527,21 @@ def _fits_runs(indices, positions, is_color, s, r):
     return True
 
 
-def _index_problems(name, indices, positions, is_color, s, r, n):
+def _index_problems(name, indices, positions, is_color, s, r):
     """Violations of alpha (or beta): ``indices`` against the incremental
-    scan ``_min_indices`` over ``positions``.  ``is_color`` holds a 1 for
-    each vertex of the color, or is None when ``positions`` does not list
-    exactly those.  The run check ``_fits_runs`` settles the usual case, a
-    list equal to the scan over positions that match the colors; otherwise
-    the scan is run, and only when it differs does the per-index check run,
-    naming each index that is out of range, breaks its inequality or is not
-    minimal.  That check passes a list equal to the scan and reports at
-    least the first index where any other list of the same length differs.
-    A length other than the scan's is reported only when the positions
-    match the colors: positions that do not are reported already, and their
-    scan's length says nothing."""
-    if (is_color is not None and len(indices) <= n
-            and _fits_runs(indices, positions, is_color, s, r)):
+    scan ``_min_indices`` over ``positions``, the vertices v with
+    is_color[v] = 1.  The run check ``_fits_runs`` passes a list equal to
+    the scan; any other list is compared with the scan, whose length is
+    reported when it differs, and the per-index check names each index
+    that is out of range, breaks its inequality or is not minimal.  That
+    check reports at least the first index where a list of the scan's
+    length differs from it."""
+    if _fits_runs(indices, positions, is_color, s, r):
         return []
     left = _left_counts(positions)
-    want = _min_indices(left, s, r, n)
-    if list(indices) == want:
-        return []
+    want = _min_indices(left, s, r)
     problems = []
-    if is_color is not None and len(indices) != len(want):
+    if len(indices) != len(want):
         problems.append(f"{name} has {len(indices)} entries, want {len(want)}")
     prev = 1
     for i, a_i in enumerate(indices, start=1):
@@ -582,7 +592,7 @@ def _prefix_reach(where, positions):
 
 
 def _first_non_integer(name, entries):
-    """The violation "<name>_<k> is not an integer" for the first entry that
+    """The message "<name>_<k> is not an integer" for the first entry that
     is not an int, with k counted from 1 as in alpha_i, or None.  A bool is an int
     here as in Python, True being 1.  A sum of ints is an int, and anything
     else in the sum makes it another type or raises, so the entries are
@@ -599,13 +609,12 @@ def _first_non_integer(name, entries):
 
 
 def verify_adversary(inst):
-    """Re-check every structural invariant; returns a list of violations.
+    """Re-check the paper's invariants; returns a list of violations.
 
-    Prefix counts and positions are read off the colors in one pass each,
-    alpha and beta are checked once per run of their color, and the phi
-    blocks with prefix reaches.  Messages are built only for what fails.
-    An entry of the positions, alpha or beta that is not an int is reported
-    by field and index, and ends the check.
+    The instance is well formed by construction, so the check reads the red
+    prefix counts off the colors in one pass, alpha and beta once per run of
+    their color, and the phi blocks with prefix reaches.  Messages are built
+    only for what fails.
 
     The run check.  For the a-th red vertex let left(a) be the blue vertices
     to its left and key(a) = a - ceil(r*left(a)/s), so that a works for i,
@@ -623,78 +632,49 @@ def verify_adversary(inst):
     one breaks 3 at the a with the largest key.  A_i - i never decreases,
     so in a run 2 needs only the run's first entry of A; and key(a) minus
     the count never decreases inside a run, so 3 needs only its last index.
-    The scan stops at i = n, so a list longer than n fails the check.  A
-    list that fails, s or r outside s >= 1, r >= 0, and positions that do
-    not match the colors are compared with the scan, and the per-index
-    check names every bad index."""
+    A list that fails is compared with the scan, and the per-index check
+    names every bad index.
+
+    The phi blocks.  Block j asks set(phi[:k]) == reds[:a_j] | blues[:b_j]
+    with k = a_j + b_j.  phi is a permutation and the positions partition
+    the vertices, so when a_j and b_j lie in 0..(vertices of their color)
+    both sides have k elements, and the block matches exactly when every
+    vertex it wants sits before position k in phi.  Any other index is a
+    mismatch: past the end its wanted set has fewer than k vertices, and
+    below 0 it counts no vertices."""
     problems = []
     s, r, n = inst.s, inst.r, inst.n
-    colors = inst.vertex_colors
-    if len(colors) != n:
-        problems.append(f"vertex_colors has {len(colors)} entries, want {n}")
-    raw = _color_bytes(colors)
-    if raw is None:
-        is_red = bytes(map(eq, colors, repeat(RED)))
-        two_colored = colors.count(BLUE) == len(colors) - is_red.count(1)
-    else:
-        is_red = raw.translate(_IS_RED)
-        two_colored = not raw.translate(None, b"RB")
+    alpha, beta = inst.alpha, inst.beta
+    red_pos, blue_pos = inst.red_positions, inst.blue_positions
+    is_red = "".join(inst.vertex_colors).encode().translate(_IS_RED)
     m = _first_wrong_count(is_red, _red_prefix_counts(inst.g, n))
     if m is not None:
         problems.append(f"red prefix count wrong at m={m}")
-    bad = [f for f in (_first_non_integer(name, getattr(inst, name))
-                       for name in ("red_positions", "blue_positions", "alpha", "beta")) if f]
-    if bad:                     # the checks below compute with these entries
-        return problems + bad
-    is_blue = is_red.translate(_FLIP) if two_colored else bytes(map(eq, colors, repeat(BLUE)))
-    red_pos, blue_pos = inst.red_positions, inst.blue_positions
-    red_ok = tuple(compress(range(len(colors)), is_red)) == red_pos
-    blue_ok = tuple(compress(range(len(colors)), is_blue)) == blue_pos
-    if not red_ok:
-        problems.append("red positions inconsistent")
-    if not blue_ok:
-        problems.append("blue positions inconsistent")
-    problems += _index_problems("alpha", inst.alpha, red_pos, is_red if red_ok else None,
-                                s, r, n)
-    problems += _index_problems("beta", inst.beta, blue_pos, is_blue if blue_ok else None,
-                                s, r, n)
-    if any(map(le, inst.beta[1:], inst.beta)):
+    problems += _index_problems("alpha", alpha, red_pos, is_red, s, r)
+    problems += _index_problems("beta", beta, blue_pos, is_red.translate(_FLIP), s, r)
+    if any(map(le, beta[1:], beta)):
         problems.append("beta is not strictly increasing")
-
-    # Block j asks set(phi[:k]) == reds[:a_j] | blues[:b_j] with k = a_j + b_j.
-    # When phi is a permutation and the positions are disjoint vertices
-    # without repeats, both sides have k elements, so the block matches
-    # exactly when every vertex it wants sits before position k in phi.
-    # Positions that match the colors of all n vertices are such lists, so
-    # only other positions are sorted to see whether they partition them.
-    phi = inst.phi
-    where = _inverse(phi, n)
-    by_reach = where is not None and ((red_ok and blue_ok and len(colors) == n)
-                                      or sorted([*red_pos, *blue_pos]) == list(range(n)))
-    if by_reach:
-        reach_red, reach_blue = _prefix_reach(where, red_pos), _prefix_reach(where, blue_pos)
+    reach_red = _prefix_reach(inst._where, red_pos)
+    reach_blue = _prefix_reach(inst._where, blue_pos)
     n_red, n_blue = len(red_pos), len(blue_pos)
-    joint = _joint_prefix(inst.alpha, inst.beta, n)
-    for j, (a_j, b_j) in enumerate(zip(inst.alpha[:joint], inst.beta[:joint]), start=1):
+    joint = _joint_prefix(alpha, beta, n)
+    for j, (a_j, b_j) in enumerate(zip(alpha[:joint], beta[:joint]), start=1):
         k = a_j + b_j
-        if by_reach and 0 <= a_j <= n_red and 0 <= b_j <= n_blue:
-            ok = reach_red[a_j] < k and reach_blue[b_j] < k
-        else:
-            ok = set(phi[:k]) == set(red_pos[:a_j]) | set(blue_pos[:b_j])
-        if not ok:
+        if not (0 <= a_j <= n_red and 0 <= b_j <= n_blue
+                and reach_red[a_j] < k and reach_blue[b_j] < k):
             problems.append(f"phi block {j} mismatch")
-    if where is None:
-        problems.append("phi is not a permutation")
     return problems
 
 
 def adversary_bound_chain(inst, i_min=50):
     """Check alpha_i <= (1-gamma) z+ / 2 + w/2 and the symmetric +2 bound for
-    beta_i at every index i >= i_min with alpha_i + beta_i <= n; returns
+    beta_i at every index i >= i_min >= 1 with alpha_i + beta_i <= n; returns
     violations (an infinite crossing means g was built too small for n).
 
     The levels w grow with i, so each sign's crossings come from one sweep
     over the tilted breakpoints."""
+    if i_min < 1:
+        raise ValueError(f"i_min must be at least 1, got {i_min}")
     p = inst.gamma_param
     lam = float(inst.lam)
     gamma = p.gamma

@@ -68,7 +68,6 @@ def adversary(s, r, g, n):
             raise AssertionError("phi block sizes are inconsistent")
     phi.extend(v for v in range(n) if v not in placed)
     return AdversaryInstance(s=s, r=r, n=n, g=g, vertex_colors=tuple(colors),
-                             red_positions=red_pos, blue_positions=blue_pos,
                              alpha=alpha, beta=beta, phi=tuple(phi))
 
 

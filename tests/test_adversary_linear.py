@@ -4,7 +4,9 @@ Differential tests compare alpha, beta, phi, the verifier's messages and the
 bound chain with ``adversary_reference`` (the construction as it was before
 the rewrite) on seeded random candidates and sawtooths; mutation tests
 corrupt valid instances one way at a time and check that the verifier names
-the broken invariant and its index, exactly as the reference does.
+the broken invariant and its index, exactly as the reference does, besides
+the line for an alpha or beta of the wrong length, which the reference does
+not have.
 """
 
 import dataclasses
@@ -14,8 +16,7 @@ import pytest
 
 import adversary_reference as ref
 import lipschitz_reference as lref
-from ramseydensity.colorings import (BLUE, RED, adversary, adversary_bound_chain,
-                                     verify_adversary)
+from ramseydensity.colorings import adversary, adversary_bound_chain, verify_adversary
 from ramseydensity.lipschitz import (GammaParam, PLFunction, gamma_crossing,
                                      gamma_crossings, random_alternating_candidate,
                                      sigma_g)
@@ -53,6 +54,14 @@ def test_short_candidate_chain_matches_reference(s, r):
     chain = adversary_bound_chain(inst, i_min=1)
     assert chain == ref.adversary_bound_chain(inst, i_min=1)
     assert any(msg.startswith("crossing infinite") for msg in chain)
+
+
+@pytest.mark.parametrize("i_min", [0, -3])
+def test_chain_needs_a_first_index(i_min):
+    # alpha_i is indexed from 1: at i = 0 the chain would read alpha[-1]
+    inst = adversary(1, 1, sigma_g(GammaParam.from_lambda(1.0), 12), 400)
+    with pytest.raises(ValueError, match=f"i_min must be at least 1, got {i_min}"):
+        adversary_bound_chain(inst, i_min=i_min)
 
 
 # non-strict cases are named by their bare seed, so their test ids stay stable
@@ -110,21 +119,48 @@ def base(request):
     return adversary(s, r, sigma_g(p, 12), 400)
 
 
+def length_lines(inst):
+    """The verifier's lines for an alpha or beta whose length is not the
+    reference scan's, which the reference does not report."""
+    lines = []
+    for name, positions in (("alpha", inst.red_positions), ("beta", inst.blue_positions)):
+        scan = ref._min_indices(positions, lambda a: positions[a - 1] - (a - 1), inst.lam, inst.n)
+        if len(scan) != len(getattr(inst, name)):
+            lines.append(f"{name} has {len(getattr(inst, name))} entries, want {len(scan)}")
+    return lines
+
+
 def mutated(inst, **changes):
+    """The verifier's messages on inst with these changes, checked against
+    the reference's, or only for the indices that name no vertex of their
+    color when there are such."""
     bad = dataclasses.replace(inst, **changes)
     problems = verify_adversary(bad)
-    assert problems == ref.verify_adversary(bad)
+    out_of_range = [f"{name}_{i} = {a} is out of range"
+                    for name, pos in (("alpha", bad.red_positions), ("beta", bad.blue_positions))
+                    for i, a in enumerate(getattr(bad, name), start=1)
+                    if not 1 <= a <= len(pos)]
+    if out_of_range:
+        # the reference fails here: an IndexError, or a wrapped index at 0
+        assert set(out_of_range) <= set(problems)
+    else:
+        lengths = length_lines(bad)
+        assert [p for p in problems if p not in lengths] == ref.verify_adversary(bad)
+        assert [p for p in problems if p in lengths] == lengths
     return problems
 
 
 def test_flipped_vertex_color(base):
-    k = base.n // 3
+    # vertex k and the nearest vertex j of the other color, after k if there
+    # is one, swap colors: each color keeps its count, so every index still
+    # names a vertex the reference can read
     colors = list(base.vertex_colors)
-    colors[k] = BLUE if colors[k] == RED else RED
+    k = base.n // 3
+    j = min((v for v, c in enumerate(colors) if c != colors[k]),
+            key=lambda v: (v < k, abs(v - k)))
+    colors[k], colors[j] = colors[j], colors[k]
     problems = mutated(base, vertex_colors=tuple(colors))
-    assert problems[0] == f"red prefix count wrong at m={k + 1}"
-    assert "red positions inconsistent" in problems
-    assert "blue positions inconsistent" in problems
+    assert problems[0] == f"red prefix count wrong at m={min(j, k) + 1}"
 
 
 @pytest.mark.parametrize("field", ["alpha", "beta"])
@@ -164,13 +200,6 @@ def test_phi_swap_across_block_boundary(base):
     assert "phi is not a permutation" not in problems
 
 
-def test_phi_duplicate_entry(base):
-    phi = list(base.phi)
-    phi[base.n // 2] = phi[0]
-    problems = mutated(base, phi=tuple(phi))
-    assert problems[-1] == "phi is not a permutation"
-
-
 @pytest.mark.parametrize("seed", range(20))
 def test_random_corruptions_match_reference(seed):
     rng = random.Random(seed)
@@ -178,26 +207,21 @@ def test_random_corruptions_match_reference(seed):
     p = GammaParam.from_lambda(s / r)
     inst = adversary(s, r, sigma_g(p, 10), rng.choice([60, 150, 300]))
     changes = {}
-    for field in rng.sample(["alpha", "beta", "phi", "red_positions"], rng.randint(1, 2)):
+    for field in rng.sample(["alpha", "beta", "phi", "vertex_colors"], rng.randint(1, 2)):
         seq = list(getattr(inst, field))
         for _ in range(rng.randint(1, 3)):
             k = rng.randrange(len(seq))
-            if field == "phi" or rng.random() < 0.3:
+            if field == "vertex_colors":
+                # flip k and a vertex of the other color, keeping the counts
+                other = rng.choice([v for v, c in enumerate(seq) if c != seq[k]])
+                seq[k], seq[other] = seq[other], seq[k]
+            elif field == "phi" or rng.random() < 0.3:
                 other = rng.randrange(len(seq))
                 seq[k], seq[other] = seq[other], seq[k]
             else:
                 seq[k] += rng.choice([-1, 1])
         changes[field] = tuple(seq)
-    bad = dataclasses.replace(inst, **changes)
-    out_of_range = [f"{name}_{i} = {a} is out of range"
-                    for name, pos in (("alpha", bad.red_positions), ("beta", bad.blue_positions))
-                    for i, a in enumerate(getattr(bad, name), start=1)
-                    if not 1 <= a <= len(pos)]
-    if out_of_range:
-        # the reference fails here: an IndexError, or a wrapped index at 0
-        assert set(out_of_range) <= set(verify_adversary(bad))
-    else:
-        mutated(inst, **changes)
+    mutated(inst, **changes)
 
 
 def test_index_out_of_range_is_reported(base):

@@ -16,19 +16,19 @@ without the margin is wrong.  Fills are checked to happen only on pieces of
 slope +-1 and to cover all but a few vertices of the sawtooths and
 candidates.
 
-The length mutations check the messages for a color tuple, alpha or beta of
-the wrong length, which the reference does not have; the other mutations
-reach the verifier's fallbacks: colors that are neither red nor blue,
-positions that miss a vertex, and phi entries that are no vertex.
-``permuted_coloring`` builds its masks directly and is compared with the
-coloring built from the list of red pairs.
+An ``AdversaryInstance`` checks its shape when it is built: each malformed
+field raises a ``ValueError`` that names it, and the positions of each
+color are derived from the colors, as the reference builder computes them.
+The length mutations check the messages for an alpha or beta of the wrong
+length, which the reference does not have.  ``permuted_coloring`` builds
+its masks directly and is compared with the coloring built from the list
+of red pairs.
 
 The run check, by which the verifier tests alpha and beta once per run of
 their color, rests on two facts that are checked on the reference builder's
 indices: they are strictly increasing, and key rises by at most 1 per index.
 Its verdict is compared with the reference scan on seeded mutations of alpha
-and beta, and its messages with the reference's.  Entries that are not
-integers are named, not raised on.
+and beta, and its messages with the reference's.
 """
 
 import dataclasses
@@ -221,13 +221,7 @@ def test_permuted_coloring_equals_the_pair_built_one(s, r, n):
         assert got == want
 
 
-def test_permuted_coloring_needs_a_permutation():
-    inst = adversary(1, 1, PLFunction.zero(), 10)
-    with pytest.raises(ValueError, match="phi is not a permutation"):
-        dataclasses.replace(inst, phi=(0,) * 10).permuted_coloring()
-
-
-# ------------------------------------------------------- length mutations
+# ------------------------------------------------- shape and length mutations
 
 @pytest.fixture(scope="module", params=LAMBDAS[:4])
 def base(request):
@@ -235,67 +229,85 @@ def base(request):
     return adversary(s, r, sigma_g(GammaParam.from_lambda(s / r), 12), 400)
 
 
-def test_short_color_tuple_is_reported(base):
-    bad = dataclasses.replace(base, vertex_colors=base.vertex_colors[:-1])
-    problems = verify_adversary(bad)
-    assert problems[0] == f"vertex_colors has {base.n - 1} entries, want {base.n}"
-    dropped = "red" if base.vertex_colors[-1] == RED else "blue"
-    assert f"{dropped} positions inconsistent" in problems
-    assert not any(p.startswith("red prefix count") for p in problems)
+def with_entry(entries, k, value):
+    return entries[:k] + (value,) + entries[k + 1:]
 
 
-@pytest.mark.parametrize("extra", [RED, BLUE])
-def test_long_color_tuple_is_reported(base, extra):
-    bad = dataclasses.replace(base, vertex_colors=base.vertex_colors + (extra,))
-    problems = verify_adversary(bad)
-    assert problems == ([f"vertex_colors has {base.n + 1} entries, want {base.n}"]
-                        + ref.verify_adversary(bad))
-    name = "red" if extra == RED else "blue"
-    assert problems[1:] == [f"{name} positions inconsistent"]
+# (field, change to base's value, the message); base has n = 400
+MALFORMED = {
+    "s-zero": ("s", lambda inst: 0, "s must be a positive integer, got 0"),
+    "s-bool": ("s", lambda inst: True, "s must be a positive integer, got True"),
+    "s-float": ("s", lambda inst: 1.5, "s must be a positive integer, got 1.5"),
+    "r-negative": ("r", lambda inst: -1, "r must be a positive integer, got -1"),
+    "r-str": ("r", lambda inst: "1", "r must be a positive integer, got '1'"),
+    "n-three": ("n", lambda inst: 3, "n must be an integer of at least 4, got 3"),
+    "n-float": ("n", lambda inst: float(inst.n),
+                "n must be an integer of at least 4, got 400.0"),
+    **{f"colors-{name}": ("vertex_colors", change, "vertex_colors must be n entries of R/B")
+       for name, change in (
+           ("short", lambda inst: inst.vertex_colors[:-1]),
+           ("long-red", lambda inst: inst.vertex_colors + (RED,)),
+           ("long-blue", lambda inst: inst.vertex_colors + (BLUE,)),
+           ("empty-and-two", lambda inst: inst.vertex_colors[:-2] + ("", "RB")),
+           ("two-and-empty", lambda inst: inst.vertex_colors[:-2] + ("RB", "")),
+           *((name, lambda inst, bad=bad: with_entry(inst.vertex_colors, 200, bad))
+             for name, bad in (("X", "X"), ("none", None), ("int", 1), ("two-chars", "RR"),
+                               ("non-ascii", "é"), ("empty", ""), ("lower", "r"))))},
+    "alpha-str": ("alpha", lambda inst: with_entry(inst.alpha, 3, "3"),
+                  "alpha_4 is not an integer"),
+    "alpha-floats": ("alpha", lambda inst: tuple(map(float, inst.alpha)),
+                     "alpha_1 is not an integer"),
+    "beta-none": ("beta", lambda inst: with_entry(inst.beta, 2, None),
+                  "beta_3 is not an integer"),
+    **{f"phi-{name}": ("phi", change, "phi is not a permutation of the vertices")
+       for name, change in (
+           ("duplicate", lambda inst: with_entry(inst.phi, inst.n // 2, inst.phi[0])),
+           ("past", lambda inst: with_entry(inst.phi, inst.n // 3, inst.n)),
+           ("negative", lambda inst: with_entry(inst.phi, inst.n // 3, -1)),
+           # a negative index naming the slot of the entry it replaces
+           ("wrapped", lambda inst: with_entry(inst.phi, inst.n // 3,
+                                               inst.phi[inst.n // 3] - inst.n)),
+           ("float", lambda inst: with_entry(inst.phi, 5, float(inst.phi[5]))),
+           ("short", lambda inst: inst.phi[:-1]),
+           ("constant", lambda inst: (0,) * inst.n))},
+}
 
 
-def test_colors_other_than_red_and_blue_match_reference(base):
-    k = base.n // 2
-    colors = list(base.vertex_colors)
-    colors[k] = "X"
-    bad = dataclasses.replace(base, vertex_colors=tuple(colors))
-    problems = verify_adversary(bad)
-    assert problems == ref.verify_adversary(bad)
-    assert ("red" if base.vertex_colors[k] == RED else "blue") + " positions inconsistent" in problems
+@pytest.mark.parametrize("case", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_fields_are_rejected_at_construction(base, case):
+    field, change, message = case
+    assert message.startswith(field)
+    with pytest.raises(ValueError) as info:
+        dataclasses.replace(base, **{field: change(base)})
+    assert str(info.value) == message
 
 
-@pytest.mark.parametrize("bad", [None, 1, "RR", "é", "", ("", "RB"), ("RB", "")], ids=repr)
-def test_colors_that_are_not_one_ascii_character_match_reference(base, bad):
-    # the verifier reads one-character ASCII colors as bytes; these take the
-    # per-entry path, an empty color next to a two-character one included
-    k = base.n // 2
-    colors = list(base.vertex_colors)
-    colors[k:k + 2] = bad if isinstance(bad, tuple) else (bad, colors[k + 1])
-    bad_inst = dataclasses.replace(base, vertex_colors=tuple(colors))
-    assert verify_adversary(bad_inst) == ref.verify_adversary(bad_inst)
+@pytest.mark.parametrize("s,r,n,name", [
+    (1, 1, 10.0, "n"), (1, 1, True, "n"), (1, 1, "8", "n"), (1, 1, 3, "n"),
+    (0, 1, 10, "s"), (True, 1, 10, "s"), (1, 0, 10, "r"), (1, 2.0, 10, "r"),
+], ids=repr)
+def test_adversary_names_a_malformed_size(s, r, n, name):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        adversary(s, r, PLFunction.zero(), n)
 
 
-def test_positions_that_miss_a_vertex_fall_back_to_block_sets(base):
-    # vertex k, the first in phi, is neither red nor blue and is dropped
-    # from its positions, so both position checks pass but the positions no
-    # longer cover it; the reference indexes past the shortened positions,
-    # so the blocks are checked here by their defining set equation
-    k = base.phi[0]
-    field = "red_positions" if base.vertex_colors[k] == RED else "blue_positions"
-    colors = list(base.vertex_colors)
-    colors[k] = "X"
-    bad = dataclasses.replace(base, vertex_colors=tuple(colors), **{
-        field: tuple(v for v in getattr(base, field) if v != k)})
-    problems = verify_adversary(bad)
-    assert not any(p.endswith("positions inconsistent") for p in problems)
-    blocks = []
-    for j, (a_j, b_j) in enumerate(zip(bad.alpha, bad.beta), start=1):
-        if a_j + b_j > bad.n:
-            break
-        if set(bad.phi[:a_j + b_j]) != set(bad.red_positions[:a_j]) | set(bad.blue_positions[:b_j]):
-            blocks.append(f"phi block {j} mismatch")
-    assert blocks
-    assert [p for p in problems if p.startswith("phi block")] == blocks
+def test_positions_are_derived_as_the_reference_builder_computes_them(base):
+    # the reference builder lists each color's vertices itself; construction
+    # derives the same positions from the colors, also from colors that no
+    # builder made
+    rng = random.Random(base.s * 10 + base.r)
+    old = ref.adversary(base.s, base.r, base.g, base.n)
+    assert old == base
+    for inst in (base, old):
+        colors = list(inst.vertex_colors)
+        for _ in range(3):
+            for k in rng.sample(range(inst.n), 5):
+                colors[k] = BLUE if colors[k] == RED else RED
+            for got in (inst, dataclasses.replace(inst, vertex_colors=tuple(colors))):
+                assert got.red_positions == tuple(
+                    i for i, c in enumerate(got.vertex_colors) if c == RED)
+                assert got.blue_positions == tuple(
+                    i for i, c in enumerate(got.vertex_colors) if c == BLUE)
 
 
 @pytest.mark.parametrize("field", ["alpha", "beta"])
@@ -318,18 +330,6 @@ def test_long_indices_are_reported(base, field):
     want = f"{field} has {len(full) + 1} entries, want {len(full)}"
     assert problems == [want] + ref.verify_adversary(bad)
     assert len(problems) >= 2
-
-
-@pytest.mark.parametrize("value", ["past", "negative", "wrapped"])
-def test_phi_entry_that_is_no_vertex_matches_reference(base, value):
-    # "wrapped" is a negative index naming the slot of the entry it replaces
-    phi = list(base.phi)
-    k = len(phi) // 3
-    phi[k] = {"past": base.n, "negative": -1, "wrapped": phi[k] - base.n}[value]
-    bad = dataclasses.replace(base, phi=tuple(phi))
-    problems = verify_adversary(bad)
-    assert problems == ref.verify_adversary(bad)
-    assert problems[-1] == "phi is not a permutation"
 
 
 # ------------------------------------------------------------ the run check
@@ -435,20 +435,6 @@ def test_run_check_equals_scan_on_mutations(s, r, n):
     assert verdicts == {False, True}
 
 
-@pytest.mark.parametrize("field,index,value,want", [
-    ("alpha", 3, "3", "alpha_4 is not an integer"),
-    ("alpha", None, float, "alpha_1 is not an integer"),
-    ("red_positions", 2, "x", "red_positions_3 is not an integer"),
-], ids=["alpha-str", "alpha-floats", "red_positions-str"])
-def test_entries_that_are_not_integers_are_named(base, field, index, value, want):
-    entries = getattr(base, field)
-    if index is None:
-        bad = tuple(map(value, entries))
-    else:
-        bad = entries[:index] + (value,) + entries[index + 1:]
-    assert verify_adversary(dataclasses.replace(base, **{field: bad})) == [want]
-
-
 def test_bool_entries_count_as_integers():
     # True is the int 1, as in Python: a beta that starts with True where
     # the scan has 1 passes
@@ -458,25 +444,16 @@ def test_bool_entries_count_as_integers():
 
 
 def test_scan_is_capped_at_n():
-    # one red vertex past n makes the uncapped scan one entry longer than
-    # the scan, which stops at i = n: that entry is reported
+    # a_i >= i, so the scan ends by i = m <= n without a cap: an alpha one
+    # entry longer than the scan is reported, with its entry past the reds
     inst = adversary(1, 1, PLFunction.linear(1.0), 20)
     assert inst.alpha == tuple(range(1, 21)) and inst.beta == ()
-    bad = dataclasses.replace(inst, vertex_colors=inst.vertex_colors + (RED,),
-                              red_positions=inst.red_positions + (20,),
-                              alpha=inst.alpha + (21,))
-    assert verify_adversary(bad) == ["vertex_colors has 21 entries, want 20",
-                                     "alpha has 21 entries, want 20"]
+    bad = dataclasses.replace(inst, alpha=inst.alpha + (21,))
+    assert verify_adversary(bad) == ["alpha has 21 entries, want 20",
+                                     "alpha_21 = 21 is out of range"]
 
 
-@pytest.mark.parametrize("s,r", [(0, 1), (2, -1), (4, 2)])
-def test_s_and_r_outside_the_proof_take_the_scan(s, r):
-    # the run check needs integers s >= 1 and r >= 0; a hand-built instance
-    # with s = 0 or r < 0 is checked against the scan, and lam = 4/2 is lam = 2
+def test_s_and_r_need_not_be_in_lowest_terms():
+    # lam = 4/2 is lam = 2: an instance built for 2/1 passes as one for 4/2
     inst = adversary(2, 1, sigma_g(GammaParam.from_lambda(2.0), 12), 60)
-    problems = verify_adversary(dataclasses.replace(inst, s=s, r=r))
-    scan = colorings._min_indices(colorings._left_counts(inst.red_positions), s, r, inst.n)
-    if scan == list(inst.alpha):
-        assert problems == []
-    else:
-        assert problems[0] == f"alpha has {len(inst.alpha)} entries, want {len(scan)}"
+    assert verify_adversary(dataclasses.replace(inst, s=4, r=2)) == []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -27,6 +28,17 @@ class TestTwoColoring:
         chi = TwoColoring(4, "leftmost", vertex_colors=("R", "B", "R", "B"))
         assert chi.color(0, 3) == RED
         assert chi.color(1, 2) == BLUE
+
+    @pytest.mark.parametrize("colors", [("R", "B", "R"), ("R", "B", "R", "B", "R"),
+                                        ("R", "X", "R", "B"), ("R", "", "RB", "B"),
+                                        ("R", None, "R", "B"), ("R", "b", "R", "B")], ids=repr)
+    def test_vertex_colors_must_be_n_entries_of_red_and_blue(self, colors):
+        # the rule and the message AdversaryInstance has for its colors
+        with pytest.raises(ValueError, match="^vertex_colors must be n entries of R/B$"):
+            TwoColoring(4, "leftmost", vertex_colors=colors)
+        inst = adversary(1, 1, ZERO, 4)
+        with pytest.raises(ValueError, match="^vertex_colors must be n entries of R/B$"):
+            dataclasses.replace(inst, vertex_colors=colors)
 
     def test_modular_rule(self):
         chi = clique_coloring(3, 6)
