@@ -23,7 +23,7 @@ from itertools import chain
 from . import __version__
 # adversary() runs verify_adversary and raises on any violation, so nothing
 # here calls it again; it stays importable from this module
-from .colorings import (TwoColoring, a_good_shading, adversary, clique_coloring,
+from .colorings import (TwoColoring, a_good_shading, adversary, clique_coloring, modulus_of,
                         verify_adversary, verify_shading)
 from .embedder import HPrefixSpec, build_W, embed, verify_embedding
 from .errors import VerificationError, edge_list_header, edge_list_rows, fields, shown
@@ -362,10 +362,9 @@ def cmd_findflow(args):
 def cmd_shade(args):
     modular = args.coloring.startswith("modular:")
     if modular:
-        modulus = args.coloring.partition(":")[2]
-        if not (modulus.strip().isdecimal() and int(modulus) >= 2):
-            raise ValueError(f"--coloring {args.coloring}: the modulus must be an integer "
-                             "at least 2")
+        modulus = modulus_of(args.coloring, f"--coloring {args.coloring}")
+        if args.n < 1:
+            raise ValueError(f"--n must be at least 1, got {args.n}")
         _check_bound("--n", args.n, COLORING_MAX_N)
         n = args.n
     else:
@@ -377,7 +376,7 @@ def cmd_shade(args):
         _check_bound("the sampling work 4 (a - 1) * sample size * min(subset cap, n) =",
                      4 * (args.a - 1) * args.sample_size * min(args.subset_cap, n),
                      SHADE_MAX_SAMPLE_WORK)
-    chi = clique_coloring(int(modulus), n) if modular else TwoColoring.from_text(text)
+    chi = clique_coloring(modulus, n) if modular else TwoColoring.from_text(text)
     sh = a_good_shading(chi, args.a, args.min_count)
     report = verify_shading(chi, sh, args.sample_size, args.subset_cap, _seed_of(args))
     meta = _meta(args, "shade")

@@ -167,11 +167,7 @@ class TwoColoring:
         if rule == "leftmost":
             chi = cls(n, "leftmost", vertex_colors=tuple(lines[1].strip()))
         elif rule.startswith("modular:"):
-            modulus = rule.partition(":")[2]
-            if not modulus.isdecimal():
-                raise ValueError(f"header {shown(lines[0])!r}: expected '<n> modular:<a>' "
-                                 "with an integer a")
-            chi = cls(n, "modular", modulus=int(modulus))
+            chi = cls(n, "modular", modulus=modulus_of(rule, f"header {shown(lines[0])!r}"))
         elif rule == "explicit":
             chars = lines[1].strip() if len(lines) > 1 else ""  # n = 1 writes an empty line
             if len(chars) != n * (n - 1) // 2:
@@ -186,6 +182,17 @@ class TwoColoring:
             where = "header" if chi.rule == "modular" else "color line"
             raise ValueError(f"{rule} coloring has extra lines after its {where}")
         return chi
+
+
+def modulus_of(rule, where):
+    """The a of the rule 'modular:<a>', written in decimal digits and at least
+    2: the one reading of the rule for coloring files and rdl shade
+    --coloring.  An error message starts with where, the place the rule came
+    from."""
+    modulus = rule.partition(":")[2]
+    if not (modulus.isdecimal() and int(modulus) >= 2):
+        raise ValueError(f"{where}: the modulus must be an integer at least 2")
+    return int(modulus)
 
 
 _DROP_COLORS = str.maketrans("", "", RED + BLUE)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import cycle
 from types import MappingProxyType
 
 from .colorings import COLORS, other, density
@@ -139,14 +140,14 @@ def build_W(chi, sh, r, s, max_pieces=None):
     best = None  # (vertex count, color, components)
     for color in COLORS:
         nb = chi.neighbor_sets(color)
-        used = set()
+        taken = set()
         comps = []
         pieces = 0
         for ci in sh.nonempty_shades(color):
             for cj in sh.nonempty_shades(other(color)):
                 while max_pieces is None or pieces < max_pieces:
-                    ys_pool = [v for v in sh.members(color, ci) if v not in used]
-                    xs_pool = [v for v in sh.members(other(color), cj) if v not in used]
+                    ys_pool = [v for v in sh.members(color, ci) if v not in taken]
+                    xs_pool = [v for v in sh.members(other(color), cj) if v not in taken]
                     if len(ys_pool) < s or len(xs_pool) < r:
                         break
                     got = _find_piece(nb, xs_pool, ys_pool, r, s, _PIECE_WINDOW)
@@ -154,11 +155,11 @@ def build_W(chi, sh, r, s, max_pieces=None):
                         break
                     X, Y = got
                     comps.append(BipartitePiece(tuple(X), tuple(Y), (ci, cj)))
-                    used |= set(X) | set(Y)
+                    taken |= set(X) | set(Y)
                     pieces += 1
         for ci in sh.nonempty_shades(color):
             for v in sh.members(color, ci):
-                if v not in used:
+                if v not in taken:
                     comps.append(IsolatedVertex(v, ci))
         comps.sort(key=lambda c: min(c.vertices()))
         size = sum(len(c.vertices()) for c in comps)
@@ -293,6 +294,12 @@ def embed(chi, sh, W, spec: HPrefixSpec, budget):
     isolated vertices and leftover C-side slots absorb fresh top-color
     pattern vertices with untouched neighborhoods.  An exhausted candidate
     pool flags the state incomplete and stops.
+
+    The host vertices no regular image may take are one set, ``taken``: the
+    images so far and the vertices of every piece, consumed or not, so an
+    unconsumed piece stays whole.  An isolated backbone vertex is not in it
+    until some image covers it, and is then already absorbed.  Each operation
+    returns None when it had nothing to do, else whether its pools sufficed.
     """
     a = max(spec.psi)
     if a != sh.a:
@@ -307,74 +314,61 @@ def embed(chi, sh, W, spec: HPrefixSpec, budget):
     if not j_prime:
         raise ValueError("no nonempty shade of the backbone color")
 
-    adj, comps = spec.adj, spec.comps
+    adj, comps, psi = spec.adj, spec.comps, spec.psi
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     kappa = {i: j_prime[i % len(j_prime)] for i in range(len(comps))}
-
-    # only multi-vertex pieces are withheld from regular placement: an
-    # isolated backbone vertex covered by a regular image is already absorbed
-    reserved = set()
-    for piece in W.pieces():
-        reserved |= piece.vertices()
-    phi = {}
-    used = set()
-    consumed = []
-    t_sizes = []
-    incomplete = False
-
-    out_nbrs = {v: [w for w in adj[v] if spec.psi[w] > spec.psi[v]] for v in range(spec.size)}
+    out_nbrs = {v: [w for w in adj[v] if psi[w] > psi[v]] for v in range(spec.size)}
     nb = chi.neighbor_sets(C)
+    phi = {}
+    taken = set()
+    for piece in W.pieces():
+        taken |= piece.vertices()
+    t_sizes = []
+
+    def assign(v, x):
+        phi[v] = x
+        taken.add(x)
 
     def place(v, pool_shade, require_adj_to):
         allowed = (1 << chi.n) - 1
         for t in require_adj_to:
             allowed &= nb[t]
         for x in sh.members(*pool_shade):
-            if x in used or x in reserved:
-                continue
-            if allowed >> x & 1:
-                phi[v] = x
-                used.add(x)
+            if x not in taken and allowed >> x & 1:
+                assign(v, x)
                 return True
         return False
 
     def vertex_op():
-        nonlocal incomplete
         v = next((u for u in range(spec.size) if u not in phi), None)
         if v is None:
-            return False
+            return None
         k = kappa[comp_of[v]]
         if k != a:
-            targets = [phi[w] for w in adj[v] if w in phi]
-            if not place(v, (C, k), targets):
-                incomplete = True
-            return True
+            return place(v, (C, k), [phi[w] for w in adj[v] if w in phi])
         # top-shade component: map the out-reachable set, top psi first
-        T = set()
+        T = {v}
         stack = [v]
         while stack:
-            u = stack.pop()
-            if u in T:
-                continue
-            T.add(u)
-            stack.extend(w for w in out_nbrs[u] if w not in T)
+            for w in out_nbrs[stack.pop()]:
+                if w not in T:
+                    T.add(w)
+                    stack.append(w)
         t_sizes.append(len(T))
-        for w in sorted(T, key=lambda u: (-spec.psi[u], u)):
+        for w in sorted(T, key=lambda u: (-psi[u], u)):
             if w in phi:
                 continue
-            if spec.psi[w] == a:
+            if psi[w] == a:
                 ok = place(w, (C, a), [])
             else:
-                targets = [phi[u] for u in out_nbrs[w] if u in phi]
-                ok = place(w, (other(C), spec.psi[w]), targets)
+                ok = place(w, (other(C), psi[w]), [phi[u] for u in out_nbrs[w] if u in phi])
             if not ok:
-                incomplete = True
-                return True
+                return False
         return True
 
     def fresh_top_vertex(shade_index):
         for v in range(spec.size):
-            if spec.psi[v] != a or v in phi:
+            if psi[v] != a or v in phi:
                 continue
             if kappa[comp_of[v]] != shade_index:
                 continue
@@ -382,66 +376,56 @@ def embed(chi, sh, W, spec: HPrefixSpec, budget):
                 return v
         return None
 
-    def consume(comp):
-        nonlocal incomplete
+    def absorb(comp):
         if isinstance(comp, IsolatedVertex):
-            if comp.v in used:
+            if comp.v in taken:
                 return True  # already covered by a regular image
             w = fresh_top_vertex(comp.shade_index)
             if w is None:
-                return False
-            phi[w] = comp.v
-            used.add(comp.v)
+                return None
+            assign(w, comp.v)
             return True
         ci, _ = comp.shade_pair
         for cid, tset, nbhd in spec.template_sets:
-            if kappa[cid] != ci:
+            pattern = tset + nbhd
+            if kappa[cid] != ci or any(u in phi for u in pattern):
                 continue
-            if any(u in phi for u in tset) or any(u in phi for u in nbhd):
-                continue
-            xs, ys = sorted(comp.X), sorted(comp.Y)
-            for u, x in zip(tset, xs):
-                phi[u] = x
-                used.add(x)
-            for u, y in zip(nbhd, ys):
-                phi[u] = y
-                used.add(y)
-            reserved.difference_update(comp.vertices())
-            for y in ys[len(nbhd):]:
+            slots = sorted(comp.X) + sorted(comp.Y)
+            for u, x in zip(pattern, slots):
+                assign(u, x)
+            for y in slots[len(pattern):]:
                 w = fresh_top_vertex(ci)
                 if w is None:
-                    incomplete = True
-                    break
-                phi[w] = y
-                used.add(y)
+                    return False
+                assign(w, y)
             return True
-        return False
+        return None
+
+    def component_op():
+        for comp in pending:
+            outcome = absorb(comp)
+            if outcome is not None:
+                pending.remove(comp)
+                consumed.append(comp)
+                return outcome
+        return None
 
     pending = list(W.components)
-    steps = 0
-    turn_vertex = True
-    idle = 0
-    while steps < budget and idle < 2 and not incomplete:
-        did = False
-        if turn_vertex:
-            did = vertex_op()
+    consumed = []
+    ops = cycle((vertex_op, component_op))
+    steps = idle = 0
+    outcome = None
+    while steps < budget and idle < 2 and outcome is not False:
+        outcome = next(ops)()
+        if outcome is None:
+            idle += 1
         else:
-            for comp in pending:
-                if consume(comp):
-                    pending.remove(comp)
-                    consumed.append(comp)
-                    did = True
-                    break
-        turn_vertex = not turn_vertex
-        if did:
             steps += 1
             idle = 0
-        else:
-            idle += 1
 
     return EmbeddingState(color=C, a=a, phi=phi, kappa=kappa, comp_of=comp_of,
                           shading=sh, consumed=tuple(consumed),
-                          incomplete=incomplete, steps=steps,
+                          incomplete=outcome is False, steps=steps,
                           t_set_sizes=tuple(t_sizes))
 
 

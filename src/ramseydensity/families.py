@@ -319,7 +319,10 @@ def parse_family(spec_text):
         except ValueError:
             raise ValueError(f"family {spec_text!r}: expected '{kind}:<{letter}>' with an "
                              f"integer {letter}") from None
-        return family(size)
+        try:
+            return family(size)
+        except ValueError as exc:
+            raise ValueError(f"family {spec_text!r}: {exc}") from None
     if kind in ("omega", "explicit"):
         with open(arg, encoding="utf-8") as fh:
             graph = FiniteGraph.from_text(fh.read())

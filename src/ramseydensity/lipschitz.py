@@ -565,7 +565,8 @@ def _piece_levels(ell, gamma):
 def trace(g, p):
     """Exact breakpoint trace of an alternating +-1 function, cross-checked
     in rational arithmetic against the closed formula expressing each piece
-    end in terms of the crossing levels."""
+    end in terms of the crossing levels.  The formula is an identity in
+    gamma, so each end must equal it exactly."""
     if not g.is_alternating_unit():
         raise ValueError("input must have alternating +-1 slopes starting with +1")
     gamma = Fraction(p.gamma)
@@ -578,11 +579,7 @@ def trace(g, p):
     S = Fraction(0)
     for i, (xi, t) in enumerate(zip(ends, ts), start=1):
         acc = t / (1 + gamma) + c * S
-        if xi == 0:
-            ok = acc == 0
-        else:
-            ok = abs(acc - xi) <= Fraction(1, 10 ** 9) * abs(xi)
-        if not ok:
+        if acc != xi:
             raise ConsistencyError(f"piece end {i}: closed formula {acc} != {xi}")
         S = q * (S + t)
     # identity t_i = sum_{j<=i} (gamma + (-1)^(j-i)) ell_j

@@ -422,6 +422,10 @@ def test_f_eval_accepts_an_infinite_lambda(tmp_path):
     (["embed", "--budget", "-1"], "--budget"),
     (["shade", "--coloring", "modular:3", "--n", "30", "--a", "3", "--min-count", "0"],
      "min_count"),
+    (["shade", "--coloring", "modular:3", "--n", "0", "--a", "2"], "--n"),
+    (["shade", "--coloring", "modular:3", "--n", "-5", "--a", "2"], "--n"),
+    (["mu", "--family", "karytree:0", "--n", "1"], "family 'karytree:0': k"),
+    (["mu", "--family", "grid:0", "--n", "1"], "family 'grid:0': d"),
 ])
 def test_size_error_names_the_option(argv, name, capsys):
     assert run(argv) == 1
@@ -504,7 +508,7 @@ def test_grid_box_counts_the_points_a_grid_prefix_builds(d, size):
     assert len(grid._coords) == grid_box(d, size)
 
 
-@pytest.mark.parametrize("spec", ["modular:1", "modular:", "modular:x"])
+@pytest.mark.parametrize("spec", ["modular:1", "modular:", "modular:x", "modular: 3"])
 def test_modulus_error_names_the_coloring(spec, capsys):
     assert run(["shade", "--coloring", spec, "--n", "10", "--a", "2"]) == 1
     assert f"error: --coloring {spec}: the modulus must be" in capsys.readouterr().err

@@ -136,6 +136,26 @@ def test_backbone_state_and_report_equal_the_reference(runs):
     assert pieces >= 40 and consumed >= 30 and embedded >= 50, (pieces, consumed, embedded)
 
 
+@pytest.mark.parametrize("budget", [0, 1, 2, 3, 7])
+def test_states_cut_short_equal_the_reference(runs, budget):
+    # the fixture's budget of 300 runs every case to its end; a small budget
+    # stops most of them midway, where steps, incomplete and t_set_sizes must
+    # agree too, and some run dry within it
+    stopped = incomplete = 0
+    for label, chi, sh, spec, (_, (W, _, _)) in runs:
+        if W[0] != "ok":
+            continue
+        state = outcome(embed, chi, sh, W[1], spec, budget)
+        assert state == outcome(ref.embed, chi, sh, W[1], spec, budget), label
+        if state[0] == "ok":
+            stopped += state[1].steps == budget and not state[1].incomplete
+            incomplete += state[1].incomplete
+            report = verify_embedding(state[1], chi, spec, W[1])
+            assert report == ref.verify_embedding(state[1], chi, spec, W[1]), label
+    assert stopped >= 25, stopped
+    assert budget == 0 or incomplete >= 10, incomplete
+
+
 def flip(chi, x, y):
     """An explicit copy of chi with the colour of xy flipped."""
     red = chi.neighbor_sets(RED)
@@ -312,17 +332,21 @@ def test_a_three_colour_embedding_cut_short_equals_the_reference():
     assert "vertex 0: an unmapped neighbor has psi >= psi(v)" in report.failures
 
 
-def test_a_piece_with_more_slots_than_its_template_fills_them_like_the_reference():
-    # s = 2 but each template's neighbourhood has one vertex: the piece's
-    # second Y vertex takes a fresh top-colour vertex of another copy
-    copies = 6
+def more_slots_than_template(copies):
+    """(chi, sh, W, spec): copies of an edge with s = 2, so each template's
+    neighbourhood fills one of a piece's two Y vertices, on the planted host."""
     spec = HPrefixSpec(family=OmegaFactor(complete_bipartite(1, 1)), size=2 * copies,
                        psi=(1, 2) * copies,
                        templates={cid: (2 * cid,) for cid in range(copies)}, r=1, s=2)
     chi, _, _, _ = planted()
     sh = Shading(a=2, assignment=tuple((BLUE, 1) if v < 10 else (RED, 1)
                                        for v in range(30)), min_count=2)
-    W = build_W(chi, sh, spec.r, spec.s, max_pieces=2)
+    return chi, sh, build_W(chi, sh, spec.r, spec.s, max_pieces=2), spec
+
+
+def test_a_piece_with_more_slots_than_its_template_fills_them_like_the_reference():
+    # the piece's second Y vertex takes a fresh top-colour vertex of another copy
+    chi, sh, W, spec = more_slots_than_template(6)
     assert W == ref.build_W(chi, sh, spec.r, spec.s, max_pieces=2) and W.pieces()
     state = embed(chi, sh, W, spec, 300)
     assert state == ref.embed(chi, sh, W, spec, 300)
@@ -332,3 +356,20 @@ def test_a_piece_with_more_slots_than_its_template_fills_them_like_the_reference
     filled = [c for c in state.consumed if isinstance(c, BipartitePiece)
               and set(c.Y) <= image]
     assert filled
+
+
+def test_a_leftover_slot_without_a_fresh_top_vertex_ends_the_run_like_the_reference():
+    # two copies: step 1 maps vertex 0, so step 2's piece takes copy 1's
+    # template and neighbour, and the only other top vertex, 1, has a mapped
+    # neighbour; the second Y vertex stays empty, and the run stops
+    # incomplete with the piece consumed, which the containment check reports
+    chi, sh, W, spec = more_slots_than_template(2)
+    for budget in (1, 2, 3, 300):
+        assert embed(chi, sh, W, spec, budget) == ref.embed(chi, sh, W, spec, budget), budget
+    state = embed(chi, sh, W, spec, 300)
+    assert state.incomplete and state.steps == 2
+    piece = state.consumed[-1]
+    assert isinstance(piece, BipartitePiece) and piece.Y[1] not in state.phi.values()
+    report = verify_embedding(state, chi, spec, W)
+    assert report == ref.verify_embedding(state, chi, spec, W)
+    assert report.failures == ("a consumed component is not inside the image",)

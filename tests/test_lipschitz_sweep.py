@@ -9,6 +9,7 @@ Every result here must be ``==`` to the reference's, and every
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -122,6 +123,23 @@ def test_trace_names_the_piece_where_a_check_fails(monkeypatch):
 
     monkeypatch.setattr(lipschitz, "_piece_levels", moved_last_level)
     with pytest.raises(ConsistencyError, match=r"^level identity failed at 4$"):
+        trace(g, p)
+
+
+def test_trace_checks_its_closed_formula_exactly(monkeypatch):
+    # the formula is an identity in gamma, so a piece end moved by one part
+    # in 10^12, far inside any relative tolerance, must still be caught
+    p = GammaParam.from_lambda(0.5)
+    g = PLFunction((0.0, 2.0, 3.0, 5.0, 6.0), (0.0, 2.0, 1.0, 3.0, 2.0))
+    honest = lipschitz._piece_levels
+
+    def nudged_end(ell, gamma):
+        ends, ts = honest(ell, gamma)
+        ends[2] *= 1 + Fraction(1, 10 ** 12)
+        return ends, ts
+
+    monkeypatch.setattr(lipschitz, "_piece_levels", nudged_end)
+    with pytest.raises(ConsistencyError, match=r"^piece end 3: closed formula 5 != "):
         trace(g, p)
 
 

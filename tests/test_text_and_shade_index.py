@@ -75,7 +75,8 @@ def test_malformed_explicit_text_keeps_its_message(text):
     ("4\nRRBB\n", "^header '4': expected '<n> <rule>', got 1 fields$"),
     ("4.0 leftmost\nRRBB\n", "^header '4.0 leftmost': expected '<n> <rule>', invalid literal"),
     ("3 explicit RRB\n", "^header '3 explicit RRB': expected '<n> <rule>', got 3 fields$"),
-    ("6 modular:-3\n", "^header '6 modular:-3': expected '<n> modular:<a>' with an integer a$"),
+    ("6 modular:-3\n", "^header '6 modular:-3': the modulus must be an integer at least 2$"),
+    ("6 modular:1\n", "^header '6 modular:1': the modulus must be an integer at least 2$"),
 ])
 def test_from_text_rejects(text, message):
     with pytest.raises(ValueError, match=message):
