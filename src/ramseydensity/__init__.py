@@ -18,7 +18,6 @@ from .colorings import (TwoColoring, AdversaryInstance, Shading, DensityReport,
                         adversary, clique_coloring, density, a_good_shading,
                         verify_shading, verify_adversary, adversary_bound_chain,
                         max_embedding_density_bruteforce, RED, BLUE)
-from .flows import (CapacitatedBipartite, FlowCertificate, mfmc, findflow,
-                    colored_degree_profile)
+from .flows import CapacitatedBipartite, FlowCertificate, mfmc, findflow
 from .embedder import (WStructure, BipartitePiece, IsolatedVertex, HPrefixSpec,
                        EmbeddingState, build_W, embed, verify_embedding)

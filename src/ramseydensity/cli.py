@@ -163,6 +163,12 @@ def _check_bound(name, value, limit):
         raise ValueError(f"{name} {value} is too large: at most {limit}")
 
 
+def _check_least(option, value, least):
+    """Reject a size below its least value, naming the option."""
+    if value < least:
+        raise ValueError(f"{option} must be at least {least}, got {value}")
+
+
 _NONBLANK = re.compile(r"\S")
 _LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")  # str.splitlines'
 
@@ -238,10 +244,7 @@ def _parse_pl(spec_text):
         if kind == "zero":
             return PLFunction.zero()
         if kind == "linear":
-            g = PLFunction.linear(_number(rest))
-            if not g.lipschitz:
-                raise ValueError("the slope must lie in [-1, 1]")
-            return g
+            return PLFunction.linear(_number(rest))
         if kind == "sigma":
             from .lipschitz import GammaParam, sigma_g
             lam_s, _, periods_s = rest.partition(":")
@@ -293,6 +296,8 @@ def cmd_fig1(args):
 
 
 def cmd_mu(args):
+    _check_least("--n", args.n, 1)
+    _check_least("--prefix-size", args.prefix_size, 1)
     kind, _, path = args.family.partition(":")
     if kind.lower() in ("omega", "explicit"):
         _graph_text(path)  # parse_family reads the file again, within the bound
@@ -316,6 +321,9 @@ def cmd_mu(args):
 
 
 def cmd_adversary(args):
+    _check_least("--s", args.s, 1)
+    _check_least("--r", args.r, 1)
+    _check_least("--n", args.n, 4)
     _check_bound("--n", args.n, ADVERSARY_MAX_N)
     g = _parse_pl(args.g)
     inst = adversary(args.s, args.r, g, args.n)  # raises on any violated invariant
@@ -332,6 +340,8 @@ def cmd_adversary(args):
 
 
 def cmd_mfmc(args):
+    _check_least("--r", args.r, 1)
+    _check_least("--s", args.s, 1)
     with open(args.graph, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     k, (nx, ny, m) = edge_list_header(lines, "nx ny m")
@@ -348,6 +358,8 @@ def cmd_mfmc(args):
 
 
 def cmd_findflow(args):
+    _check_least("--r", args.r, 1)
+    _check_least("--s", args.s, 1)
     text, head = _coloring_text(args.coloring)
     if head and head[1] != "leftmost":  # only a leftmost file lists vertex colors
         raise ValueError("findflow needs vertex colors")
@@ -363,19 +375,21 @@ def cmd_shade(args):
     modular = args.coloring.startswith("modular:")
     if modular:
         modulus = modulus_of(args.coloring, f"--coloring {args.coloring}")
-        if args.n < 1:
-            raise ValueError(f"--n must be at least 1, got {args.n}")
+        _check_least("--n", args.n, 1)
         _check_bound("--n", args.n, COLORING_MAX_N)
         n = args.n
     else:
         text, head = _coloring_text(args.coloring)
         n = head[0] if head else 0
         args.n = None  # the file sets n, so the artifact's config records no --n
+    _check_least("--a", args.a, 2)
+    _check_least("--min-count", args.min_count, 1)
+    _check_least("--sample-size", args.sample_size, 1)
+    _check_least("--subset-cap", args.subset_cap, 1)
     _check_bound("--a", args.a, SHADE_MAX_A)
-    if min(args.a - 1, args.sample_size, args.subset_cap) > 0:  # else the library rejects them
-        _check_bound("the sampling work 4 (a - 1) * sample size * min(subset cap, n) =",
-                     4 * (args.a - 1) * args.sample_size * min(args.subset_cap, n),
-                     SHADE_MAX_SAMPLE_WORK)
+    _check_bound("the sampling work 4 (a - 1) * sample size * min(subset cap, n) =",
+                 4 * (args.a - 1) * args.sample_size * min(args.subset_cap, n),
+                 SHADE_MAX_SAMPLE_WORK)
     chi = clique_coloring(modulus, n) if modular else TwoColoring.from_text(text)
     sh = a_good_shading(chi, args.a, args.min_count)
     report = verify_shading(chi, sh, args.sample_size, args.subset_cap, _seed_of(args))
@@ -406,8 +420,7 @@ def cmd_embed(args):
     from .colorings import Shading
     for option, value, least in (("--host-size", args.host_size, 1), ("--copies", args.copies, 1),
                                  ("--r", args.r, 1), ("--s", args.s, 1), ("--budget", args.budget, 0)):
-        if value < least:
-            raise ValueError(f"{option} must be at least {least}, got {value}")
+        _check_least(option, value, least)
     n = args.host_size
     _check_bound("--host-size", n, EMBED_MAX_HOST)
     _check_bound("the pattern's vertices --copies * (--r + --s) =",

@@ -38,7 +38,6 @@ from operator import itemgetter
 
 from .colorings import BLUE, RED
 from .errors import VerificationError
-from .lipschitz import PLFunction
 
 
 @dataclass(frozen=True)
@@ -246,26 +245,6 @@ def _validate_certificate(G, cert):
     weight = G.r * sum(1 for x in G.X if x in zs) + G.s * sum(1 for y in G.Y if y in zs)
     if weight != cert.D:
         raise VerificationError("cover weight differs from D")
-
-
-@dataclass(frozen=True)
-class ColoredDegreeProfile:
-    """Sorted blue degrees of the red vertices, with the piecewise-linear
-    interpolation through (k, d_k), d_0 = 0, constant beyond the last."""
-
-    degrees: tuple
-    g: PLFunction
-
-
-def colored_degree_profile(chi):
-    """Blue-degree profile of the red vertices of a totally colored host:
-    d_B(v) counts blue vertices w with vw blue."""
-    reds = [v for v in range(chi.n) if chi.vertex_color(v) == RED]
-    blue_set = sum(1 << w for w in range(chi.n) if chi.vertex_color(w) == BLUE)
-    degs = sorted((chi.neighbor_mask(v, BLUE) & blue_set).bit_count() for v in reds)
-    pts = [(0.0, 0.0)] + [(float(k), float(d)) for k, d in enumerate(degs, start=1)]
-    g = PLFunction.from_points(pts, tail_slope=0.0, lipschitz=False)
-    return ColoredDegreeProfile(degrees=tuple(degs), g=g)
 
 
 @dataclass(frozen=True)

@@ -44,15 +44,14 @@ class PLFunction:
 
     ``breakpoints`` is strictly increasing and starts at 0; ``values`` gives
     the function there (value 0 at 0); beyond the last breakpoint the function
-    continues with slope ``tail_slope``.  With ``lipschitz=True`` (default)
-    every segment slope and the tail are checked to lie in [-1, 1]; degree
-    profiles disable the check since their interpolation may jump faster.
+    continues with slope ``tail_slope``.  Every breakpoint and value is
+    finite, and every segment slope and the tail lie in [-1, 1]: the function
+    is 1-Lipschitz, as every candidate g of the variational problem is.
     """
 
     breakpoints: tuple
     values: tuple
     tail_slope: float = 0.0
-    lipschitz: bool = True
 
     def __post_init__(self):
         bp, vals = tuple(self.breakpoints), tuple(self.values)
@@ -62,6 +61,8 @@ class PLFunction:
             raise ValueError("breakpoints and values must be nonempty and equal length")
         if any(map(math.isnan, bp + vals + (self.tail_slope,))):
             raise ValueError("breakpoints, values and tail slope must not be NaN")
+        if not all(map(math.isfinite, bp + vals)):
+            raise ValueError("breakpoints and values must be finite")
         if bp[0] != 0:
             raise ValueError("first breakpoint must be 0")
         if vals[0] != 0:
@@ -69,12 +70,11 @@ class PLFunction:
         for a, b in zip(bp, bp[1:]):
             if not b > a:
                 raise ValueError("breakpoints must be strictly increasing")
-        if self.lipschitz:
-            for (x0, y0), (x1, y1) in zip(zip(bp, vals), zip(bp[1:], vals[1:])):
-                if abs(y1 - y0) > (x1 - x0) * (1 + 1e-12) + _LIP_TOL:
-                    raise ValueError(f"segment [{x0},{x1}] violates the 1-Lipschitz bound")
-            if abs(self.tail_slope) > 1 + _LIP_TOL:
-                raise ValueError("tail slope outside [-1, 1]")
+        for (x0, y0), (x1, y1) in zip(zip(bp, vals), zip(bp[1:], vals[1:])):
+            if abs(y1 - y0) > (x1 - x0) * (1 + 1e-12) + _LIP_TOL:
+                raise ValueError(f"segment [{x0},{x1}] violates the 1-Lipschitz bound")
+        if abs(self.tail_slope) > 1 + _LIP_TOL:
+            raise ValueError("tail slope outside [-1, 1]")
 
     @classmethod
     def zero(cls):
@@ -82,13 +82,14 @@ class PLFunction:
 
     @classmethod
     def linear(cls, slope):
-        return cls((0.0,), (0.0,), float(slope), lipschitz=abs(slope) <= 1 + _LIP_TOL)
+        if abs(slope) > 1 + _LIP_TOL:
+            raise ValueError("the slope must lie in [-1, 1]")
+        return cls((0.0,), (0.0,), float(slope))
 
     @classmethod
-    def from_points(cls, points, tail_slope=0.0, lipschitz=True):
+    def from_points(cls, points, tail_slope=0.0):
         xs, ys = zip(*points)
-        return cls(tuple(float(x) for x in xs), tuple(float(y) for y in ys),
-                   float(tail_slope), lipschitz=lipschitz)
+        return cls(tuple(float(x) for x in xs), tuple(float(y) for y in ys), float(tail_slope))
 
     def __call__(self, x):
         if x < 0:
@@ -147,8 +148,7 @@ class PLFunction:
         extra = [float(x) for x in points
                  if 0 < x < self.span and x not in self.breakpoints]
         bp = sorted(set(self.breakpoints) | set(extra))
-        return PLFunction(tuple(bp), tuple(self(x) for x in bp),
-                          self.tail_slope, lipschitz=self.lipschitz)
+        return PLFunction(tuple(bp), tuple(self(x) for x in bp), self.tail_slope)
 
 
 @dataclass(frozen=True)

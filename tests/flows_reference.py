@@ -1,12 +1,10 @@
 """Reference copy of the dict-based max flow and the from-scratch flow sweep.
 
 This is ``mfmc`` and ``findflow`` as they were before the integer-indexed
-rewrite in ``ramseydensity.flows``, and ``colored_degree_profile`` as it was
-before it read colour-neighbour masks.  It is kept only as the oracle for
-the differential tests: the residual network is a dict keyed by vertex
-pairs, the sweep rebuilds every (t, colour) edge set through ``chi.color``
-and runs a fresh Edmonds-Karp on it, and the degree profile asks
-``chi.color`` once per red-blue pair.
+rewrite in ``ramseydensity.flows``.  It is kept only as the oracle for the
+differential tests: the residual network is a dict keyed by vertex pairs,
+and the sweep rebuilds every (t, colour) edge set through ``chi.color`` and
+runs a fresh Edmonds-Karp on it.
 """
 
 from __future__ import annotations
@@ -16,9 +14,8 @@ from collections import deque
 from fractions import Fraction
 
 from ramseydensity.colorings import BLUE, RED
-from ramseydensity.flows import (CapacitatedBipartite, ColoredDegreeProfile,
-                                 FindFlowResult, FlowCertificate, _validate_certificate)
-from ramseydensity.lipschitz import PLFunction
+from ramseydensity.flows import (CapacitatedBipartite, FindFlowResult, FlowCertificate,
+                                 _validate_certificate)
 
 
 def mfmc(G: CapacitatedBipartite):
@@ -123,12 +120,3 @@ def findflow(chi, r, s):
             best = (key, FindFlowResult(t=t, color=color, h=cert.h,
                                         value=value, certificate=cert))
     return best[1]
-
-
-def colored_degree_profile(chi):
-    reds = [v for v in range(chi.n) if chi.vertex_color(v) == RED]
-    blues = [v for v in range(chi.n) if chi.vertex_color(v) == BLUE]
-    degs = sorted(sum(1 for w in blues if chi.color(v, w) == BLUE) for v in reds)
-    pts = [(0.0, 0.0)] + [(float(k), float(d)) for k, d in enumerate(degs, start=1)]
-    g = PLFunction.from_points(pts, tail_slope=0.0, lipschitz=False)
-    return ColoredDegreeProfile(degrees=tuple(degs), g=g)

@@ -36,6 +36,7 @@ import math
 import operator
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -195,10 +196,13 @@ def test_linear_slopes_give_short_runs():
 
 
 def test_steps_outside_zero_one_are_rejected():
+    # a PLFunction is 1-Lipschitz, so stand-ins with its three fields carry
+    # the steep g: a step of 2 and a step below 0
     with pytest.raises(ValueError, match="1-Lipschitz along integers"):
-        adversary(1, 1, PLFunction.linear(3.0), 20)
+        adversary(1, 1, SimpleNamespace(breakpoints=(0.0,), values=(0.0,), tail_slope=3.0), 20)
     with pytest.raises(ValueError, match="1-Lipschitz along integers"):
-        adversary(1, 1, PLFunction.from_points([(0, 0), (4, 0), (5, -3)], lipschitz=False), 20)
+        adversary(1, 1, SimpleNamespace(breakpoints=(0.0, 4.0, 5.0), values=(0.0, 0.0, -3.0),
+                                        tail_slope=0.0), 20)
 
 
 def pair_built_permuted_coloring(inst):

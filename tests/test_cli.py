@@ -421,14 +421,31 @@ def test_f_eval_accepts_an_infinite_lambda(tmp_path):
     (["embed", "--s", "-1"], "--s"),
     (["embed", "--budget", "-1"], "--budget"),
     (["shade", "--coloring", "modular:3", "--n", "30", "--a", "3", "--min-count", "0"],
-     "min_count"),
+     "--min-count"),
     (["shade", "--coloring", "modular:3", "--n", "0", "--a", "2"], "--n"),
     (["shade", "--coloring", "modular:3", "--n", "-5", "--a", "2"], "--n"),
     (["mu", "--family", "karytree:0", "--n", "1"], "family 'karytree:0': k"),
     (["mu", "--family", "grid:0", "--n", "1"], "family 'grid:0': d"),
+    (["mu", "--family", "pathpower:1", "--n", "0"], "--n"),
+    (["mu", "--family", "pathpower:1", "--n", "-5"], "--n"),
+    (["mu", "--family", "pathpower:1", "--n", "1", "--prefix-size", "0"], "--prefix-size"),
+    (["mu", "--family", "pathpower:1", "--n", "1", "--prefix-size", "-3"], "--prefix-size"),
+    (["adversary", "--s", "0", "--r", "1", "--n", "10"], "--s"),
+    (["adversary", "--s", "1", "--r", "-1", "--n", "10"], "--r"),
+    (["adversary", "--s", "1", "--r", "1", "--n", "3"], "--n"),
+    (["mfmc", "--graph", File("2 2 1\n0 0\n"), "--r", "0", "--s", "1"], "--r"),
+    (["mfmc", "--graph", File("2 2 1\n0 0\n"), "--r", "1", "--s", "0"], "--s"),
+    (["findflow", "--coloring", File("3 leftmost\nRBR\n"), "--r", "0", "--s", "1"], "--r"),
+    (["findflow", "--coloring", File("3 leftmost\nRBR\n"), "--r", "1", "--s", "-2"], "--s"),
+    (["shade", "--coloring", "modular:3", "--n", "30", "--a", "1"], "--a"),
+    (["shade", "--coloring", File("3 leftmost\nRBR\n"), "--a", "1"], "--a"),
+    (["shade", "--coloring", "modular:3", "--n", "30", "--a", "2", "--sample-size", "0"],
+     "--sample-size"),
+    (["shade", "--coloring", "modular:3", "--n", "30", "--a", "2", "--subset-cap", "0"],
+     "--subset-cap"),
 ])
-def test_size_error_names_the_option(argv, name, capsys):
-    assert run(argv) == 1
+def test_size_error_names_the_option(argv, name, tmp_path, capsys):
+    assert run(with_files(argv, tmp_path)) == 1
     assert f"error: {name} must be at least" in capsys.readouterr().err
 
 

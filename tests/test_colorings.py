@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -116,9 +117,10 @@ class TestAdversary:
         assert set(inst.vertex_colors) == {RED}
 
     def test_non_lipschitz_rejected(self):
-        g = PLFunction((0.0, 1.0), (0.0, 1.0), tail_slope=1.0, lipschitz=False)
-        bad = PLFunction((0.0, 1.0), (0.0, 2.0), tail_slope=2.0, lipschitz=False)
-        with pytest.raises(ValueError):
+        # a PLFunction is 1-Lipschitz, so a stand-in with its three fields
+        # carries the slope-2 g
+        bad = SimpleNamespace(breakpoints=(0.0, 1.0), values=(0.0, 2.0), tail_slope=2.0)
+        with pytest.raises(ValueError, match="1-Lipschitz along integers"):
             adversary(1, 1, bad, 8)
 
     def test_invariants_on_sawtooth_instances(self):

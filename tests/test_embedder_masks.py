@@ -1,5 +1,5 @@
-"""The mask-based embedder and degree profile against the reference copies
-in ``embedder_reference`` and ``flows_reference``.
+"""The mask-based embedder against the reference copy in
+``embedder_reference``.
 
 ``build_W``, ``embed`` and ``verify_embedding`` must return equal backbones,
 states and reports (or raise the same error) on seeded noisy two-class
@@ -18,13 +18,11 @@ from dataclasses import replace
 import pytest
 
 import embedder_reference as ref
-import flows_reference
 from ramseydensity.colorings import (BLUE, RED, Shading, TwoColoring, a_good_shading,
                                      clique_coloring, other)
 from ramseydensity.embedder import (BipartitePiece, HPrefixSpec, IsolatedVertex, WStructure,
                                     build_W, embed, validate_w, verify_embedding)
 from ramseydensity.families import OmegaFactor, complete_bipartite, path_graph
-from ramseydensity.flows import colored_degree_profile
 
 
 def outcome(fn, *args, **kwargs):
@@ -269,21 +267,6 @@ def test_verify_embedding_reports_images_outside_the_host(bad):
     assert not report.passed
     assert "phi maps outside the host 0..29" in report.failures
     assert report.density is not None
-
-
-def test_colored_degree_profile_equals_the_set_formula():
-    rng = random.Random(11)
-    hosts = []
-    for n in (1, 2, 5, 17, 40):
-        vc = random_vertex_colors(rng, n)
-        hosts.append(TwoColoring(n, "leftmost", vertex_colors=vc))
-        hosts.append(TwoColoring(n, "modular", modulus=rng.randint(2, 6), vertex_colors=vc))
-        red = frozenset((u, v) for u in range(n) for v in range(u + 1, n)
-                        if rng.random() < rng.random())
-        hosts.append(TwoColoring(n, "explicit", red_edges=red, vertex_colors=vc))
-    for chi in hosts:
-        assert colored_degree_profile(chi) == flows_reference.colored_degree_profile(chi)
-    assert any(sum(colored_degree_profile(chi).degrees) for chi in hosts)
 
 
 def on_all_red_host(nr, nb1, nb2):

@@ -6,7 +6,7 @@ import pytest
 from ramseydensity.colorings import BLUE, RED, TwoColoring
 from ramseydensity.flows import (
     CapacitatedBipartite, FindFlowResult, FlowCertificate, bruteforce_max_flow,
-    bruteforce_min_cover, colored_degree_profile, findflow, mfmc)
+    bruteforce_min_cover, findflow, mfmc)
 
 
 def random_instance(rng):
@@ -92,24 +92,6 @@ class TestMfmc:
     def test_edges_off_the_sides_rejected(self, edges, message):
         with pytest.raises(ValueError, match=message):
             CapacitatedBipartite((0, 1), (2, 3), edges, 1, 1)
-
-
-class TestColoredDegreeProfile:
-    def test_profile_interpolates_sorted_degrees(self):
-        n = 6
-        vc = tuple(RED if v < 3 else BLUE for v in range(n))
-        # blue edges: (0,3), (1,3), (1,4) between classes; rest red
-        blue = {(0, 3), (1, 3), (1, 4)}
-        red = {(u, v) for u in range(n) for v in range(u + 1, n)
-               if (u, v) not in blue}
-        chi = TwoColoring(n, "explicit", red_edges=frozenset(red),
-                          vertex_colors=vc)
-        prof = colored_degree_profile(chi)
-        assert prof.degrees == (0, 1, 2)
-        assert prof.g(0.0) == 0.0
-        assert prof.g(1.5) == 0.5
-        assert prof.g(10.0) == 2.0  # constant beyond the class size
-        assert all(b <= a for a, b in zip(prof.g.values, prof.g.values[1:])) is False
 
 
 def exhaustive_best(chi, r, s):

@@ -45,9 +45,33 @@ class TestPLFunction:
         with pytest.raises(ValueError):
             PLFunction((0.0, 1.0, 1.0), (0.0, 0.5, 0.5))  # not increasing
 
-    def test_non_lipschitz_profile_allowed(self):
-        g = PLFunction((0.0, 1.0), (0.0, 5.0), lipschitz=False)
-        assert g(0.5) == 2.5
+    def test_steep_pieces_rejected_by_every_constructor(self):
+        segment, tail = "violates the 1-Lipschitz bound", r"tail slope outside \[-1, 1\]"
+        slope = r"the slope must lie in \[-1, 1\]"
+        for build, message in [
+                (lambda: PLFunction((0.0, 1.0), (0.0, 1.001)), segment),
+                (lambda: PLFunction((0.0,), (0.0,), -1.001), tail),
+                (lambda: PLFunction.from_points([(0, 0), (2, -2), (3, -0.999)]), segment),
+                (lambda: PLFunction.from_points([(0, 0), (1, 1)], tail_slope=1.001), tail),
+                (lambda: PLFunction.linear(1.001), slope),
+                (lambda: PLFunction.linear(-1.001), slope)]:
+            with pytest.raises(ValueError, match=message):
+                build()
+        # slopes of exactly +-1 are 1-Lipschitz
+        assert PLFunction.linear(-1.0)(2.0) == -2.0
+        assert PLFunction.from_points([(0, 0), (2, -2), (3, -1)], tail_slope=1.0)(4.0) == 0.0
+
+    def test_infinite_breakpoints_and_values_rejected(self):
+        # an infinite segment made the Lipschitz test vacuous, and g(1) NaN
+        for build in (lambda: PLFunction((0.0, math.inf), (0.0, math.inf)),
+                      lambda: PLFunction.from_points([(0, 0), (1, 1), (math.inf, 1)]),
+                      lambda: PLFunction((0.0, 1.0), (0.0, -math.inf))):
+            with pytest.raises(ValueError, match="breakpoints and values must be finite"):
+                build()
+        with pytest.raises(ValueError, match="NaN"):
+            PLFunction((0.0, math.inf), (0.0, math.nan))
+        with pytest.raises(ValueError, match=r"tail slope outside \[-1, 1\]"):
+            PLFunction((0.0,), (0.0,), math.inf)
 
 
 class TestGammaParam:
