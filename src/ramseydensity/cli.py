@@ -27,8 +27,8 @@ from .colorings import (TwoColoring, a_good_shading, adversary, clique_coloring,
                         verify_adversary, verify_shading)
 from .embedder import HPrefixSpec, build_W, embed, verify_embedding
 from .errors import VerificationError, edge_list_header, edge_list_rows, fields, shown
-from .families import (FiniteGraph, Grid, complete_bipartite, default_treecut_delta,
-                       grid_box, mu_bruteforce, parse_family, treecut)
+from .families import (FiniteGraph, Grid, PrefixTooSmallError, complete_bipartite,
+                       default_treecut_delta, grid_box, mu_bruteforce, parse_family, treecut)
 from .flows import CapacitatedBipartite, findflow, mfmc
 from .lipschitz import PLFunction, f_closed
 
@@ -312,7 +312,12 @@ def cmd_mu(args):
     if isinstance(fam, Grid) and grid_box(fam.d, size) > MU_MAX_GRID_POINTS:
         raise ValueError(f"{args.family} at --prefix-size {size} would build "
                          f"{grid_box(fam.d, size)} points: at most {MU_MAX_GRID_POINTS}")
-    value = mu_bruteforce(fam, args.n, args.prefix_size)
+    try:
+        value = mu_bruteforce(fam, args.n, args.prefix_size)
+    except PrefixTooSmallError as exc:
+        raise ValueError(f"--prefix-size must be at least large enough to hold --n {args.n} "
+                         f"independent boundary-interior vertices, got {args.prefix_size}: "
+                         f"{exc}") from None
     meta = _meta(args, "mu")
     _write_json(args.out, meta, {"family": args.family, "n": args.n,
                                  "prefix_size": args.prefix_size, "mu": value})

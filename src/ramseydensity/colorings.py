@@ -18,7 +18,7 @@ import random
 from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, repeat
 from operator import le, lt, sub
 
 from .errors import VerificationError, fields, shown
@@ -283,9 +283,8 @@ class AdversaryInstance:
         where = _inverse(self.phi, n)
         if where is None:
             raise ValueError("phi is not a permutation of the vertices")
-        object.__setattr__(self, "red_positions", tuple(compress(range(n), is_red)))
-        object.__setattr__(self, "blue_positions",
-                           tuple(compress(range(n), is_red.translate(_FLIP))))
+        object.__setattr__(self, "red_positions", _positions(is_red, 1))
+        object.__setattr__(self, "blue_positions", _positions(is_red, 0))
         object.__setattr__(self, "_where", where)
 
     @property
@@ -322,21 +321,28 @@ class AdversaryInstance:
         return TwoColoring._from_masks(n, masks, tuple(colors[v] for v in phi))
 
 
-def _red_prefix_counts(g, n):
-    """floor((m + g(m))/2) for m = 1..n: the number of red vertices among
-    the leftmost m.  g is walked one piece at a time with the arithmetic
-    ``values_at`` applies to float(m), so every value evaluated is the same
-    float.  The tail is the piece with run dx = 1.0: dividing by 1.0
-    changes no float."""
+def _count_pieces(g, n):
+    """The red prefix counts floor((m + g(m))/2) for m = 1..n, the number of
+    red vertices among the leftmost m, as (length, piece) for each piece of
+    g in turn, the piece being what ``_piece_counts`` gives: a list, a range
+    or a repeat.  g is walked with the arithmetic ``values_at`` applies to
+    float(m), so every value evaluated is the same float.  The tail is the
+    piece with run dx = 1.0: dividing by 1.0 changes no float."""
     bp, vals = g.breakpoints, g.values
-    out = []
     m = 1
     for lo in range(len(bp) - 1):
         stop = min(max(m, math.ceil(bp[lo + 1])), n + 1)
         x0, y0 = bp[lo], vals[lo]
-        out += _piece_counts(x0, y0, bp[lo + 1] - x0, vals[lo + 1] - y0, m, stop)
+        yield stop - m, _piece_counts(x0, y0, bp[lo + 1] - x0, vals[lo + 1] - y0, m, stop)
         m = stop
-    out += _piece_counts(bp[-1], vals[-1], 1.0, g.tail_slope, m, n + 1)
+    yield n + 1 - m, _piece_counts(bp[-1], vals[-1], 1.0, g.tail_slope, m, n + 1)
+
+
+def _red_prefix_counts(g, n):
+    """The red prefix counts for m = 1..n as one list."""
+    out = []
+    for _, piece in _count_pieces(g, n):
+        out += piece
     return out
 
 
@@ -460,15 +466,50 @@ _IS_RED = bytes(c == ord(RED) for c in range(256))
 
 def _red_bits(g, n):
     """bits[m-1] = 1 if vertex m-1 is red, else 0: the steps of the red
-    prefix counts, which must all be 0 or 1."""
-    targets = _red_prefix_counts(g, n)
-    try:
-        bits = bytes(map(sub, targets, [0, *targets]))
-    except ValueError:          # a step below 0 or above 255
-        bits = None
-    if bits is None or bits.translate(None, b"\x00\x01"):
-        raise ValueError("g is not 1-Lipschitz along integers")
-    return bits
+    prefix counts, the count at m less the count at m-1 (0 before vertex
+    0), as bytes; None when a step is not 0 or 1.
+
+    The steps are built per piece of the counts: a range piece steps by 1
+    and a repeat piece by 0 after its first step, so only the first step of
+    each piece, and the pieces evaluated vertex by vertex, are differenced.
+    Every piece is evaluated, so a g whose counts raise raises as it does
+    in ``_red_prefix_counts``."""
+    parts, prev, ok = [], 0, True
+    for size, piece in _count_pieces(g, n):
+        if not size:
+            continue
+        if isinstance(piece, range):
+            first, last, body = piece[0], piece[-1], b"\x01" * (size - 1)
+        elif isinstance(piece, list):
+            first, last = piece[0], piece[-1]
+            try:
+                body = bytes(map(sub, piece[1:], piece))
+            except ValueError:  # a step below 0 or above 255
+                ok, body = False, b""
+        else:                   # a repeat: one count throughout
+            first = last = next(piece)
+            body = bytes(size - 1)
+        ok = ok and first - prev in (0, 1)
+        if ok:
+            parts += (bytes((first - prev,)), body)
+        prev = last
+    bits = b"".join(parts)
+    return bits if ok and not bits.translate(None, b"\x00\x01") else None
+
+
+def _positions(bits, bit):
+    """The vertices v with bits[v] == bit, in increasing order:
+    tuple(compress(range(n), bits)) for bit 1, listed one run at a time as
+    a chain of ranges, each run's ends found with ``bytes.find``."""
+    runs = []
+    start, n = bits.find(bit), len(bits)
+    while start >= 0:
+        stop = bits.find(bit ^ 1, start)
+        if stop < 0:
+            stop = n
+        runs.append(range(start, stop))
+        start = bits.find(bit, stop)
+    return tuple(chain.from_iterable(runs))
 
 
 def adversary(s, r, g, n):
@@ -476,8 +517,9 @@ def adversary(s, r, g, n):
     the 1-Lipschitz PLFunction g."""
     _check_sizes(s, r, n)
     bits = _red_bits(g, n)
-    red_pos = tuple(compress(range(n), bits))
-    blue_pos = tuple(compress(range(n), bits.translate(_FLIP)))
+    if bits is None:
+        raise ValueError("g is not 1-Lipschitz along integers")
+    red_pos, blue_pos = _positions(bits, 1), _positions(bits, 0)
     alpha, beta = _run_indices(bits, s, r)
 
     # alpha and beta are non-decreasing, so the blocks are nested and block
@@ -618,10 +660,12 @@ def _first_non_integer(name, entries):
 def verify_adversary(inst):
     """Re-check the paper's invariants; returns a list of violations.
 
-    The instance is well formed by construction, so the check reads the red
-    prefix counts off the colors in one pass, alpha and beta once per run of
-    their color, and the phi blocks with prefix reaches.  Messages are built
-    only for what fails.
+    The instance is well formed by construction, so the check compares the
+    color bytes with the red steps ``_red_bits`` builds per piece of g,
+    reads alpha and beta once per run of their color, and the phi blocks
+    with prefix reaches.  Messages are built only for what fails: when the
+    bytes differ from the steps, or g has a step outside {0, 1}, the red
+    prefix counts are compared vertex by vertex to name the first wrong m.
 
     The run check.  For the a-th red vertex let left(a) be the blue vertices
     to its left and key(a) = a - ceil(r*left(a)/s), so that a works for i,
@@ -654,8 +698,8 @@ def verify_adversary(inst):
     alpha, beta = inst.alpha, inst.beta
     red_pos, blue_pos = inst.red_positions, inst.blue_positions
     is_red = "".join(inst.vertex_colors).encode().translate(_IS_RED)
-    m = _first_wrong_count(is_red, _red_prefix_counts(inst.g, n))
-    if m is not None:
+    if _red_bits(inst.g, n) != is_red:
+        m = _first_wrong_count(is_red, _red_prefix_counts(inst.g, n))
         problems.append(f"red prefix count wrong at m={m}")
     problems += _index_problems("alpha", alpha, red_pos, is_red, s, r)
     problems += _index_problems("beta", beta, blue_pos, is_red.translate(_FLIP), s, r)
@@ -678,25 +722,34 @@ def adversary_bound_chain(inst, i_min=50):
     beta_i at every index i >= i_min >= 1 with alpha_i + beta_i <= n; returns
     violations (an infinite crossing means g was built too small for n).
 
-    The levels w grow with i, so each sign's crossings come from one sweep
-    over the tilted breakpoints."""
+    The levels w grow with i, so each sign's crossings come from one pass
+    over the tilted pieces of g.  Each bound is computed once per index, and
+    all the comparisons are tested in one pass; the per-index loop runs only
+    to name the indices that fail."""
     if i_min < 1:
         raise ValueError(f"i_min must be at least 1, got {i_min}")
     p = inst.gamma_param
     lam = float(inst.lam)
     gamma = p.gamma
-    problems = []
     indices = range(i_min, _joint_prefix(inst.alpha, inst.beta, inst.n) + 1)
     ws = [(2 / (1 + lam)) * (lam * i + 2 * lam + 2) for i in indices]
     zps = gamma_crossings(inst.g, p, ws, 1)
     zms = gamma_crossings(inst.g, p, ws, -1)
-    for i, w, zp, zm in zip(indices, ws, zps, zms):
+    alpha_tops = [(1 - gamma) * zp / 2 + w / 2 + _CHAIN_TOL for w, zp in zip(ws, zps)]
+    beta_tops = [(1 - gamma) * zm / 2 + w / 2 + 2 + _CHAIN_TOL for w, zm in zip(ws, zms)]
+    window = slice(i_min - 1, indices.stop - 1)
+    if (all(map(math.isfinite, zps)) and all(map(math.isfinite, zms))
+            and all(map(le, inst.alpha[window], alpha_tops))
+            and all(map(le, inst.beta[window], beta_tops))):
+        return []
+    problems = []
+    for i, zp, zm, a_top, b_top in zip(indices, zps, zms, alpha_tops, beta_tops):
         if not (math.isfinite(zp) and math.isfinite(zm)):
             problems.append(f"crossing infinite at i={i}")
             continue
-        if inst.alpha[i - 1] > (1 - gamma) * zp / 2 + w / 2 + _CHAIN_TOL:
+        if inst.alpha[i - 1] > a_top:
             problems.append(f"alpha bound fails at i={i}")
-        if inst.beta[i - 1] > (1 - gamma) * zm / 2 + w / 2 + 2 + _CHAIN_TOL:
+        if inst.beta[i - 1] > b_top:
             problems.append(f"beta bound fails at i={i}")
     return problems
 

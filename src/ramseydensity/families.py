@@ -308,7 +308,8 @@ class ExplicitForest(Explicit):
 
 
 def parse_family(spec_text):
-    """CLI family syntax: pathpower:k, karytree:k, grid:d, omega:<file>, explicit:<file>."""
+    """CLI family syntax: pathpower:k, karytree:k, grid:d, omega:<file>, explicit:<file>.
+    A family constructor's error is prefixed with the spec."""
     kind, _, arg = spec_text.partition(":")
     kind = kind.lower()
     sized = {"pathpower": (PathPower, "k"), "karytree": (KAryTree, "k"), "grid": (Grid, "d")}
@@ -326,7 +327,10 @@ def parse_family(spec_text):
     if kind in ("omega", "explicit"):
         with open(arg, encoding="utf-8") as fh:
             graph = FiniteGraph.from_text(fh.read())
-        return OmegaFactor(graph) if kind == "omega" else Explicit(graph)
+        try:
+            return OmegaFactor(graph) if kind == "omega" else Explicit(graph)
+        except ValueError as exc:
+            raise ValueError(f"family {spec_text!r}: {exc}") from None
     raise ValueError(f"unknown family {spec_text!r}")
 
 

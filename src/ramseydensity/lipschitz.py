@@ -198,21 +198,41 @@ def _crossings(xs, ys, tail_slope, levels, strict=False):
     """First crossings of the piecewise function with vertices (xs, ys) and
     the given tail slope, for every level in the non-decreasing, nonnegative
     ``levels``: the least x with f(x) >= t (or > t when strict); inf when
-    never reached.  The first vertex that reaches a level only moves right
-    as the level grows, so one sweep serves them all.
+    never reached.
+
+    The work is per tilted piece, not per level.  The first vertex k that
+    reaches a level only moves right as the level grows, so one walk over
+    the vertices finds it for each piece in turn; the levels that piece
+    serves are those up to ys[k] (below it when strict), found by bisecting
+    the levels.  Each piece's share is evaluated in one comprehension with
+    ``_crossing_at``'s formula, so every crossing is the float a per-level
+    call gives.
 
     For strict crossings the returned point is the limit of the non-strict
     crossing from above, which is what the supremum enumeration needs.
     """
+    if levels and not (0 <= levels[0] and all(map(operator.le, levels, levels[1:]))):
+        raise ValueError("levels must be nonnegative and non-decreasing")
+    share = bisect_left if strict else bisect_right
     out = []
-    k, last, prev = 0, len(xs), 0
-    for t in levels:
-        if not prev <= t:
-            raise ValueError("levels must be nonnegative and non-decreasing")
-        prev = t
+    k, last, lo, count = 0, len(xs), 0, len(levels)
+    while lo < count:
+        t = levels[lo]
         while k < last and ((ys[k] <= t) if strict else (ys[k] < t)):
             k += 1
-        out.append(_crossing_at(xs, ys, tail_slope, t, k))
+        hi = share(levels, ys[k], lo) if k < last else count
+        if k == 0:
+            out += [xs[0]] * (hi - lo)
+        elif k < last:
+            x0, y0 = xs[k - 1], ys[k - 1]
+            slope = (ys[k] - y0) / (xs[k] - x0)
+            out += [x0 + (t - y0) / slope for t in levels[lo:hi]]
+        elif tail_slope > 0:
+            x0, y0 = xs[-1], ys[-1]
+            out += [x0 + (t - y0) / tail_slope for t in levels[lo:hi]]
+        else:
+            out += [INF] * (hi - lo)
+        lo = hi
     return out
 
 

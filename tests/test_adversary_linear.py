@@ -6,17 +6,21 @@ the rewrite) on seeded random candidates and sawtooths; mutation tests
 corrupt valid instances one way at a time and check that the verifier names
 the broken invariant and its index, exactly as the reference does, besides
 the line for an alpha or beta of the wrong length, which the reference does
-not have.
+not have.  The bound chain's failure paths, entries raised above their
+bounds and a sawtooth too short for n, give the reference's lines, and the
+swept crossings reject a NaN level wherever it stands.
 """
 
 import dataclasses
+import math
 import random
 
 import pytest
 
 import adversary_reference as ref
 import lipschitz_reference as lref
-from ramseydensity.colorings import adversary, adversary_bound_chain, verify_adversary
+from ramseydensity.colorings import (_joint_prefix, adversary, adversary_bound_chain,
+                                     verify_adversary)
 from ramseydensity.lipschitz import (GammaParam, PLFunction, gamma_crossing,
                                      gamma_crossings, random_alternating_candidate,
                                      sigma_g)
@@ -54,6 +58,58 @@ def test_short_candidate_chain_matches_reference(s, r):
     chain = adversary_bound_chain(inst, i_min=1)
     assert chain == ref.adversary_bound_chain(inst, i_min=1)
     assert any(msg.startswith("crossing infinite") for msg in chain)
+
+
+def chain_top(inst, field, i):
+    """The bound the chain tests alpha_i (or beta_i) against, from the
+    reference's per-level crossing."""
+    p, lam = inst.gamma_param, float(inst.lam)
+    w = (2 / (1 + lam)) * (lam * i + 2 * lam + 2)
+    z = lref.gamma_crossing(inst.g, p, w, 1 if field == "alpha" else -1)
+    return (1 - p.gamma) * z / 2 + w / 2 + (2 if field == "beta" else 0) + 1e-6
+
+
+RAISED = {"alpha": [("alpha", 1)], "beta": [("beta", 1)],
+          "both-at-one-index": [("alpha", 1), ("beta", 1)],
+          "spread": [("alpha", 1), ("beta", 2), ("alpha", 3)]}
+
+
+@pytest.mark.parametrize("s,r", LAMBDAS)
+@pytest.mark.parametrize("where", RAISED.values(), ids=RAISED.keys())
+def test_raised_indices_fail_the_chain_as_in_the_reference(s, r, where):
+    # each (field, k) raises that entry at the k-th quarter of the blocks to
+    # the least integer above its bound; the blocks stay as they were
+    inst = adversary(s, r, sigma_g(GammaParam.from_lambda(s / r), 12), 400)
+    joint = _joint_prefix(inst.alpha, inst.beta, inst.n)
+    entries = {"alpha": list(inst.alpha), "beta": list(inst.beta)}
+    raised = []
+    for field, quarter in where:
+        i = joint * quarter // 4
+        entries[field][i - 1] = math.floor(chain_top(inst, field, i)) + 1
+        raised.append(f"{field} bound fails at i={i}")
+    bad = dataclasses.replace(inst, alpha=tuple(entries["alpha"]), beta=tuple(entries["beta"]))
+    assert _joint_prefix(bad.alpha, bad.beta, bad.n) == joint
+    chain = adversary_bound_chain(bad, i_min=1)
+    assert chain == ref.adversary_bound_chain(bad, i_min=1)
+    assert set(raised) <= set(chain)
+
+
+@pytest.mark.parametrize("s,r", LAMBDAS)
+def test_sawtooth_cut_short_gives_the_reference_chain(s, r):
+    # the instance's sawtooth cut to 2-11 periods: an odd count's tail
+    # leaves the minus crossing infinite past its last valley, an even
+    # count's the plus crossing; where no bound fails, the chain is its
+    # infinite lines alone
+    p = GammaParam.from_lambda(s / r)
+    inst = adversary(s, r, sigma_g(p, 12), 400)
+    only_infinite = set()
+    for periods in range(2, 12):
+        bad = dataclasses.replace(inst, g=sigma_g(p, periods))
+        chain = adversary_bound_chain(bad, i_min=1)
+        assert chain == ref.adversary_bound_chain(bad, i_min=1)
+        if chain and all(line.startswith("crossing infinite") for line in chain):
+            only_infinite.add(periods % 2)
+    assert only_infinite == {0, 1}
 
 
 @pytest.mark.parametrize("i_min", [0, -3])
@@ -95,6 +151,11 @@ def test_swept_crossings_reject_bad_levels():
         gamma_crossings(g, p, [-1.0, 1.0], 1)
     with pytest.raises(ValueError):
         gamma_crossings(g, p, [1.0], 0)
+    # a NaN level compares false both ways, first, in the middle or last
+    for levels in ([math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan]):
+        for strict in (False, True):
+            with pytest.raises(ValueError, match="nonnegative and non-decreasing"):
+                gamma_crossings(g, p, levels, 1, strict=strict)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -14,7 +14,12 @@ ties: g = 0, slopes +-1, integer breakpoints, and a seeded search's case
 where the float chain floors apart from the exact line, so that a fill
 without the margin is wrong.  Fills are checked to happen only on pieces of
 slope +-1 and to cover all but a few vertices of the sawtooths and
-candidates.
+candidates.  The red steps, built per piece of those counts, are compared
+with the differenced counts on the same functions, and stand-ins for g
+whose counts step by 2 or by -1, inside a piece or at its start, are
+rejected by the builder and reported by the verifier as the reference
+reports them.  Each color's positions, listed one run at a time, are
+compared with ``compress`` on seeded bytes.
 
 An ``AdversaryInstance`` checks its shape when it is built: each malformed
 field raises a ``ValueError`` that names it, and the positions of each
@@ -32,6 +37,7 @@ and beta, and its messages with the reference's.
 """
 
 import dataclasses
+import itertools
 import math
 import operator
 import random
@@ -195,14 +201,80 @@ def test_linear_slopes_give_short_runs():
     assert inst == ref.adversary(1, 1, PLFunction.linear(0.5), 60)
 
 
-def test_steps_outside_zero_one_are_rejected():
-    # a PLFunction is 1-Lipschitz, so stand-ins with its three fields carry
-    # the steep g: a step of 2 and a step below 0
-    with pytest.raises(ValueError, match="1-Lipschitz along integers"):
-        adversary(1, 1, SimpleNamespace(breakpoints=(0.0,), values=(0.0,), tail_slope=3.0), 20)
-    with pytest.raises(ValueError, match="1-Lipschitz along integers"):
-        adversary(1, 1, SimpleNamespace(breakpoints=(0.0, 4.0, 5.0), values=(0.0, 0.0, -3.0),
-                                        tail_slope=0.0), 20)
+class StandIn(SimpleNamespace):
+    """A g with a PLFunction's three fields and its evaluation, but none of
+    its checks, so that the red prefix counts may step by 2 or by -1."""
+
+    __call__ = PLFunction.__call__
+
+
+# (stand-in, the step outside 0 and 1 its counts take): inside a piece
+# evaluated vertex by vertex, and at a piece's first vertex
+STEEP = {
+    "step-2-in-the-tail": (StandIn(breakpoints=(0.0,), values=(0.0,), tail_slope=3.0), 2),
+    "step-2-at-a-piece-start": (StandIn(breakpoints=(0.0, 4.0, 4.5), values=(0.0, 0.0, 3.0),
+                                        tail_slope=0.0), 2),
+    "step-minus-1-in-a-piece": (StandIn(breakpoints=(0.0, 4.0, 10.0),
+                                        values=(0.0, 0.0, -18.0), tail_slope=0.0), -1),
+    "step-minus-1-at-a-piece-start": (StandIn(breakpoints=(0.0, 4.0, 5.0),
+                                              values=(0.0, 0.0, -3.0), tail_slope=0.0), -1),
+}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_steps_equal_the_differenced_counts(seed):
+    # the steps are built per piece: a range steps by 1 and a repeat by 0,
+    # and only first steps and the pieces evaluated vertex by vertex are
+    # differenced; NEAR_TIE's counts fall by 1 where the float chain
+    # flickers, so it has no steps at sizes that reach its falling piece
+    outcomes = set()
+    for g, n in prefix_count_cases(seed):
+        counts = _red_prefix_counts(g, n)
+        diffs = list(map(operator.sub, counts, [0, *counts]))
+        want = bytes(diffs) if set(diffs) <= {0, 1} else None
+        assert colorings._red_bits(g, n) == want
+        outcomes.add(want is None)
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("g,step", STEEP.values(), ids=STEEP.keys())
+def test_steps_outside_zero_one_are_rejected(g, step):
+    counts = _red_prefix_counts(g, 20)
+    assert step in map(operator.sub, counts, [0, *counts])
+    assert colorings._red_bits(g, 20) is None
+    with pytest.raises(ValueError, match="^g is not 1-Lipschitz along integers$"):
+        adversary(1, 1, g, 20)
+
+
+@pytest.mark.parametrize("g,step", STEEP.values(), ids=STEEP.keys())
+def test_steep_stand_in_gets_the_reference_prefix_line(g, step):
+    # an instance whose g steps outside 0 and 1 is reported, not raised on:
+    # the verifier counts vertex by vertex when the steps do not match
+    inst = dataclasses.replace(adversary(1, 1, PLFunction.zero(), 20), g=g)
+    problems = verify_adversary(inst)
+    assert problems == ref.verify_adversary(inst)
+    assert problems and problems[0].startswith("red prefix count wrong at m=")
+
+
+def seeded_bits(seed):
+    """0/1 bytes: empty, one colour only, single-vertex runs at both ends,
+    and seeded random ones of any density."""
+    rng = random.Random(seed)
+    cases = [b"", b"\x00", b"\x01", bytes(7), b"\x01" * 7, b"\x01" + bytes(5) + b"\x01",
+             b"\x00" + b"\x01" * 5 + b"\x00", b"\x01\x00" * 4, b"\x00\x01" * 4]
+    for _ in range(60):
+        density = rng.random()
+        cases.append(bytes(rng.random() < density for _ in range(rng.randint(1, 300))))
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_positions_equal_the_compressed_range(seed):
+    for bits in seeded_bits(seed):
+        flipped = bytes(1 - b for b in bits)
+        assert colorings._positions(bits, 1) == tuple(itertools.compress(range(len(bits)), bits))
+        assert colorings._positions(bits, 0) == tuple(
+            itertools.compress(range(len(bits)), flipped))
 
 
 def pair_built_permuted_coloring(inst):

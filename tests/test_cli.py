@@ -430,6 +430,12 @@ def test_f_eval_accepts_an_infinite_lambda(tmp_path):
     (["mu", "--family", "pathpower:1", "--n", "-5"], "--n"),
     (["mu", "--family", "pathpower:1", "--n", "1", "--prefix-size", "0"], "--prefix-size"),
     (["mu", "--family", "pathpower:1", "--n", "1", "--prefix-size", "-3"], "--prefix-size"),
+    # a prefix with fewer boundary-interior candidates than --n: vertex 0's
+    # neighbour 1 lies outside it
+    (["mu", "--family", File("2 1\n0 1\n", "explicit:"), "--n", "1", "--prefix-size", "1"],
+     "--prefix-size"),
+    # candidates 0 and 1 of the path's prefix 0..3 are adjacent
+    (["mu", "--family", "pathpower:1", "--n", "2", "--prefix-size", "4"], "--prefix-size"),
     (["adversary", "--s", "0", "--r", "1", "--n", "10"], "--s"),
     (["adversary", "--s", "1", "--r", "-1", "--n", "10"], "--r"),
     (["adversary", "--s", "1", "--r", "1", "--n", "3"], "--n"),
@@ -447,6 +453,14 @@ def test_f_eval_accepts_an_infinite_lambda(tmp_path):
 def test_size_error_names_the_option(argv, name, tmp_path, capsys):
     assert run(with_files(argv, tmp_path)) == 1
     assert f"error: {name} must be at least" in capsys.readouterr().err
+
+
+def test_family_constructor_error_names_the_spec(tmp_path, capsys):
+    # the file reads as a graph, but an omega factor needs a vertex
+    path = tmp_path / "graph.txt"
+    path.write_text("0 0\n")
+    assert run(["mu", "--family", f"omega:{path}", "--n", "1"]) == 1
+    assert capsys.readouterr().err == f"error: family 'omega:{path}': factor must be nonempty\n"
 
 
 @pytest.mark.parametrize("argv", WORK_BOUND_ROWS, ids=lambda argv: " ".join(map(str, argv)))
