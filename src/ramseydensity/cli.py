@@ -21,16 +21,10 @@ from fractions import Fraction
 from itertools import chain
 
 from . import __version__
-# adversary() runs verify_adversary and raises on any violation, so nothing
-# here calls it again; it stays importable from this module
-from .colorings import (TwoColoring, a_good_shading, adversary, clique_coloring, modulus_of,
-                        verify_adversary, verify_shading)
-from .embedder import HPrefixSpec, build_W, embed, verify_embedding
 from .errors import VerificationError, edge_list_header, edge_list_rows, fields, shown
-from .families import (FiniteGraph, Grid, PrefixTooSmallError, complete_bipartite,
-                       default_treecut_delta, grid_box, mu_bruteforce, parse_family, treecut)
-from .flows import CapacitatedBipartite, findflow, mfmc
-from .lipschitz import PLFunction, f_closed
+
+# Each command imports the library modules it calls when it runs, so that
+# starting rdl and building its parser load none of them.
 
 NINE = "{:.9g}"
 FIG1_MAX_STEPS = 10 ** 6  # rdl fig1 writes one row per step, plus x = 0
@@ -239,6 +233,7 @@ def _number(text, kind=float):
 def _parse_pl(spec_text):
     """zero | linear:slope | sigma:lambda:periods | file:<path with 'x y' rows>;
     every ValueError it raises names the spec, and a file's names the row."""
+    from .lipschitz import GammaParam, PLFunction, sigma_g
     kind, _, rest = spec_text.partition(":")
     try:
         if kind == "zero":
@@ -246,7 +241,6 @@ def _parse_pl(spec_text):
         if kind == "linear":
             return PLFunction.linear(_number(rest))
         if kind == "sigma":
-            from .lipschitz import GammaParam, sigma_g
             lam_s, _, periods_s = rest.partition(":")
             return sigma_g(GammaParam.from_lambda(_number(lam_s)),
                            _number(periods_s, int) if periods_s else 8)
@@ -264,6 +258,7 @@ def _parse_pl(spec_text):
 
 
 def cmd_f_eval(args):
+    from .lipschitz import f_closed
     try:
         lam = float(args.lam)
     except ValueError:
@@ -279,6 +274,7 @@ def cmd_f_eval(args):
 
 
 def cmd_fig1(args):
+    from .lipschitz import f_closed
     if not (args.step > 0 and math.isfinite(args.step)):
         raise ValueError(f"--step must be positive and finite, got {args.step!r}")
     if 3.0 / args.step > FIG1_MAX_STEPS + 0.5:  # round(3/step) > FIG1_MAX_STEPS, inf included
@@ -296,6 +292,7 @@ def cmd_fig1(args):
 
 
 def cmd_mu(args):
+    from .families import Grid, PrefixTooSmallError, grid_box, mu_bruteforce, parse_family
     _check_least("--n", args.n, 1)
     _check_least("--prefix-size", args.prefix_size, 1)
     kind, _, path = args.family.partition(":")
@@ -326,6 +323,7 @@ def cmd_mu(args):
 
 
 def cmd_adversary(args):
+    from .colorings import adversary
     _check_least("--s", args.s, 1)
     _check_least("--r", args.r, 1)
     _check_least("--n", args.n, 4)
@@ -345,6 +343,7 @@ def cmd_adversary(args):
 
 
 def cmd_mfmc(args):
+    from .flows import CapacitatedBipartite, mfmc
     _check_least("--r", args.r, 1)
     _check_least("--s", args.s, 1)
     with open(args.graph, encoding="utf-8") as fh:
@@ -363,6 +362,8 @@ def cmd_mfmc(args):
 
 
 def cmd_findflow(args):
+    from .colorings import TwoColoring
+    from .flows import findflow
     _check_least("--r", args.r, 1)
     _check_least("--s", args.s, 1)
     text, head = _coloring_text(args.coloring)
@@ -377,6 +378,8 @@ def cmd_findflow(args):
 
 
 def cmd_shade(args):
+    from .colorings import (TwoColoring, a_good_shading, clique_coloring, modulus_of,
+                            verify_shading)
     modular = args.coloring.startswith("modular:")
     if modular:
         modulus = modulus_of(args.coloring, f"--coloring {args.coloring}")
@@ -415,6 +418,7 @@ def _planted_host(n):
     the left class 0..n//2-1.  A left vertex's red neighbours are the right
     class and a right vertex's are all other vertices, so the red-neighbour
     masks are built directly, without a set of red pairs."""
+    from .colorings import TwoColoring
     half = n // 2
     full = (1 << n) - 1
     right = full ^ ((1 << half) - 1)
@@ -423,6 +427,8 @@ def _planted_host(n):
 
 def cmd_embed(args):
     from .colorings import Shading
+    from .embedder import HPrefixSpec, build_W, embed, verify_embedding
+    from .families import complete_bipartite
     for option, value, least in (("--host-size", args.host_size, 1), ("--copies", args.copies, 1),
                                  ("--r", args.r, 1), ("--s", args.s, 1), ("--budget", args.budget, 0)):
         _check_least(option, value, least)
@@ -452,6 +458,7 @@ def cmd_embed(args):
 
 
 def cmd_treecut(args):
+    from .families import FiniteGraph, default_treecut_delta, treecut
     forest = FiniteGraph.from_text(_graph_text(args.forest))
     try:
         I = tuple(int(x) for x in args.independent.split(","))
@@ -582,6 +589,15 @@ def main(argv=None):
     except VerificationError as exc:
         print(f"error: verification failed: {exc}", file=sys.stderr)
         return 2
+
+
+def __getattr__(name):
+    # adversary() runs verify_adversary and raises on any violation, so no
+    # command calls it again; it stays readable from this module
+    if name == "verify_adversary":
+        from .colorings import verify_adversary
+        return verify_adversary
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from itertools import accumulate, chain, repeat
 from operator import le, lt, sub
 
 from .errors import VerificationError, fields, shown
-from .lipschitz import GammaParam, gamma_crossings
 
 RED, BLUE = "R", "B"
 COLORS = (RED, BLUE)
@@ -197,19 +196,30 @@ def modulus_of(rule, where):
 
 _DROP_COLORS = str.maketrans("", "", RED + BLUE)
 _COLOR_BITS = str.maketrans(RED + BLUE, "10")
+_MASK_BLOCK = 512  # columns per block of _masks_from_upper_triangle
 
 
 def _masks_from_upper_triangle(n, chars):
     """Red-neighbor masks from the colors of the pairs (u, v), u < v, listed
-    row by row: row u is padded on the left with u+1 blues into an n x n
-    string, so column v above the diagonal is the strided slice big[v:v*n:n]."""
-    rows, start = [], 0
-    for u in range(n):
-        rows.append(chars[start:start + n - u - 1])
-        start += n - u - 1
-    big = "".join(BLUE * (u + 1) + row for u, row in enumerate(rows))
-    return tuple(int((big[v:v * n:n] + BLUE + rows[v])[::-1].translate(_COLOR_BITS), 2)
-                 for v in range(n))
+    row by row, as bits (red 1).  Row v gives mask v's bits above v; its
+    bits below v are column v, read in blocks of up to _MASK_BLOCK columns
+    lo..hi-1: rows 0 to hi-1 cut to those columns, padded on the left with
+    zeros, form a grid of width hi - lo, so column v down to the diagonal is
+    a strided slice of it.  Only one block's rows and grid are held at a
+    time, not an n x n string."""
+    starts = list(accumulate(range(n - 1, 0, -1), initial=0))  # row u's offset in chars
+    masks = []
+    for lo in range(0, n, _MASK_BLOCK):
+        hi = min(lo + _MASK_BLOCK, n)
+        width = hi - lo
+        rows = [chars[s:s + n - u - 1].translate(_COLOR_BITS)
+                for u, s in zip(range(lo, hi), starts[lo:hi])]
+        grid = "".join([chars[s + lo - u - 1:s + hi - u - 1].translate(_COLOR_BITS)
+                        for u, s in zip(range(lo), starts)]
+                       + [row[:hi - u - 1].rjust(width, "0") for u, row in enumerate(rows, lo)])
+        masks += [int((grid[v - lo:(v + 1) * width:width] + row)[::-1], 2)
+                  for v, row in enumerate(rows, lo)]
+    return tuple(masks)
 
 
 def clique_coloring(a, n):
@@ -293,6 +303,7 @@ class AdversaryInstance:
 
     @property
     def gamma_param(self):
+        from .lipschitz import GammaParam  # here, so that shading loads no lipschitz
         return GammaParam.from_lambda(float(self.lam))
 
     @property
@@ -728,6 +739,7 @@ def adversary_bound_chain(inst, i_min=50):
     to name the indices that fail."""
     if i_min < 1:
         raise ValueError(f"i_min must be at least 1, got {i_min}")
+    from .lipschitz import gamma_crossings
     p = inst.gamma_param
     lam = float(inst.lam)
     gamma = p.gamma

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .colorings import BLUE, RED
 from .errors import VerificationError
 
 
@@ -291,6 +290,7 @@ def findflow(chi, r, s):
     in blue's t = 1 network.  The winner's flow h and cover come from one
     ``mfmc`` on its t = 1 graph, whose flow must fill Y.
     """
+    from .colorings import BLUE, RED  # here, so that mfmc alone loads no colorings
     if chi.vertex_colors is None:
         raise ValueError("findflow needs vertex colors")
     color, G = BLUE, _prefix_graph(chi, BLUE, r, s)

@@ -5,8 +5,10 @@
 red-neighbour bitmask per vertex: neighbourhoods are Python sets built from
 O(n^2) ``color()`` calls, and common neighbourhoods are set intersections
 with ``- {v}`` and ``- set(S)`` corrections.  ``rule_color`` is the rule
-dispatch ``TwoColoring.color`` used to do, and ``from_text`` the parse that
-read an explicit file into its list of red pairs before building the masks.
+dispatch ``TwoColoring.color`` used to do, ``from_text`` the parse that
+read an explicit file into its list of red pairs before building the masks,
+and ``masks_from_upper_triangle`` the mask build that went through one
+n x n string.
 Shade members are rescans of ``sh.assignment`` (``members``), so the oracle
 does not share ``Shading``'s index.  They are kept only as oracles for the
 differential tests.
@@ -19,6 +21,8 @@ import random
 
 from ramseydensity.colorings import (BLUE, COLORS, RED, Shading, ShadingReport, TwoColoring,
                                      other)
+
+_COLOR_BITS = str.maketrans(RED + BLUE, "10")
 
 
 def members(sh, color, index):
@@ -51,6 +55,19 @@ def from_text(text):
         pairs = ((u, v) for u in range(n) for v in range(u + 1, n))
         return TwoColoring(n, "explicit", red_edges=[p for p, c in zip(pairs, chars) if c == RED])
     raise ValueError(f"unknown rule {rule!r}")
+
+
+def masks_from_upper_triangle(n, chars):
+    """Red-neighbor masks from the colors of the pairs (u, v), u < v, listed
+    row by row: row u is padded on the left with u+1 blues into an n x n
+    string, so column v above the diagonal is the strided slice big[v:v*n:n]."""
+    rows, start = [], 0
+    for u in range(n):
+        rows.append(chars[start:start + n - u - 1])
+        start += n - u - 1
+    big = "".join(BLUE * (u + 1) + row for u, row in enumerate(rows))
+    return tuple(int((big[v:v * n:n] + BLUE + rows[v])[::-1].translate(_COLOR_BITS), 2)
+                 for v in range(n))
 
 
 def rule_color(chi, red_edges, u, v):

@@ -465,17 +465,21 @@ def test_family_constructor_error_names_the_spec(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", WORK_BOUND_ROWS, ids=lambda argv: " ".join(map(str, argv)))
 def test_work_bounds_exit_before_anything_is_built(argv, tmp_path, monkeypatch, capsys):
-    from ramseydensity import cli
+    from ramseydensity import cli, colorings, families, flows
 
     def unreachable(*args):
         raise AssertionError("built past a work bound")
 
-    for name in ("mu_bruteforce", "_planted_host", "complete_bipartite", "clique_coloring",
-                 "CapacitatedBipartite", "edge_list_rows", "adversary", "_parse_pl"):
-        monkeypatch.setattr(cli, name, unreachable)
-    monkeypatch.setattr(cli.Grid, "_grow_to_radius", unreachable)
-    monkeypatch.setattr(cli.TwoColoring, "from_text", unreachable)
-    monkeypatch.setattr(cli.FiniteGraph, "from_text", unreachable)
+    # each name on the module a command reads it from when it runs
+    for module, names in ((cli, ("_planted_host", "edge_list_rows", "_parse_pl")),
+                          (families, ("mu_bruteforce", "complete_bipartite")),
+                          (colorings, ("clique_coloring", "adversary")),
+                          (flows, ("CapacitatedBipartite",))):
+        for name in names:
+            monkeypatch.setattr(module, name, unreachable)
+    monkeypatch.setattr(families.Grid, "_grow_to_radius", unreachable)
+    monkeypatch.setattr(colorings.TwoColoring, "from_text", unreachable)
+    monkeypatch.setattr(families.FiniteGraph, "from_text", unreachable)
     assert run(with_files(argv, tmp_path)) == 1
     assert "at most" in capsys.readouterr().err
 
@@ -572,12 +576,12 @@ def test_g_file_rows_break_where_splitlines_breaks(tmp_path):
 @pytest.mark.parametrize("header", ["3 explicit\nRRB\n", "6 modular:3\n"])
 def test_findflow_rejects_a_file_without_vertex_colors_before_parsing_it(
         header, tmp_path, monkeypatch, capsys):
-    from ramseydensity import cli
+    from ramseydensity import colorings
 
     def unreachable(*args):
         raise AssertionError("parsed a coloring findflow cannot use")
 
-    monkeypatch.setattr(cli.TwoColoring, "from_text", unreachable)
+    monkeypatch.setattr(colorings.TwoColoring, "from_text", unreachable)
     coloring = tmp_path / "c.txt"
     coloring.write_text(header)
     assert run(["findflow", "--coloring", str(coloring), "--r", "1", "--s", "1"]) == 1
@@ -678,12 +682,12 @@ def test_mu_on_a_graph_file_equals_mu_bruteforce(kind, text, n, tmp_path, capsys
 
 
 def test_fig1_step_bound_is_checked_before_any_row(monkeypatch, capsys):
-    from ramseydensity import cli
+    from ramseydensity import lipschitz
 
     def no_rows(x):
         raise AssertionError("fig1 started its row loop")
 
-    monkeypatch.setattr(cli, "f_closed", no_rows)
+    monkeypatch.setattr(lipschitz, "f_closed", no_rows)
     assert run(["fig1", "--step", "1e-12"]) == 1
     assert "error: --step 1e-12 is too small" in capsys.readouterr().err
 
@@ -734,13 +738,13 @@ def test_one_parser_serves_every_call_like_a_fresh_one(tmp_path, capsys):
 
 
 def test_verification_error_exits_2_naming_the_invariant(monkeypatch, capsys):
-    from ramseydensity import cli
+    from ramseydensity import colorings
     from ramseydensity.errors import VerificationError
 
     def broken(*args):
         raise VerificationError("phi block 3 mismatch")
 
-    monkeypatch.setattr(cli, "adversary", broken)
+    monkeypatch.setattr(colorings, "adversary", broken)
     assert run(["adversary", "--s", "1", "--r", "1", "--n", "40"]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")

@@ -12,7 +12,7 @@ import random
 
 import readers_reference as ref
 from mutations import mutate
-from ramseydensity import cli
+from ramseydensity import cli, flows
 from ramseydensity.families import FiniteGraph
 
 SEED = 20
@@ -66,7 +66,7 @@ def test_mfmc_reader_matches_the_reference(tmp_path, monkeypatch, capsys):
     def built(X, Y, edges, r, s):
         raise Built(len(X), len(Y), edges)
 
-    monkeypatch.setattr(cli, "CapacitatedBipartite", built)
+    monkeypatch.setattr(flows, "CapacitatedBipartite", built)
     path = tmp_path / "g.txt"
     for case in range(CASES):
         text = mutated(mfmc_text, case)

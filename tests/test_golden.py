@@ -34,14 +34,20 @@ def config_of(artifact):
     return json.loads(text)["meta"]["config"]
 
 
-def rerun(artifact, out=None):
-    """Run the command recorded in ``artifact`` from the golden directory,
-    writing ``out`` (an absolute path), or stdout when it is None."""
+def argv_of(artifact):
+    """The ``rdl`` command line that ``artifact`` records, without --out."""
     config = config_of(artifact)
     argv = [config["command"]]
     for key, value in config.items():
         if key != "command":
             argv += [FLAG.get(key, "--" + key.replace("_", "-")), value]
+    return argv
+
+
+def rerun(artifact, out=None):
+    """Run the command recorded in ``artifact`` from the golden directory,
+    writing ``out`` (an absolute path), or stdout when it is None."""
+    argv = argv_of(artifact)
     if out is not None:
         argv += ["--out", str(out)]
     cwd = os.getcwd()

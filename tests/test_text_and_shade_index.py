@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shading_reference as ref
+from ramseydensity import colorings
 from ramseydensity.colorings import BLUE, RED, Shading, TwoColoring
 from test_cli import BAD_INPUTS, File
 
@@ -33,6 +34,18 @@ def test_explicit_parse_equals_the_pair_parse(n, red_share):
     assert chi.red_masks == ref.from_text(text).red_masks
     assert chi.to_text() == text
     assert TwoColoring.from_text(chi.to_text()) == chi
+
+
+@pytest.mark.parametrize("block", [colorings._MASK_BLOCK, 7])
+def test_block_mask_build_equals_the_square_string_build(block, monkeypatch):
+    # the masks of each seeded colour line, built in blocks of columns,
+    # equal those built from the one n x n string
+    monkeypatch.setattr(colorings, "_MASK_BLOCK", block)
+    for n in [*range(1, 61), 300, 511, 512, 513, 1030]:
+        rng = random.Random(n)
+        chars = "".join(rng.choices(RED + BLUE, k=n * (n - 1) // 2))
+        assert colorings._masks_from_upper_triangle(n, chars) == \
+            ref.masks_from_upper_triangle(n, chars), n
 
 
 @settings(max_examples=60, deadline=None)
