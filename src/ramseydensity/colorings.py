@@ -172,7 +172,7 @@ class TwoColoring:
             if len(chars) != n * (n - 1) // 2:
                 raise ValueError(f"explicit coloring of {n} vertices needs "
                                  f"{n * (n - 1) // 2} edge colors, got {len(chars)}")
-            if chars.translate(_DROP_COLORS):
+            if chars.count(RED) + chars.count(BLUE) != len(chars):
                 raise ValueError("explicit coloring may only contain R and B")
             chi = cls._from_masks(n, _masks_from_upper_triangle(n, chars))
         else:
@@ -194,7 +194,6 @@ def modulus_of(rule, where):
     return int(modulus)
 
 
-_DROP_COLORS = str.maketrans("", "", RED + BLUE)
 _COLOR_BITS = str.maketrans(RED + BLUE, "10")
 _MASK_BLOCK = 512  # columns per block of _masks_from_upper_triangle
 
@@ -262,12 +261,18 @@ class AdversaryInstance:
     least a such that the a-th red vertex has at most lam*(a - i) blue
     vertices to its left, beta is symmetric, and phi reorders the vertices
     so that each block {1..alpha_j+beta_j} consists of the first alpha_j reds
-    and first beta_j blues.
+    and first beta_j blues.  ``adversary`` lists each block's new vertices
+    in increasing order.  alpha and beta are strictly increasing, so each
+    block after the first adds at least one red and one blue; along a
+    stretch of blocks that add exactly one of each, the next vertex of one
+    run of each color, phi reads r, b, r+1, b+1, ... (r < b, or the other
+    way round).
 
     Construction checks the shape: s and r positive ints, n an int of at
     least 4, n colors of R/B, int entries in alpha and beta, and phi a
     permutation of 0..n-1.  The positions of each color are derived from
-    the colors, and the inverse of phi is kept for the verifier.
+    the colors, and the inverse of phi is kept for ``permuted_coloring``
+    and for the verifier's per-block check.
     """
 
     s: int
@@ -459,15 +464,61 @@ def _run_indices(bits, s, r):
     return tuple(out[1]), tuple(out[0])
 
 
-def _joint_prefix(alpha, beta, n):
+def _rises(seq):
+    """Whether seq is strictly increasing."""
+    return all(map(lt, seq, seq[1:]))
+
+
+def _joint_prefix(alpha, beta, n, rising=False):
     """Number of leading indices j with alpha_j + beta_j <= n: the phi
-    blocks that exist."""
+    blocks that exist.  When the caller knows alpha and beta to be strictly
+    increasing (rising), so is alpha_j + beta_j, and the count is found by
+    bisection; any other lists are walked."""
+    if rising:
+        return bisect_right(range(min(len(alpha), len(beta))), n,
+                            key=lambda j: alpha[j] + beta[j])
     joint = 0
     for a_j, b_j in zip(alpha, beta):
         if a_j + b_j > n:
             break
         joint += 1
     return joint
+
+
+def _stretch_end(alpha, beta, j, stop, red_pos=None, blue_pos=None):
+    """The end e of the stretch that starts at index j < stop: the largest
+    e <= stop such that alpha_t - t and beta_t - t are constant for
+    j <= t < e and, when the positions are given, so are
+    red_pos[alpha_t - 1] - alpha_t and blue_pos[beta_t - 1] - beta_t (the
+    red and the blue vertex that index t names move by one per index, so
+    they stay inside one run of their color).
+
+    alpha and beta must be strictly increasing ints on j..stop-1, and the
+    positions strictly increasing with alpha_t and beta_t naming entries of
+    them.  Then each of those differences never decreases in t, so they all
+    equal their values at j exactly on a prefix of j..stop-1, whose end is
+    found by doubling a step from j and then bisecting: about 2 log2(e - j)
+    probes."""
+    if red_pos is None:
+        def key(t):
+            return alpha[t] - t, beta[t] - t
+    else:
+        def key(t):
+            a, b = alpha[t], beta[t]
+            return a - t, b - t, red_pos[a - 1] - a, blue_pos[b - 1] - b
+    want = key(j)
+    lo, step = j, 1                 # key(lo) == want
+    while lo + step < stop and key(lo + step) == want:
+        lo += step
+        step *= 2
+    hi = min(lo + step, stop)       # key(hi) != want, or hi == stop
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if key(mid) == want:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 _BIT_COLOR = bytes.maketrans(b"\x00\x01", b"BR")
@@ -533,13 +584,30 @@ def adversary(s, r, g, n):
     red_pos, blue_pos = _positions(bits, 1), _positions(bits, 0)
     alpha, beta = _run_indices(bits, s, r)
 
-    # alpha and beta are non-decreasing, so the blocks are nested and block
-    # j adds exactly the reds a_{j-1}..a_j - 1 and the blues b_{j-1}..b_j - 1;
-    # alpha_j counts reds and beta_j blues, so every block fits in n
+    # alpha and beta are strictly increasing, so the blocks are nested and
+    # block j adds exactly the reds a_{j-1}..a_j - 1 and the blues
+    # b_{j-1}..b_j - 1; alpha_j counts reds and beta_j blues, so every block
+    # fits in n.  A stretch of blocks that each add one red and one blue,
+    # the next vertex of one run of each color, adds r, b, r+1, b+1, ... for
+    # its first red r and blue b: two interleaved ranges.  Other blocks are
+    # sorted.
     phi = []
-    a_prev = b_prev = 0
-    for a_j, b_j in zip(alpha, beta):
-        phi += sorted(red_pos[a_prev:a_j] + blue_pos[b_prev:b_j])
+    stop = min(len(alpha), len(beta))
+    a_prev = b_prev = j = 0
+    while j < stop:
+        a_j, b_j = alpha[j], beta[j]
+        if j and a_j - a_prev == 1 == b_j - b_prev:
+            end = _stretch_end(alpha, beta, j, stop, red_pos, blue_pos)
+            size = end - j
+            lo, hi = sorted((red_pos[a_j - 1], blue_pos[b_j - 1]))
+            k = len(phi)
+            phi += repeat(0, 2 * size)
+            phi[k::2] = range(lo, lo + size)
+            phi[k + 1::2] = range(hi, hi + size)
+            a_j, b_j, j = alpha[end - 1], beta[end - 1], end
+        else:
+            phi += sorted(red_pos[a_prev:a_j] + blue_pos[b_prev:b_j])
+            j += 1
         a_prev, b_prev = a_j, b_j
         if len(phi) != a_j + b_j:
             raise VerificationError("phi block sizes are inconsistent")
@@ -564,13 +632,14 @@ def _first_wrong_count(is_red, targets):
     return next(m for m, (c, t) in enumerate(zip(counts, targets), start=1) if c != t)
 
 
-def _fits_runs(indices, positions, is_color, s, r):
+def _fits_runs(indices, positions, is_color, s, r, rises):
     """Whether ``indices`` equals the scan ``_min_indices`` over
     ``positions``: the run check of ``verify_adversary``.  ``positions``
-    lists the vertices v with is_color[v] = 1, in order.  Each run of the
-    color costs one ``find`` in is_color and one bisect into ``indices``."""
+    lists the vertices v with is_color[v] = 1, in order, and rises says
+    whether indices is strictly increasing.  Each run of the color costs
+    one ``find`` in is_color and one bisect into ``indices``."""
     k, m = len(indices), len(positions)
-    if k and not (1 <= indices[0] and indices[-1] <= m and all(map(lt, indices, indices[1:]))):
+    if k and not (rises and 1 <= indices[0] and indices[-1] <= m):
         return False
     a = j = 0           # a: vertices of the color before the run; j: entries <= a
     while a < m:
@@ -587,7 +656,7 @@ def _fits_runs(indices, positions, is_color, s, r):
     return True
 
 
-def _index_problems(name, indices, positions, is_color, s, r):
+def _index_problems(name, indices, positions, is_color, s, r, rises):
     """Violations of alpha (or beta): ``indices`` against the incremental
     scan ``_min_indices`` over ``positions``, the vertices v with
     is_color[v] = 1.  The run check ``_fits_runs`` passes a list equal to
@@ -596,7 +665,7 @@ def _index_problems(name, indices, positions, is_color, s, r):
     that is out of range, breaks its inequality or is not minimal.  That
     check reports at least the first index where a list of the scan's
     length differs from it."""
-    if _fits_runs(indices, positions, is_color, s, r):
+    if _fits_runs(indices, positions, is_color, s, r, rises):
         return []
     left = _left_counts(positions)
     want = _min_indices(left, s, r)
@@ -674,7 +743,7 @@ def verify_adversary(inst):
     The instance is well formed by construction, so the check compares the
     color bytes with the red steps ``_red_bits`` builds per piece of g,
     reads alpha and beta once per run of their color, and the phi blocks
-    with prefix reaches.  Messages are built only for what fails: when the
+    once per stretch.  Messages are built only for what fails: when the
     bytes differ from the steps, or g has a step outside {0, 1}, the red
     prefix counts are compared vertex by vertex to name the first wrong m.
 
@@ -698,12 +767,26 @@ def verify_adversary(inst):
     names every bad index.
 
     The phi blocks.  Block j asks set(phi[:k]) == reds[:a_j] | blues[:b_j]
-    with k = a_j + b_j.  phi is a permutation and the positions partition
-    the vertices, so when a_j and b_j lie in 0..(vertices of their color)
-    both sides have k elements, and the block matches exactly when every
-    vertex it wants sits before position k in phi.  Any other index is a
-    mismatch: past the end its wanted set has fewer than k vertices, and
-    below 0 it counts no vertices."""
+    with k = a_j + b_j.  When alpha and beta are strictly increasing and
+    their blocks name vertices of their color, the blocks are checked per
+    stretch (``_blocks_match``), which suffices: if phi[:p] holds reds[:a]
+    and blues[:b], p = a + b, block j matches exactly when phi[p:k] holds
+    the reds a..a_j - 1 and the blues b..b_j - 1, so by induction the
+    blocks match when each block's new part does.  A block outside the
+    stretches is compared sorted.  Along a stretch of blocks j..e-1, block
+    t adds the red r + t - j and the blue b + t - j (``_stretch_end``: the
+    differences it keeps constant never decrease, so a bisection finds
+    where they change), so its new part is right when phi's entries p,
+    p+2, ... are min(r, b), min(r, b) + 1, ... and its entries p+1, p+3,
+    ... are max(r, b), max(r, b) + 1, ...: two slice comparisons for the
+    whole stretch.  That check may fail on a valid phi that lists a block
+    in another order, and proves nothing when it fails; the blocks are then
+    checked one by one with prefix reaches.  phi is a permutation and the
+    positions partition the vertices, so when a_j and b_j lie in
+    0..(vertices of their color) both sides have k elements, and the block
+    matches exactly when every vertex it wants sits before position k in
+    phi.  Any other index is a mismatch: past the end its wanted set has
+    fewer than k vertices, and below 0 it counts no vertices."""
     problems = []
     s, r, n = inst.s, inst.r, inst.n
     alpha, beta = inst.alpha, inst.beta
@@ -712,14 +795,19 @@ def verify_adversary(inst):
     if _red_bits(inst.g, n) != is_red:
         m = _first_wrong_count(is_red, _red_prefix_counts(inst.g, n))
         problems.append(f"red prefix count wrong at m={m}")
-    problems += _index_problems("alpha", alpha, red_pos, is_red, s, r)
-    problems += _index_problems("beta", beta, blue_pos, is_red.translate(_FLIP), s, r)
-    if any(map(le, beta[1:], beta)):
+    alpha_rises, beta_rises = _rises(alpha), _rises(beta)
+    problems += _index_problems("alpha", alpha, red_pos, is_red, s, r, alpha_rises)
+    problems += _index_problems("beta", beta, blue_pos, is_red.translate(_FLIP), s, r,
+                                beta_rises)
+    if not beta_rises:
         problems.append("beta is not strictly increasing")
+    rising = alpha_rises and beta_rises
+    joint = _joint_prefix(alpha, beta, n, rising)
+    if rising and _blocks_match(inst, joint):
+        return problems
     reach_red = _prefix_reach(inst._where, red_pos)
     reach_blue = _prefix_reach(inst._where, blue_pos)
     n_red, n_blue = len(red_pos), len(blue_pos)
-    joint = _joint_prefix(alpha, beta, n)
     for j, (a_j, b_j) in enumerate(zip(alpha[:joint], beta[:joint]), start=1):
         k = a_j + b_j
         if not (0 <= a_j <= n_red and 0 <= b_j <= n_blue
@@ -728,22 +816,97 @@ def verify_adversary(inst):
     return problems
 
 
+def _blocks_match(inst, joint):
+    """Whether the first joint phi blocks hold the vertices they want,
+    checked per stretch as the ``verify_adversary`` docstring proves: True
+    proves that every block matches, False proves nothing.  alpha and beta
+    must be strictly increasing; blocks that name no vertex of their color
+    give False."""
+    alpha, beta = inst.alpha, inst.beta
+    red_pos, blue_pos = inst.red_positions, inst.blue_positions
+    phi = tuple(inst.phi)       # its slices are compared with tuples
+    if joint and not (0 <= alpha[0] and 0 <= beta[0] and alpha[joint - 1] <= len(red_pos)
+                      and beta[joint - 1] <= len(blue_pos)):
+        return False
+    a_prev = b_prev = j = 0
+    while j < joint:
+        a_j, b_j, p = alpha[j], beta[j], a_prev + b_prev
+        if j and a_j - a_prev == 1 == b_j - b_prev:
+            end = _stretch_end(alpha, beta, j, joint, red_pos, blue_pos)
+            size = end - j
+            lo, hi = sorted((red_pos[a_j - 1], blue_pos[b_j - 1]))
+            if (phi[p:p + 2 * size:2] != tuple(range(lo, lo + size))
+                    or phi[p + 1:p + 2 * size:2] != tuple(range(hi, hi + size))):
+                return False
+            a_j, b_j, j = alpha[end - 1], beta[end - 1], end
+        else:
+            if sorted(phi[p:a_j + b_j]) != sorted(red_pos[a_prev:a_j] + blue_pos[b_prev:b_j]):
+                return False
+            j += 1
+        a_prev, b_prev = a_j, b_j
+    return True
+
+
 def adversary_bound_chain(inst, i_min=50):
     """Check alpha_i <= (1-gamma) z+ / 2 + w/2 and the symmetric +2 bound for
     beta_i at every index i >= i_min >= 1 with alpha_i + beta_i <= n; returns
     violations (an infinite crossing means g was built too small for n).
 
-    The levels w grow with i, so each sign's crossings come from one pass
-    over the tilted pieces of g.  Each bound is computed once per index, and
-    all the comparisons are tested in one pass; the per-index loop runs only
-    to name the indices that fail."""
+    When alpha and beta are strictly increasing the bounds are checked per
+    cell (``_chain_holds``): a stretch of indices, along which alpha_i - i
+    and beta_i - i are constant (``_stretch_end``), cut where the level w
+    moves on to the next tilted piece of g.  A cell is proven by its two
+    ends.  What the cells do not prove is decided by the per-index pass:
+    the levels w grow with i, so each sign's crossings come from one pass
+    over the tilted pieces of g, each bound is computed once per index, and
+    all the comparisons are tested in one pass; the per-index loop runs
+    only to name the indices that fail.
+
+    Affine slack.  In a cell the per-index pass computes, from float
+    constants that do not depend on i (c = 2/(1+lam), lam, 2*lam, the
+    piece's x0, y0 and slope m, h = 1-gamma, e = 0 for alpha and 2 for
+    beta),
+      w_i = c*((lam*i + 2*lam) + 2),  z_i = x0 + (w_i - y0)/m,
+      top_i = ((h*z_i/2 + w_i/2) + e) + tol
+    (z_i = x0 on the piece before the first vertex; the tail has m its
+    slope).  Rounding is monotone, so w_i never decreases in i and the
+    crossing vertex of each w_i is the one the pass's sweep finds; the cell
+    ends at the last i of the stretch whose w_i is at most that vertex's
+    value.  The same chain in exact arithmetic, T(i), is affine in i, and
+    on a stretch alpha_i - i is constant, so the slack T(i) - alpha_i is
+    affine and lies between its values at the cell's ends.
+
+    The margin.  Let u = 2^-53 and, with q = (w - y0)/m in floats at the
+    cell's ends a and b (q = 0, and no division, before the first vertex),
+      M = |x0| + |q_a| + |q_b| + (w_b + |y0|)/m + w_b + 4.
+    4M must be finite, so no step overflows and every step rounds by at
+    most u of its result (the +4 absorbs underflow).  In the cell w_i <= w_b,
+    and |(w_i - y0)/m| is at most about |q_a| + |q_b|, being affine in i up
+    to the rounding below.  w_i rounds four times, each by at most u of a
+    positive quantity at most w_b: it is within 5u*w_b of exact.  The
+    subtraction and the division add 2u*M after dividing that error by m,
+    so q_i is within 7u*M of exact and z_i within 8u*M.  The product with
+    h < 2 doubles that and adds 2u*M, the halving is exact, w_i/2 adds
+    3u*M and the three sums at most 6u*M: top_i is within 20u*M of T(i)
+    at every i of the cell.  A float slack top - alpha_i at an end of at
+    least E = _CHAIN_MARGIN*M = 2^13*u*M puts alpha_i below 2M, so its
+    subtraction rounds by at most 4u*M, and the exact slack there is at
+    least E - 24u*M.  So is the affine T(i) - alpha_i at every i of the
+    cell, and top_i - alpha_i >= E - 44u*M > 0: alpha_i <= top_i holds, as
+    an int compared with a float, and every crossing is finite.  Likewise
+    for beta.  A cell where a crossing is infinite, 4M is not finite, or a
+    slack is below E, is left to the per-index pass."""
     if i_min < 1:
         raise ValueError(f"i_min must be at least 1, got {i_min}")
     from .lipschitz import gamma_crossings
     p = inst.gamma_param
     lam = float(inst.lam)
     gamma = p.gamma
-    indices = range(i_min, _joint_prefix(inst.alpha, inst.beta, inst.n) + 1)
+    rising = _rises(inst.alpha) and _rises(inst.beta)
+    joint = _joint_prefix(inst.alpha, inst.beta, inst.n, rising)
+    if rising and _chain_holds(inst, gamma, lam, i_min, joint):
+        return []
+    indices = range(i_min, joint + 1)
     ws = [(2 / (1 + lam)) * (lam * i + 2 * lam + 2) for i in indices]
     zps = gamma_crossings(inst.g, p, ws, 1)
     zms = gamma_crossings(inst.g, p, ws, -1)
@@ -764,6 +927,66 @@ def adversary_bound_chain(inst, i_min=50):
         if inst.beta[i - 1] > b_top:
             problems.append(f"beta bound fails at i={i}")
     return problems
+
+
+_CHAIN_MARGIN = 2.0 ** -40  # E per unit of M; a top's rounding error stays under 2^-48 M
+
+
+def _chain_holds(inst, gamma, lam, i_min, joint):
+    """Whether every alpha_i and beta_i, i_min <= i <= joint, is proven to
+    pass the per-index pass's comparison by the ends of each cell, as the
+    ``adversary_bound_chain`` docstring proves; False proves nothing.
+    alpha and beta must be strictly increasing."""
+    from .lipschitz import _tilted
+    alpha, beta, g = inst.alpha, inst.beta, inst.g
+    c = 2 / (1 + lam)
+
+    def level(i):
+        return c * (lam * i + 2 * lam + 2)
+
+    stretches = []              # (first, last) 1-based indices of each stretch
+    t = i_min - 1
+    while t < joint:
+        end = _stretch_end(alpha, beta, t, joint)
+        stretches.append((t + 1, end))
+        t = end
+    for sign, seq, extra in ((1, alpha, 0), (-1, beta, 2)):
+        xs, ys, tail = _tilted(g, gamma, sign)
+        last, k = len(xs), 0
+        for first, final in stretches:
+            i = first
+            while i <= final:
+                w = level(i)
+                while k < last and ys[k] < w:
+                    k += 1
+                if k == last:
+                    b = final
+                else:                           # the last i whose level vertex k reaches
+                    b = i - 1 + bisect_right(range(i, final + 1), ys[k], key=level)
+                w_b = level(b)
+                if k == 0:                      # below the first vertex: z = xs[0]
+                    x0 = z_a = z_b = xs[0]
+                    size = 0.0
+                else:
+                    if k < last:
+                        x0, y0 = xs[k - 1], ys[k - 1]
+                        m = (ys[k] - y0) / (xs[k] - x0)
+                    elif tail > 0:
+                        x0, y0, m = xs[-1], ys[-1], tail
+                    else:
+                        return False            # an infinite crossing
+                    q_a, q_b = (w - y0) / m, (w_b - y0) / m
+                    z_a, z_b = x0 + q_a, x0 + q_b
+                    size = abs(q_a) + abs(q_b) + (w_b + abs(y0)) / m
+                big = abs(x0) + size + w_b + 4     # M
+                if not math.isfinite(4 * big):     # so every z_i and top_i is finite
+                    return False
+                for z, v, a in ((z_a, w, i), (z_b, w_b, b)):
+                    top = (1 - gamma) * z / 2 + v / 2 + extra + _CHAIN_TOL
+                    if not top - seq[a - 1] >= _CHAIN_MARGIN * big:
+                        return False
+                i = b + 1
+    return True
 
 
 @dataclass(frozen=True)

@@ -500,7 +500,8 @@ def test_run_check_equals_scan_on_mutations(s, r, n):
                     continue
                 verdict = list(bad) == scan
                 verdicts.add(verdict)
-                assert colorings._fits_runs(bad, positions, is_color, s, r) == verdict
+                rises = colorings._rises(bad)
+                assert colorings._fits_runs(bad, positions, is_color, s, r, rises) == verdict
                 problems = verify_adversary(dataclasses.replace(inst, **{field: bad}))
                 assert (problems == []) == verdict
                 if n <= 400 and all(1 <= a <= len(positions) for a in bad):

@@ -73,12 +73,11 @@ class TestArtifacts:
         assert a.read_bytes() == b.read_bytes()
 
     def test_adversary_verifies_its_instance_once(self, tmp_path, monkeypatch):
-        from ramseydensity import cli, colorings
+        from ramseydensity import colorings
         calls = []
         original = colorings.verify_adversary
-        for module in (cli, colorings):
-            monkeypatch.setattr(module, "verify_adversary",
-                                lambda inst: calls.append(inst) or original(inst))
+        monkeypatch.setattr(colorings, "verify_adversary",
+                            lambda inst: calls.append(inst) or original(inst))
         out = tmp_path / "adv.json"
         assert run(["adversary", "--s", "1", "--r", "1", "--n", "60",
                     "--g", "sigma:1:8", "--out", str(out)]) == 0
