@@ -17,8 +17,8 @@ _MODULE_OF = {name: module for module, names in (
                   "h_upper_and_f sigma_g sigma_window sigma_f_value sup_ratio canonicalize "
                   "remove_extrema trace s_good run_recurrence recurrence_discriminant rotate"),
     ("families", "FiniteGraph PathPower KAryTree Grid OmegaFactor Explicit ExplicitForest "
-                 "mu_bruteforce min_expansion doubly_independent_sets expansion_ratio treecut "
-                 "default_treecut_delta"),
+                 "mu mu_forest mu_bruteforce min_expansion doubly_independent_sets "
+                 "expansion_ratio treecut default_treecut_delta"),
     ("colorings", "TwoColoring AdversaryInstance Shading DensityReport adversary "
                   "clique_coloring density a_good_shading verify_shading verify_adversary "
                   "adversary_bound_chain max_embedding_density_bruteforce RED BLUE"),

@@ -28,11 +28,14 @@ from .errors import VerificationError, edge_list_header, edge_list_rows, fields,
 
 NINE = "{:.9g}"
 FIG1_MAX_STEPS = 10 ** 6  # rdl fig1 writes one row per step, plus x = 0
-# rdl mu work bounds, checked before anything is built.  The search recurses
-# once per vertex of I and holds two masks per candidate, about prefix**2 / 8
-# bytes in all; the family lists prefix * degree neighbours, about 70 bytes
-# each; a grid:d builds every point of the box that holds its prefix's
-# neighbours, about 280 bytes each.
+# rdl mu work bounds, checked before anything is built, the same whichever
+# path runs.  When the edges with an end in the boundary-interior pool form a
+# forest, the tree DP of families.mu_forest takes about prefix * n**2 steps
+# and holds arrays of at most n + 1 entries; otherwise mu_bruteforce's search
+# recurses once per vertex of I and holds two masks per candidate, about
+# prefix**2 / 8 bytes in all.  The family lists prefix * degree neighbours,
+# about 70 bytes each; a grid:d builds every point of the box that holds its
+# prefix's neighbours, about 280 bytes each.
 MU_MAX_N = 64
 MU_MAX_PREFIX = 10 ** 4
 MU_MAX_NEIGHBORS = 2 * 10 ** 5
@@ -292,7 +295,7 @@ def cmd_fig1(args):
 
 
 def cmd_mu(args):
-    from .families import Grid, PrefixTooSmallError, grid_box, mu_bruteforce, parse_family
+    from .families import Grid, PrefixTooSmallError, grid_box, mu, parse_family
     _check_least("--n", args.n, 1)
     _check_least("--prefix-size", args.prefix_size, 1)
     kind, _, path = args.family.partition(":")
@@ -310,7 +313,7 @@ def cmd_mu(args):
         raise ValueError(f"{args.family} at --prefix-size {size} would build "
                          f"{grid_box(fam.d, size)} points: at most {MU_MAX_GRID_POINTS}")
     try:
-        value = mu_bruteforce(fam, args.n, args.prefix_size)
+        value = mu(fam, args.n, args.prefix_size)
     except PrefixTooSmallError as exc:
         raise ValueError(f"--prefix-size must be at least large enough to hold --n {args.n} "
                          f"independent boundary-interior vertices, got {args.prefix_size}: "

@@ -4,11 +4,19 @@ Each family generates growing prefixes of an infinite graph under a canonical
 vertex order chosen so that prefix(n) is an induced subgraph of prefix(n+1):
 path powers by index, k-ary trees in heap (BFS) order, grids by expanding
 max-norm boxes around the origin with lexicographic tie-break, and disjoint
-unions copy by copy.  On top of the generators sit exact brute-force
-computations: the expansion profile mu(n) = min |N(I)| over independent
-n-sets, doubly independent set enumeration, exact rational expansion ratios,
-and the forest procedure extracting a bounded-size subset of an independent
-set with nearly the same expansion.
+unions copy by copy.  On top of the generators sit exact computations: the
+expansion profile mu(n) = min |N(I)| over independent n-sets, doubly
+independent set enumeration, exact rational expansion ratios, and the forest
+procedure extracting a bounded-size subset of an independent set with nearly
+the same expansion.
+
+``mu``, the entry point of ``rdl mu``, builds the neighbor lists and the
+boundary-interior pool once and picks its path from the graph: when the
+edges with an end in the pool form a forest, the min-plus tree DP of
+``mu_forest`` (about prefix * n**2 steps), and otherwise the branch and
+bound of ``mu_bruteforce`` (exponential in n), which stays the oracle.  Both
+give the same value and raise the same errors; the rdl work bounds hold for
+both.
 """
 
 from __future__ import annotations
@@ -334,6 +342,156 @@ def parse_family(spec_text):
     raise ValueError(f"unknown family {spec_text!r}")
 
 
+def _mu_pool(family, n, prefix_size):
+    """(nbrs, pool) for mu(n) on the prefix: ``nbrs[v]`` is the set of v's
+    neighbors in the infinite graph, for v < prefix_size, and ``pool`` the
+    sorted boundary-interior vertices, those whose neighbors all lie in the
+    prefix outside its ring (the vertices with a neighbor beyond it).  Raises
+    PrefixTooSmallError when the pool holds fewer than n vertices."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if family.finite_size is not None:
+        prefix_size = min(prefix_size, family.finite_size)
+    nbrs = {v: family.neighbors(v) for v in range(prefix_size)}
+    ring = {v for v in range(prefix_size) if any(w >= prefix_size for w in nbrs[v])}
+    interior = set(range(prefix_size)) - ring
+    pool = sorted(v for v in range(prefix_size) if nbrs[v] <= interior)
+    if len(pool) < n:
+        raise PrefixTooSmallError(
+            f"only {len(pool)} boundary-interior candidates; increase prefix_size")
+    return nbrs, pool
+
+
+_NO_SET = "no independent boundary-interior set of the requested size"
+
+
+def mu(family, n, prefix_size):
+    """The value ``mu_bruteforce(family, n, prefix_size)`` returns, with the
+    same PrefixTooSmallError messages in the same cases.
+
+    The neighbor lists and the pool are built once.  When the edges with an
+    end in the pool form a forest, which the rooting walk of ``mu_forest``
+    finds out from the graph, the tree DP gives the value in about
+    prefix * n**2 steps; otherwise the same lists go to mu_bruteforce's
+    branch and bound, which is exponential in n.
+    """
+    nbrs, pool = _mu_pool(family, n, prefix_size)
+    rooted = _pool_forest(nbrs, pool)
+    if rooted is None:
+        return _mu_search(nbrs, pool, n)
+    return _forest_dp(*rooted, n)
+
+
+def mu_forest(family, n, prefix_size):
+    """mu_bruteforce's value by an exact min-plus tree DP, for a prefix whose
+    edges with an end in the boundary-interior pool form a forest (raises
+    ValueError otherwise).
+
+    I ranges over the same pool and |N(I)| is counted in the infinite graph.
+    Only the edges with an end in the pool matter: I lies in the pool, so
+    they decide both whether I is independent and what N(I) is.  Each tree
+    of them is rooted at its least pool vertex, and each vertex v has three
+    states: in I (A), out of I with a child in I (B), and out of I with none
+    (C).  Each state holds an array indexed by k = |I cap subtree(v)|, for
+    k <= n: the least number of vertices of N(I) in v's subtree, where v
+    itself counts in state B only.  B is stored as min(B, C + 1), the least
+    count over every choice of the children with v counted: a parent in I
+    needs exactly that, since it counts v in either state, and a parent out
+    of I reads min(B, C), which the C + 1 leaves as it is.  A product of
+    the children's arrays is a min-plus convolution capped at n + 1
+    entries, so the DP takes about prefix * n**2 steps.
+    """
+    nbrs, pool = _mu_pool(family, n, prefix_size)
+    rooted = _pool_forest(nbrs, pool)
+    if rooted is None:
+        raise ValueError("the edges with an end in the boundary-interior pool hold a cycle")
+    return _forest_dp(*rooted, n)
+
+
+def _pool_forest(nbrs, pool):
+    """(order, parent, in_pool) for the edges with an end in the pool: a
+    preorder of each of their trees from its least pool vertex, each
+    vertex's parent (-1 at a root) and the pool's indicator; None when the
+    edges hold a cycle.  A vertex outside the pool keeps only its edges to
+    the pool, all of which lie inside the prefix."""
+    in_pool = [False] * len(nbrs)
+    for v in pool:
+        in_pool[v] = True
+    parent = [-1] * len(nbrs)
+    seen = [False] * len(nbrs)
+    order = []
+    for root in pool:
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            side = in_pool[v]
+            for w in nbrs[v]:
+                if w == parent[v] or not (side or in_pool[w]):
+                    continue
+                if seen[w]:  # a second path to w
+                    return None
+                seen[w] = True
+                parent[w] = v
+                stack.append(w)
+    return order, parent, in_pool
+
+
+def _min_plus(a, b, cap):
+    """c[k] = min over i + j = k of a[i] + b[j], for k < len(a) + len(b) - 1
+    and k < cap; an entry is an int or math.inf.  c[k] pairs a slice of a
+    with one of b reversed, which is faster than a pass per entry of a."""
+    if len(a) > len(b):
+        a, b = b, a
+    size = min(len(a) + len(b) - 1, cap)
+    if len(a) == 1:
+        x = a[0]
+        return [x + y for y in b[:size]]
+    last = len(b) - 1
+    rb = b[::-1]
+    return [min(map(operator.add, a[max(0, k - last):k + 1], rb[max(last - k, 0):]))
+            for k in range(size)]
+
+
+def _forest_dp(order, parent, in_pool, n):
+    """The tree DP of ``mu_forest`` over the rooted forest of ``_pool_forest``."""
+    inf = math.inf
+    cap = n + 1
+    # per vertex v, the products so far of its children's arrays for v in I
+    # (their B), for v out of I with no child in I (their min(B, C)), and for
+    # v out of I (their min(A, B, C))
+    take, skip, free = {}, {}, {}
+
+    def times(products, p, x):
+        got = products.get(p)
+        products[p] = x if got is None else _min_plus(got, x, cap)
+
+    for v in reversed(order):
+        freed = free.pop(v, [0])
+        size = min(len(freed) + in_pool[v], cap)
+        pad = [inf] * (size - len(freed))
+        b = [x + 1 for x in freed] + pad
+        out = list(map(min, b, skip.pop(v, [0]) + pad))
+        if in_pool[v]:
+            anything = list(map(min, [inf] + take.pop(v, [0])[:size - 1], out))
+        else:
+            anything = out
+        p = parent[v]
+        if p >= 0:
+            if in_pool[p]:
+                times(take, p, b)
+            times(skip, p, out)
+        times(free, p, anything)  # p = -1 holds the product over the roots
+    total = free.get(-1, [0])
+    best = total[n] if len(total) > n else inf
+    if best == inf:
+        raise PrefixTooSmallError(_NO_SET)
+    return best
+
+
 def mu_bruteforce(family, n, prefix_size):
     """Minimum |N(I)| over the boundary-interior independent n-sets I of the
     prefix, with N taken in the infinite graph: an upper bound on mu(n), exact
@@ -357,17 +515,11 @@ def mu_bruteforce(family, n, prefix_size):
     for the rest of the loop, and the search visits the nodes it would visit
     testing every vertex, in the same order.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if family.finite_size is not None:
-        prefix_size = min(prefix_size, family.finite_size)
-    nbrs = {v: family.neighbors(v) for v in range(prefix_size)}
-    ring = {v for v in range(prefix_size) if any(w >= prefix_size for w in nbrs[v])}
-    interior = set(range(prefix_size)) - ring
-    pool = sorted(v for v in range(prefix_size) if nbrs[v] <= interior)
-    if len(pool) < n:
-        raise PrefixTooSmallError(
-            f"only {len(pool)} boundary-interior candidates; increase prefix_size")
+    return _mu_search(*_mu_pool(family, n, prefix_size), n)
+
+
+def _mu_search(nbrs, pool, n):
+    """The branch and bound of ``mu_bruteforce`` over the lists of ``_mu_pool``."""
     masks = [sum(1 << w for w in nbrs[v]) for v in pool]
     bits = [1 << v for v in pool]
     # near[i]: the pool indices whose neighborhood meets that of pool[i]
@@ -415,7 +567,7 @@ def mu_bruteforce(family, n, prefix_size):
 
     extend(0, 0, 0, 0)
     if best == math.inf:
-        raise PrefixTooSmallError("no independent boundary-interior set of the requested size")
+        raise PrefixTooSmallError(_NO_SET)
     return best
 
 

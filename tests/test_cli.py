@@ -471,7 +471,7 @@ def test_work_bounds_exit_before_anything_is_built(argv, tmp_path, monkeypatch, 
 
     # each name on the module a command reads it from when it runs
     for module, names in ((cli, ("_planted_host", "edge_list_rows", "_parse_pl")),
-                          (families, ("mu_bruteforce", "complete_bipartite")),
+                          (families, ("mu", "mu_bruteforce", "complete_bipartite")),
                           (colorings, ("clique_coloring", "adversary")),
                           (flows, ("CapacitatedBipartite",))):
         for name in names:

@@ -85,8 +85,9 @@ ROOT_NAMES = {
                   "sigma_f_value", "sup_ratio", "canonicalize", "remove_extrema", "trace",
                   "s_good", "run_recurrence", "recurrence_discriminant", "rotate"],
     "families": ["FiniteGraph", "PathPower", "KAryTree", "Grid", "OmegaFactor", "Explicit",
-                 "ExplicitForest", "mu_bruteforce", "min_expansion", "doubly_independent_sets",
-                 "expansion_ratio", "treecut", "default_treecut_delta"],
+                 "ExplicitForest", "mu", "mu_forest", "mu_bruteforce", "min_expansion",
+                 "doubly_independent_sets", "expansion_ratio", "treecut",
+                 "default_treecut_delta"],
     "colorings": ["TwoColoring", "AdversaryInstance", "Shading", "DensityReport", "adversary",
                   "clique_coloring", "density", "a_good_shading", "verify_shading",
                   "verify_adversary", "adversary_bound_chain",
