@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
-from operator import le, lt, sub
+from operator import add, lt, sub
 
 from .errors import VerificationError, fields, shown
 
@@ -270,9 +270,13 @@ class AdversaryInstance:
 
     Construction checks the shape: s and r positive ints, n an int of at
     least 4, n colors of R/B, int entries in alpha and beta, and phi a
-    permutation of 0..n-1.  The positions of each color are derived from
-    the colors, and the inverse of phi is kept for ``permuted_coloring``
-    and for the verifier's per-block check.
+    permutation of 0..n-1.  It then derives, once, what the verifier and
+    the bound chain read: the colors as red bytes (1 for R, 0 for B) and
+    the positions of each color; whether alpha and whether beta strictly
+    increase; the joint prefix, the number of leading indices j with
+    alpha_j + beta_j <= n (the phi blocks that exist); and the inverse of
+    phi, for ``permuted_coloring`` and the verifier's per-block check.  An
+    instance built from it with ``dataclasses.replace`` derives them anew.
     """
 
     s: int
@@ -285,6 +289,10 @@ class AdversaryInstance:
     phi: tuple
     red_positions: tuple = field(init=False, repr=False, compare=False)
     blue_positions: tuple = field(init=False, repr=False, compare=False)
+    _is_red: bytes = field(init=False, repr=False, compare=False)
+    _alpha_rises: bool = field(init=False, repr=False, compare=False)
+    _beta_rises: bool = field(init=False, repr=False, compare=False)
+    _joint: int = field(init=False, repr=False, compare=False)
     _where: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -300,6 +308,10 @@ class AdversaryInstance:
             raise ValueError("phi is not a permutation of the vertices")
         object.__setattr__(self, "red_positions", _positions(is_red, 1))
         object.__setattr__(self, "blue_positions", _positions(is_red, 0))
+        object.__setattr__(self, "_is_red", is_red)
+        object.__setattr__(self, "_alpha_rises", _rises(self.alpha))
+        object.__setattr__(self, "_beta_rises", _rises(self.beta))
+        object.__setattr__(self, "_joint", _joint_prefix(self.alpha, self.beta, n))
         object.__setattr__(self, "_where", where)
 
     @property
@@ -469,20 +481,15 @@ def _rises(seq):
     return all(map(lt, seq, seq[1:]))
 
 
-def _joint_prefix(alpha, beta, n, rising=False):
+def _joint_prefix(alpha, beta, n):
     """Number of leading indices j with alpha_j + beta_j <= n: the phi
-    blocks that exist.  When the caller knows alpha and beta to be strictly
-    increasing (rising), so is alpha_j + beta_j, and the count is found by
-    bisection; any other lists are walked."""
-    if rising:
-        return bisect_right(range(min(len(alpha), len(beta))), n,
-                            key=lambda j: alpha[j] + beta[j])
-    joint = 0
-    for a_j, b_j in zip(alpha, beta):
-        if a_j + b_j > n:
-            break
-        joint += 1
-    return joint
+    blocks that exist.  The sums are walked up to the first one past n, so
+    the lists need not rise; ``AdversaryInstance`` counts them once, when
+    it is built."""
+    for j, total in enumerate(map(add, alpha, beta)):
+        if total > n:
+            return j
+    return min(len(alpha), len(beta))
 
 
 def _stretch_end(alpha, beta, j, stop, red_pos=None, blue_pos=None):
@@ -790,21 +797,18 @@ def verify_adversary(inst):
     problems = []
     s, r, n = inst.s, inst.r, inst.n
     alpha, beta = inst.alpha, inst.beta
-    red_pos, blue_pos = inst.red_positions, inst.blue_positions
-    is_red = "".join(inst.vertex_colors).encode().translate(_IS_RED)
+    red_pos, blue_pos, is_red = inst.red_positions, inst.blue_positions, inst._is_red
     if _red_bits(inst.g, n) != is_red:
         m = _first_wrong_count(is_red, _red_prefix_counts(inst.g, n))
         problems.append(f"red prefix count wrong at m={m}")
-    alpha_rises, beta_rises = _rises(alpha), _rises(beta)
-    problems += _index_problems("alpha", alpha, red_pos, is_red, s, r, alpha_rises)
+    problems += _index_problems("alpha", alpha, red_pos, is_red, s, r, inst._alpha_rises)
     problems += _index_problems("beta", beta, blue_pos, is_red.translate(_FLIP), s, r,
-                                beta_rises)
-    if not beta_rises:
+                                inst._beta_rises)
+    if not inst._beta_rises:
         problems.append("beta is not strictly increasing")
-    rising = alpha_rises and beta_rises
-    joint = _joint_prefix(alpha, beta, n, rising)
-    if rising and _blocks_match(inst, joint):
+    if inst._alpha_rises and inst._beta_rises and _blocks_match(inst):
         return problems
+    joint = inst._joint
     reach_red = _prefix_reach(inst._where, red_pos)
     reach_blue = _prefix_reach(inst._where, blue_pos)
     n_red, n_blue = len(red_pos), len(blue_pos)
@@ -816,15 +820,16 @@ def verify_adversary(inst):
     return problems
 
 
-def _blocks_match(inst, joint):
-    """Whether the first joint phi blocks hold the vertices they want,
-    checked per stretch as the ``verify_adversary`` docstring proves: True
-    proves that every block matches, False proves nothing.  alpha and beta
-    must be strictly increasing; blocks that name no vertex of their color
-    give False."""
+def _blocks_match(inst):
+    """Whether the phi blocks hold the vertices they want, checked per
+    stretch as the ``verify_adversary`` docstring proves: True proves that
+    every block matches, False proves nothing.  alpha and beta must be
+    strictly increasing; blocks that name no vertex of their color give
+    False."""
     alpha, beta = inst.alpha, inst.beta
     red_pos, blue_pos = inst.red_positions, inst.blue_positions
     phi = tuple(inst.phi)       # its slices are compared with tuples
+    joint = inst._joint
     if joint and not (0 <= alpha[0] and 0 <= beta[0] and alpha[joint - 1] <= len(red_pos)
                       and beta[joint - 1] <= len(blue_pos)):
         return False
@@ -852,15 +857,15 @@ def adversary_bound_chain(inst, i_min=50):
     beta_i at every index i >= i_min >= 1 with alpha_i + beta_i <= n; returns
     violations (an infinite crossing means g was built too small for n).
 
-    When alpha and beta are strictly increasing the bounds are checked per
-    cell (``_chain_holds``): a stretch of indices, along which alpha_i - i
-    and beta_i - i are constant (``_stretch_end``), cut where the level w
-    moves on to the next tilted piece of g.  A cell is proven by its two
-    ends.  What the cells do not prove is decided by the per-index pass:
-    the levels w grow with i, so each sign's crossings come from one pass
-    over the tilted pieces of g, each bound is computed once per index, and
-    all the comparisons are tested in one pass; the per-index loop runs
-    only to name the indices that fail.
+    When alpha and beta are strictly increasing (the instance knows from
+    its construction) the bounds are checked per cell (``_chain_holds``): a
+    stretch of indices, along which alpha_i - i and beta_i - i are constant
+    (``_stretch_end``), cut where the level w moves on to the next tilted
+    piece of g.  A cell is proven by its two ends.  When the cells do not
+    prove every index, the per-index pass decides each one and names those
+    that fail: the levels w grow with i, so each sign's crossings come from
+    one pass over the tilted pieces of g, and each bound is computed once
+    per index.
 
     Affine slack.  In a cell the per-index pass computes, from float
     constants that do not depend on i (c = 2/(1+lam), lam, 2*lam, the
@@ -902,21 +907,14 @@ def adversary_bound_chain(inst, i_min=50):
     p = inst.gamma_param
     lam = float(inst.lam)
     gamma = p.gamma
-    rising = _rises(inst.alpha) and _rises(inst.beta)
-    joint = _joint_prefix(inst.alpha, inst.beta, inst.n, rising)
-    if rising and _chain_holds(inst, gamma, lam, i_min, joint):
+    if inst._alpha_rises and inst._beta_rises and _chain_holds(inst, gamma, lam, i_min):
         return []
-    indices = range(i_min, joint + 1)
+    indices = range(i_min, inst._joint + 1)
     ws = [(2 / (1 + lam)) * (lam * i + 2 * lam + 2) for i in indices]
     zps = gamma_crossings(inst.g, p, ws, 1)
     zms = gamma_crossings(inst.g, p, ws, -1)
     alpha_tops = [(1 - gamma) * zp / 2 + w / 2 + _CHAIN_TOL for w, zp in zip(ws, zps)]
     beta_tops = [(1 - gamma) * zm / 2 + w / 2 + 2 + _CHAIN_TOL for w, zm in zip(ws, zms)]
-    window = slice(i_min - 1, indices.stop - 1)
-    if (all(map(math.isfinite, zps)) and all(map(math.isfinite, zms))
-            and all(map(le, inst.alpha[window], alpha_tops))
-            and all(map(le, inst.beta[window], beta_tops))):
-        return []
     problems = []
     for i, zp, zm, a_top, b_top in zip(indices, zps, zms, alpha_tops, beta_tops):
         if not (math.isfinite(zp) and math.isfinite(zm)):
@@ -932,13 +930,13 @@ def adversary_bound_chain(inst, i_min=50):
 _CHAIN_MARGIN = 2.0 ** -40  # E per unit of M; a top's rounding error stays under 2^-48 M
 
 
-def _chain_holds(inst, gamma, lam, i_min, joint):
+def _chain_holds(inst, gamma, lam, i_min):
     """Whether every alpha_i and beta_i, i_min <= i <= joint, is proven to
     pass the per-index pass's comparison by the ends of each cell, as the
     ``adversary_bound_chain`` docstring proves; False proves nothing.
     alpha and beta must be strictly increasing."""
     from .lipschitz import _tilted
-    alpha, beta, g = inst.alpha, inst.beta, inst.g
+    alpha, beta, g, joint = inst.alpha, inst.beta, inst.g, inst._joint
     c = 2 / (1 + lam)
 
     def level(i):

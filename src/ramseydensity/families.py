@@ -413,7 +413,9 @@ def _pool_forest(nbrs, pool):
     preorder of each of their trees from its least pool vertex, each
     vertex's parent (-1 at a root) and the pool's indicator; None when the
     edges hold a cycle.  A vertex outside the pool keeps only its edges to
-    the pool, all of which lie inside the prefix."""
+    the pool, all of which lie inside the prefix.  ``treecut`` roots its
+    I-N(I) forest with it as well, with I as the pool: I is independent,
+    so the edges with an end in I are the I-N(I) edges."""
     in_pool = [False] * len(nbrs)
     for v in pool:
         in_pool[v] = True
@@ -696,38 +698,19 @@ def treecut(forest: FiniteGraph, I, lam, lam_prime, delta):
     cut = math.ceil(1 / delta)
     bound = math.floor(2 / delta)
 
-    # rooted structure: least I-vertex per component.  The subforest's edges
-    # join I to J (I is independent), so w is a child of v iff exactly one
-    # of them lies in I; in a forest the parents do not depend on the order
-    # the children are pushed in
-    n = forest.n
-    in_i = [False] * n
-    for v in I:
-        in_i[v] = True
-    parent = [-1] * n
-    seen = [False] * n
-    order = []
-    for root in I:
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            side = in_i[v]
-            for w in full_adj[v]:
-                if in_i[w] != side and not seen[w]:
-                    seen[w] = True
-                    parent[w] = v
-                    stack.append(w)
-    if len(order) != len(I) + len(J):
+    # rooted structure: least I-vertex per component.  I is independent, so
+    # the edges with an end in I are the I-N(I) edges; in a forest the
+    # parents do not depend on the order the children are pushed in
+    rooted = _pool_forest(full_adj, I)
+    if rooted is None or len(rooted[0]) != len(I) + len(J):
         raise VerificationError("treecut: rooting missed vertices of the I-N(I) forest")
+    order, parent, in_i = rooted
 
     # reversed preorder visits children before parents; a cut vertex's
     # subtree is detached, so its size is not passed up.  X is the cut set
     # closed under parents of its J part (a J-vertex is never a root, and its
     # parent is an I-vertex); `removed` is X cap I
+    n = forest.n
     size = [1] * n
     deleted_j = [False] * n
     removed = [False] * n

@@ -13,7 +13,9 @@ and the chain on entries set to the floor of their bound and one above, at
 the ends of stretches and inside them.  A counting test checks that the
 number of stretches, not n, sets the work: the stretch helper's calls stay
 within the coloring's run count while n grows eightfold, and no per-index
-fallback runs.
+fallback runs.  The rise flags and the joint prefix are derived once, when
+an instance is built: the checks derive neither again, and an instance
+built with ``dataclasses.replace`` holds those of its own lists.
 """
 
 import dataclasses
@@ -25,7 +27,7 @@ import pytest
 import adversary_reference as ref
 import lipschitz_reference as lref
 from ramseydensity import colorings, lipschitz
-from ramseydensity.colorings import (_joint_prefix, _stretch_end, adversary,
+from ramseydensity.colorings import (_joint_prefix, _rises, _stretch_end, adversary,
                                      adversary_bound_chain, verify_adversary)
 from ramseydensity.lipschitz import (GammaParam, PLFunction, random_alternating_candidate,
                                      sigma_g)
@@ -257,8 +259,53 @@ def test_an_entry_past_n_ends_the_blocks(base):
     problems = verify_adversary(bad)
     assert f"alpha_{j} = {base.n} is out of range" in problems
     assert not any(line.startswith("phi block") for line in problems)
-    assert _joint_prefix(base.alpha, base.beta, base.n, rising=True) == \
-        _joint_prefix(base.alpha, base.beta, base.n) == len(blocks(base))
+    assert _joint_prefix(base.alpha, base.beta, base.n) == base._joint == len(blocks(base))
+
+
+def derived_cases():
+    """(s, r, g, n): the sawtooth sigma:1:12 at n = 2000 and 16000, and one
+    seeded random candidate at lambda = 2."""
+    g = sigma_g(GammaParam.from_lambda(1.0), 12)
+    rng = random.Random(32)
+    candidate = random_alternating_candidate(rng, GammaParam.from_lambda(2.0), max_pieces=12,
+                                             span_cap=500.0)
+    return [(1, 1, g, 2000), (1, 1, g, 16000), (2, 1, candidate, 3000)]
+
+
+@pytest.mark.parametrize("s,r,g,n", derived_cases())
+def test_the_checks_derive_nothing_again(s, r, g, n, monkeypatch):
+    # the rise flags and the joint prefix are derived when the instance is
+    # built; the verifier and the chain read them and derive none again
+    inst = adversary(s, r, g, n)
+    calls = []
+    for name in ("_rises", "_joint_prefix"):
+        original = getattr(colorings, name)
+        monkeypatch.setattr(colorings, name,
+                            lambda *args, _name=name, _f=original: calls.append(_name) or _f(*args))
+    assert verify_adversary(inst) == []
+    adversary_bound_chain(inst)
+    assert calls == []
+
+
+def test_a_replaced_instance_derives_its_own_facts(base):
+    # every instance built with dataclasses.replace holds the flags and the
+    # joint prefix of its own lists: phi swapped across blocks, an entry past
+    # n, two entries of beta swapped, and alpha raised from a stretch on
+    j, k, _ = blocks(base)[len(blocks(base)) // 3]
+    alpha, beta = list(base.alpha), list(base.beta)
+    alpha[j - 1] = base.n
+    beta[j - 1], beta[j] = beta[j], beta[j - 1]
+    first = chain_stretches(base, 1)[-1][0]
+    bad = [swapped(base, k - 1, k),
+           dataclasses.replace(base, alpha=tuple(alpha)),
+           dataclasses.replace(base, beta=tuple(beta)),
+           dataclasses.replace(base, alpha=base.alpha[:first - 1] + tuple(
+               a + 3 for a in base.alpha[first - 1:]))]
+    for inst in bad:
+        assert (inst._alpha_rises, inst._beta_rises, inst._joint) == \
+            (_rises(inst.alpha), _rises(inst.beta), _joint_prefix(inst.alpha, inst.beta, inst.n))
+    assert {inst._alpha_rises for inst in bad} == {inst._beta_rises for inst in bad} == {False, True}
+    assert len({inst._joint for inst in bad}) > 1
 
 
 def run_count(inst):
